@@ -5,12 +5,22 @@ image, matched greedily in descending score order against same-category
 ground truth of the same image, and AP is the mean over the 10-threshold
 IoU grid and over all categories that have at least one ground truth.
 
+One engine does all matching. :func:`_match` groups detections and ground
+truth into image x category cells once; :func:`_greedy` then steps
+detection rank k over every cell at once and settles all IoU thresholds in
+the same step. ``evaluate`` (all ten thresholds), the TIDE baseline (0.5,
+capped), TIDE error classification (tf, uncapped) and ``match_greedy`` (one
+cell) are its callers. Because the cap keeps each image's best-ranked
+detections and a cell ranks the same way, capped matching is a per-cell
+prefix of uncapped matching.
+
 All ties (equal scores, equal IoUs) break by input order, so results are
 invariant to the order records appear in the input files.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -38,42 +48,88 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def _boxes(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """(n, 4) float array of (x, y, w, h) rows, built column by column."""
+    cols = [[b.x for b in boxes], [b.y for b in boxes], [b.w for b in boxes], [b.h for b in boxes]]
+    return np.array(cols, dtype=np.float64).T
+
+
+def _pair_iou(d: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """IoU of (x, y, w, h) boxes on the last axis of ``d`` and ``g``, broadcast."""
+    ix = np.minimum(d[..., 0] + d[..., 2], g[..., 0] + g[..., 2]) - np.maximum(d[..., 0], g[..., 0])
+    iy = np.minimum(d[..., 1] + d[..., 3], g[..., 1] + g[..., 3]) - np.maximum(d[..., 1], g[..., 1])
+    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
+    return inter / (d[..., 2] * d[..., 3] + g[..., 2] * g[..., 3] - inter)
+
+
 def _iou_matrix(det_boxes: Sequence[BoundingBox], gt_boxes: Sequence[BoundingBox]) -> np.ndarray:
     """IoU of every det box against every gt box, shape (n_det, n_gt)."""
-    if not det_boxes or not gt_boxes:
-        return np.zeros((len(det_boxes), len(gt_boxes)))
-    d = np.array([b.as_list() for b in det_boxes])
-    g = np.array([b.as_list() for b in gt_boxes])
-    ix = np.minimum(d[:, None, 0] + d[:, None, 2], g[None, :, 0] + g[None, :, 2]) \
-        - np.maximum(d[:, None, 0], g[None, :, 0])
-    iy = np.minimum(d[:, None, 1] + d[:, None, 3], g[None, :, 1] + g[None, :, 3]) \
-        - np.maximum(d[:, None, 1], g[None, :, 1])
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    union = (d[:, 2] * d[:, 3])[:, None] + (g[:, 2] * g[:, 3])[None, :] - inter
-    return inter / union
+    return _pair_iou(_boxes(det_boxes)[:, None], _boxes(gt_boxes)[None, :])
 
 
-def _greedy_assign(ious: np.ndarray, threshold: float) -> list[int | None]:
-    """Assign each det row (already score-ordered) its best free gt column.
+def _greedy(d_box: np.ndarray, g_box: np.ndarray, d_order: np.ndarray, g_order: np.ndarray,
+            d_count: np.ndarray, g_count: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
+    """Greedy matching of every cell at every threshold; the only matching loop.
 
-    A det takes the highest-IoU unmatched gt if that IoU is >= threshold;
-    ties between gts break on the first (input-order) occurrence.
+    ``d_order`` lists the rows of ``d_box`` cell after cell, each cell in
+    rank order; ``g_order`` lists the rows of ``g_box`` cell after cell, in
+    input order; ``d_count``/``g_count`` give the cell sizes. Step k takes
+    the rank-k detection of every cell at once and computes its IoU with its
+    cell's ground truth; at each threshold it then takes the highest-IoU gt
+    still free if that IoU is >= the threshold (first gt on ties). Returns
+    (len(thresholds), len(d_box)) matched ``g_box`` rows, -1 for none.
     """
-    n_det, n_gt = ious.shape
-    taken = np.zeros(n_gt, dtype=bool)
-    out: list[int | None] = []
-    for d in range(n_det):
-        if n_gt == 0 or taken.all():
-            out.append(None)
-            continue
-        row = np.where(taken, -1.0, ious[d])
-        g = int(np.argmax(row))
-        if row[g] >= threshold:
-            taken[g] = True
-            out.append(g)
-        else:
-            out.append(None)
+    out = np.full((len(thresholds), len(d_box)), -1, dtype=np.int32)
+    d_start = np.cumsum(d_count) - d_count
+    g_start = np.cumsum(g_count) - g_count
+    # cells that can match, longest first: at step k the live cells are a prefix
+    live = np.flatnonzero((d_count > 0) & (g_count > 0))
+    live = live[np.argsort(-d_count[live], kind="stable")]
+    if live.size == 0:
+        return out
+    d_start, d_count, g_start, g_count = d_start[live], d_count[live], g_start[live], g_count[live]
+    # one pair per (live cell, gt), cell by cell; step k uses a prefix of them
+    pair_start = np.concatenate(([0], np.cumsum(g_count)))
+    pair_cell = np.repeat(np.arange(live.size), g_count)
+    pos = np.arange(pair_start[-1])
+    pair_gt = g_order[g_start[pair_cell] + pos - pair_start[pair_cell]]
+    taken = np.zeros((len(thresholds), len(g_box)), dtype=bool)
+    for k in range(int(d_count[0])):
+        n_cells = int(np.searchsorted(-d_count, -k, side="left"))
+        n_pairs = int(pair_start[n_cells])
+        cell, gt, starts = pair_cell[:n_pairs], pair_gt[:n_pairs], pair_start[:n_cells]
+        det = d_order[d_start[:n_cells] + k]
+        ious = _pair_iou(d_box[det[cell]], g_box[gt])
+        for t, threshold in enumerate(thresholds):
+            v = np.where(taken[t, gt], -1.0, ious)
+            best = np.maximum.reduceat(v, starts)
+            first = np.minimum.reduceat(np.where(v == best[cell], pos[:n_pairs], n_pairs), starts)
+            hit = np.flatnonzero(best >= threshold)
+            g = gt[first[hit]]
+            out[t, det[hit]] = g
+            taken[t, g] = True
     return out
+
+
+def _match(gt_pool: Sequence[Annotation], dets: Sequence[Detection], kept: np.ndarray,
+           thresholds: Sequence[float]) -> np.ndarray:
+    """Match ``dets[kept]`` against ``gt_pool`` per image x category cell.
+
+    Each cell ranks its detections by (-score, input index) and keeps its
+    ground truth in pool order. Returns a (len(kept), len(thresholds)) array
+    of matched positions in ``gt_pool``, -1 where a detection is unmatched.
+    """
+    sel = [dets[i] for i in kept]
+    _, img = np.unique([d.image_id for d in sel] + [a.image_id for a in gt_pool], return_inverse=True)
+    cat_ids, cat = np.unique([d.category_id for d in sel] + [a.category_id for a in gt_pool],
+                             return_inverse=True)
+    cells, cell = np.unique(img * len(cat_ids) + cat, return_inverse=True)
+    d_cell, g_cell = cell[:len(sel)], cell[len(sel):]
+    score = np.array([d.score for d in sel], dtype=np.float64)
+    return _greedy(_boxes([d.bbox for d in sel]), _boxes([a.bbox for a in gt_pool]),
+                   np.lexsort((kept, -score, d_cell)), np.argsort(g_cell, kind="stable"),
+                   np.bincount(d_cell, minlength=len(cells)), np.bincount(g_cell, minlength=len(cells)),
+                   thresholds).T
 
 
 @dataclass(frozen=True)
@@ -101,19 +157,16 @@ def match_greedy(dets: Sequence[Detection], gts: Sequence[Annotation], threshold
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    ious = _iou_matrix([d.bbox for d in dets], [g.bbox for g in gts])
-    assign = _greedy_assign(ious, threshold)
+    rows = _greedy(_boxes([d.bbox for d in dets]), _boxes([g.bbox for g in gts]),
+                   np.arange(len(dets)), np.arange(len(gts)),
+                   np.array([len(dets)]), np.array([len(gts)]), (threshold,))[0].tolist()
     gt_matched: list[int | None] = [None] * len(gts)
-    matched_ids: list[int | None] = []
-    for d, g in enumerate(assign):
-        if g is None:
-            matched_ids.append(None)
-        else:
-            matched_ids.append(gts[g].id)
+    for d, g in enumerate(rows):
+        if g >= 0:
             gt_matched[g] = d
     return MatchResult(
         detections=tuple(dets),
-        matched_gt=tuple(matched_ids),
+        matched_gt=tuple(gts[g].id if g >= 0 else None for g in rows),
         gt_ids=tuple(g.id for g in gts),
         gt_matched_det=tuple(gt_matched),
         iou_threshold=threshold,
@@ -185,20 +238,15 @@ class EvalSummary:
     n_ground_truths: int
 
 
-def _cap_per_image(dets: Sequence[Detection], limit: int) -> list[tuple[int, Detection]]:
-    """Keep the ``limit`` best-scoring detections per image (input order on ties)."""
-    by_image: dict[int, list[tuple[int, Detection]]] = {}
-    for i, d in enumerate(dets):
-        by_image.setdefault(d.image_id, []).append((i, d))
-    kept: list[tuple[int, Detection]] = []
-    for img_id in by_image:
-        rows = by_image[img_id]
-        if len(rows) > limit:
-            rows = sorted(rows, key=lambda r: (-r[1].score, r[0]))[:limit]
-            rows.sort(key=lambda r: r[0])
-        kept.extend(rows)
-    kept.sort(key=lambda r: r[0])
-    return kept
+def _cap_per_image(dets: Sequence[Detection], limit: int) -> np.ndarray:
+    """Input indices, ascending, of the ``limit`` best-scoring detections per
+    image (input order on ties)."""
+    img = np.array([d.image_id for d in dets], dtype=np.int64)
+    score = np.array([d.score for d in dets], dtype=np.float64)
+    order = np.lexsort((np.arange(len(dets)), -score, img))
+    img = img[order]
+    rank = np.arange(len(dets)) - np.searchsorted(img, img, side="left")
+    return np.sort(order[rank < limit])
 
 
 def evaluate(gt: Dataset, dets: Sequence[Detection], *, max_dets: int = MAX_DETECTIONS_PER_IMAGE) -> EvalSummary:
@@ -210,50 +258,23 @@ def evaluate(gt: Dataset, dets: Sequence[Detection], *, max_dets: int = MAX_DETE
     elsewhere). Categories without any ground truth are skipped.
     """
     gt_pool = gt.non_crowd
-
     kept = _cap_per_image(dets, max_dets)
+    tp = _match(gt_pool, dets, kept, IOU_THRESHOLDS) >= 0
+    gt_count = Counter(a.category_id for a in gt_pool)
 
-    det_cells: dict[tuple[int, int], list[tuple[int, Detection]]] = {}
-    for i, d in kept:
-        det_cells.setdefault((d.image_id, d.category_id), []).append((i, d))
-    gt_cells: dict[tuple[int, int], list[Annotation]] = {}
-    gt_count: dict[int, int] = {}
-    for a in gt_pool:
-        gt_cells.setdefault((a.image_id, a.category_id), []).append(a)
-        gt_count[a.category_id] = gt_count.get(a.category_id, 0) + 1
-
-    n_thr = len(IOU_THRESHOLDS)
-    thr = np.array(IOU_THRESHOLDS)
+    # rows grouped by category, each group in (-score, input index) rank
+    cat = np.array([dets[i].category_id for i in kept], dtype=np.int64)
+    score = np.array([dets[i].score for i in kept], dtype=np.float64)
+    order = np.lexsort((kept, -score, cat))
+    cat = cat[order]
 
     per_category: dict[int, ApTriple] = {}
     ap_grid: list[np.ndarray] = []
-    for cat in sorted(gt_count):
-        cat_scores: list[float] = []
-        cat_index: list[int] = []
-        cat_tp: list[np.ndarray] = []
-        for img in {img for img, c in det_cells if c == cat}:
-            rows = sorted(det_cells[img, cat], key=lambda r: (-r[1].score, r[0]))
-            gts = gt_cells.get((img, cat), [])
-            ious = _iou_matrix([r[1].bbox for r in rows], [g.bbox for g in gts])
-            tp = np.zeros((len(rows), n_thr), dtype=bool)
-            for t in range(n_thr):
-                for d, g in enumerate(_greedy_assign(ious, float(thr[t]))):
-                    if g is not None:
-                        tp[d, t] = True
-            for idx, det in rows:
-                cat_scores.append(det.score)
-                cat_index.append(idx)
-            cat_tp.append(tp)
-        n_gt_cat = gt_count[cat]
-        if cat_scores:
-            tp_all = np.concatenate(cat_tp, axis=0)
-            order = sorted(range(len(cat_scores)), key=lambda i: (-cat_scores[i], cat_index[i]))
-            tp_all = tp_all[np.array(order)]
-            aps = np.array([_interpolated_ap(tp_all[:, t], n_gt_cat) for t in range(n_thr)])
-        else:
-            aps = np.zeros(n_thr)
+    for c in sorted(gt_count):
+        rows = order[np.searchsorted(cat, c, "left"):np.searchsorted(cat, c, "right")]
+        aps = np.array([_interpolated_ap(tp[rows, t], gt_count[c]) for t in range(len(IOU_THRESHOLDS))])
         ap_grid.append(aps)
-        per_category[cat] = ApTriple(
+        per_category[c] = ApTriple(
             ap=float(aps.mean()), ap50=float(aps[_AP50_INDEX]), ap75=float(aps[_AP75_INDEX]),
         )
 

@@ -2,9 +2,11 @@
 
 Every random decision draws from its own counter-based stream (Philox4x64)
 keyed by ``(seed, purpose, item)``, so a given annotation is corrupted the
-same way no matter what else runs, in what order, or on how many threads.
-The composite injector therefore produces exactly the union of what the
-four standalone injectors would do to the same input at the same seed.
+same way no matter what else runs or in what order. The composite
+injector therefore produces exactly the union of what the four standalone
+injectors would do to the same input at the same seed. Planning runs on one
+thread; the injectors' ``workers`` keyword is accepted for compatibility and
+has no effect.
 
 Stream purposes (second key word, high 6 bits):
 
@@ -24,7 +26,6 @@ over the eligible (non-crowd) pool of the input dataset.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -259,22 +260,15 @@ def perturb_box(
     return BoundingBox(x, y, w, h)
 
 
-def _plan_localization(
-    ds: Dataset, ratio: float, delta: float, seed: int, workers: int,
-) -> dict[int, BoundingBox]:
+def _plan_localization(ds: Dataset, ratio: float, delta: float, seed: int) -> dict[int, BoundingBox]:
     """Map selected annotation ids to their jittered boxes."""
     _check_delta(delta)
-    targets = sorted(select_targets(ds, ratio, seed, "localization"))
-
-    def one(ann_id: int) -> tuple[int, BoundingBox]:
+    moves: dict[int, BoundingBox] = {}
+    for ann_id in sorted(select_targets(ds, ratio, seed, "localization")):
         a = ds.annotations_by_id[ann_id]
         rng = _stream(seed, _LOCALIZATION_ITEM, ann_id)
-        return ann_id, perturb_box(a.bbox, ds.images_by_id[a.image_id], delta, rng)
-
-    if workers > 1 and len(targets) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return dict(ex.map(one, targets))
-    return dict(one(t) for t in targets)
+        moves[ann_id] = perturb_box(a.bbox, ds.images_by_id[a.image_id], delta, rng)
+    return moves
 
 
 def make_bogus_box(
@@ -332,9 +326,7 @@ def make_bogus_box(
                       bbox=BoundingBox(x1, y1, bw, bh))
 
 
-def _plan_bogus(
-    ds: Dataset, ratio: float, seed: int, policy: BogusSizePolicy, workers: int,
-) -> list[Annotation]:
+def _plan_bogus(ds: Dataset, ratio: float, seed: int, policy: BogusSizePolicy) -> list[Annotation]:
     """Fabricate ``exact_count`` annotations with fresh sequential ids."""
     k = exact_count(ratio, len(ds.non_crowd))
     if k == 0:
@@ -348,10 +340,6 @@ def _plan_bogus(
         rng = _stream(seed, _BOGUS_ITEM, i)
         img = images[int(rng.integers(0, len(images)))]
         return make_bogus_box(img, ds, policy, rng, new_id=base + 1 + i)
-
-    if workers > 1 and k > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(one, range(k)))
     return [one(i) for i in range(k)]
 
 
@@ -408,7 +396,7 @@ def inject_localization(
 ) -> tuple[Dataset, InjectionLog]:
     """Jitter the boxes of an exact-count subset; areas are recomputed."""
     config = NoiseConfig(NoiseType.LOCALIZATION, ratio, seed, loc_delta=delta)
-    return _assemble(ds, config, {}, _plan_localization(ds, ratio, delta, seed, workers), frozenset(), [])
+    return _assemble(ds, config, {}, _plan_localization(ds, ratio, delta, seed), frozenset(), [])
 
 
 def inject_missing(ds: Dataset, ratio: float, seed: int = 0) -> tuple[Dataset, InjectionLog]:
@@ -427,7 +415,7 @@ def inject_bogus(
 ) -> tuple[Dataset, InjectionLog]:
     """Add an exact-count batch of fabricated annotations on random images."""
     config = NoiseConfig(NoiseType.BOGUS, ratio, seed, bogus_size_policy=policy)
-    return _assemble(ds, config, {}, {}, frozenset(), _plan_bogus(ds, ratio, seed, BogusSizePolicy(policy), workers))
+    return _assemble(ds, config, {}, {}, frozenset(), _plan_bogus(ds, ratio, seed, BogusSizePolicy(policy)))
 
 
 def inject_una(
@@ -449,22 +437,24 @@ def inject_una(
     """
     config = NoiseConfig(NoiseType.UNA, ratio, seed, loc_delta=delta, bogus_size_policy=policy)
     flips = _plan_categorization(ds, ratio, seed)
-    moves = _plan_localization(ds, ratio, delta, seed, workers)
+    moves = _plan_localization(ds, ratio, delta, seed)
     removed = select_targets(ds, ratio, seed, "missing")
-    bogus = _plan_bogus(ds, ratio, seed, BogusSizePolicy(policy), workers)
+    bogus = _plan_bogus(ds, ratio, seed, BogusSizePolicy(policy))
     return _assemble(ds, config, flips, moves, removed, bogus)
 
 
 def inject(ds: Dataset, config: NoiseConfig, *, workers: int = 1) -> tuple[Dataset, InjectionLog]:
-    """Dispatch on ``config.noise_type``; returns the noisy dataset and log."""
+    """Dispatch on ``config.noise_type``; returns the noisy dataset and log.
+
+    ``workers`` is accepted for compatibility and has no effect.
+    """
     t = config.noise_type
     if t is NoiseType.CATEGORIZATION:
         return inject_categorization(ds, config.ratio, config.seed)
     if t is NoiseType.LOCALIZATION:
-        return inject_localization(ds, config.ratio, config.loc_delta, config.seed, workers=workers)
+        return inject_localization(ds, config.ratio, config.loc_delta, config.seed)
     if t is NoiseType.MISSING:
         return inject_missing(ds, config.ratio, config.seed)
     if t is NoiseType.BOGUS:
-        return inject_bogus(ds, config.ratio, config.seed, config.bogus_size_policy, workers=workers)
-    return inject_una(ds, config.ratio, config.loc_delta, config.seed,
-                      config.bogus_size_policy, workers=workers)
+        return inject_bogus(ds, config.ratio, config.seed, config.bogus_size_policy)
+    return inject_una(ds, config.ratio, config.loc_delta, config.seed, config.bogus_size_policy)

@@ -8,19 +8,14 @@ the gap to the baseline is that component's cost.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .metrics import (
-    MAX_DETECTIONS_PER_IMAGE,
-    _cap_per_image,
-    _greedy_assign,
-    _interpolated_ap,
-    _iou_matrix,
-)
+from .metrics import MAX_DETECTIONS_PER_IMAGE, _cap_per_image, _interpolated_ap, _iou_matrix, _match
 from .model import Annotation, Dataset, Detection
 
 DEFAULT_TF = 0.5
@@ -95,35 +90,35 @@ def classify_errors(
     """
     _check_thresholds(tf, tb)
 
-    by_image_gt: dict[int, list[Annotation]] = {}
-    for a in gt.non_crowd:
-        by_image_gt.setdefault(a.image_id, []).append(a)
+    pool = gt.non_crowd
+    match = _match(pool, dets, np.arange(len(dets)), (tf,))[:, 0]
+    taken = np.zeros(len(pool), dtype=bool)
+    taken[match[match >= 0]] = True
+    matched = [pool[g].id if g >= 0 else None for g in match.tolist()]
+
+    by_image_gt: dict[int, list[int]] = {}
+    for j, a in enumerate(pool):
+        by_image_gt.setdefault(a.image_id, []).append(j)
     by_image_det: dict[int, list[int]] = {}
     for i, d in enumerate(dets):
         by_image_det.setdefault(d.image_id, []).append(i)
 
     labels: list[ErrorKind | None] = [None] * len(dets)
-    matched: list[int | None] = [None] * len(dets)
     cls_targets: dict[int, int] = {}
     loc_targets: dict[int, int] = {}
     miss_ids: set[int] = set()
 
     for img, det_idx in by_image_det.items():
-        gts = by_image_gt.get(img, [])
-        _classify_image(dets, det_idx, gts, tf, tb, labels, matched, cls_targets, loc_targets)
-    for img, gts in by_image_gt.items():
-        det_idx = by_image_det.get(img, [])
-        matched_ids = {matched[i] for i in det_idx if matched[i] is not None}
-        if not gts:
-            continue
-        covering = [i for i in det_idx if labels[i] in (ErrorKind.CLS, ErrorKind.LOC)]
-        cov_ious = _iou_matrix([dets[i].bbox for i in covering], [g.bbox for g in gts])
-        for j, g in enumerate(gts):
-            if g.id in matched_ids:
-                continue
-            if covering and (cov_ious[:, j] >= tb).any():
-                continue
-            miss_ids.add(g.id)
+        cols = by_image_gt.get(img, [])
+        unmatched = [i for i in det_idx if matched[i] is None]
+        _classify_image(dets, unmatched, [pool[j] for j in cols], taken[cols], tf, tb,
+                        labels, cls_targets, loc_targets)
+    for img, cols in by_image_gt.items():
+        covering = [i for i in by_image_det.get(img, []) if labels[i] in (ErrorKind.CLS, ErrorKind.LOC)]
+        cov_ious = _iou_matrix([dets[i].bbox for i in covering], [pool[j].bbox for j in cols])
+        for c, j in enumerate(cols):
+            if not taken[j] and not (cov_ious[:, c] >= tb).any():
+                miss_ids.add(pool[j].id)
 
     return ErrorAssignment(
         labels=tuple(labels),
@@ -140,36 +135,21 @@ def _classify_image(
     dets: Sequence[Detection],
     det_idx: list[int],
     gts: list[Annotation],
+    gt_taken: np.ndarray,
     tf: float,
     tb: float,
     labels: list[ErrorKind | None],
-    matched: list[int | None],
     cls_targets: dict[int, int],
     loc_targets: dict[int, int],
 ) -> None:
-    """Match and label the detections of one image, writing results in place."""
+    """Label the unmatched detections ``det_idx`` of one image, in place.
+
+    ``gts`` is the image's non-crowd ground truth and ``gt_taken`` flags the
+    ones matched at ``tf``.
+    """
     ious = _iou_matrix([dets[i].bbox for i in det_idx], [g.bbox for g in gts])
-    gt_cat = np.array([g.category_id for g in gts]) if gts else np.zeros(0, dtype=int)
-    gt_taken = np.zeros(len(gts), dtype=bool)
-
-    # greedy matching at tf, per category, in global (-score, input order) rank
-    order = sorted(range(len(det_idx)), key=lambda r: (-dets[det_idx[r]].score, det_idx[r]))
-    for cat in sorted({dets[i].category_id for i in det_idx}):
-        rows = [r for r in order if dets[det_idx[r]].category_id == cat]
-        cols = np.flatnonzero(gt_cat == cat)
-        if len(cols) == 0:
-            continue
-        sub = ious[np.array(rows)[:, None], cols[None, :]]
-        for r, g in zip(rows, _greedy_assign(sub, tf)):
-            if g is not None:
-                col = int(cols[g])
-                gt_taken[col] = True
-                matched[det_idx[r]] = gts[col].id
-
-    for r in order:
-        i = det_idx[r]
-        if matched[i] is not None:
-            continue
+    gt_cat = np.array([g.category_id for g in gts], dtype=np.int64)
+    for r, i in enumerate(det_idx):
         same = gt_cat == dets[i].category_id
         row = ious[r]
         mx_same = float(row[same].max()) if same.any() else 0.0
@@ -243,38 +223,24 @@ class _Ap50Rankings:
     what makes every reported gap non-negative. Plain re-matching after the
     data-level fix does not have that guarantee: a re-classed detection can
     steal a gt inside its new category and push the old match down the
-    ranking.
+    ranking. ``kept`` holds the detections that survive the per-image cap;
+    only those are in the ranking, so only those can be fixed.
     """
 
     def __init__(self, gt: Dataset, dets: Sequence[Detection]):
+        pool = gt.non_crowd
         kept = _cap_per_image(dets, MAX_DETECTIONS_PER_IMAGE)
-        det_cells: dict[tuple[int, int], list[tuple[int, Detection]]] = {}
-        for i, d in kept:
-            det_cells.setdefault((d.image_id, d.category_id), []).append((i, d))
-        gt_cells: dict[tuple[int, int], list[Annotation]] = {}
-        self.n_gt: dict[int, int] = {}
-        for a in gt.non_crowd:
-            gt_cells.setdefault((a.image_id, a.category_id), []).append(a)
-            self.n_gt[a.category_id] = self.n_gt.get(a.category_id, 0) + 1
-
+        match = _match(pool, dets, kept, (0.5,))[:, 0].tolist()
+        self.kept = set(kept.tolist())
+        self.n_gt: dict[int, int] = Counter(a.category_id for a in pool)
         self.rows: dict[int, list[tuple[float, int, bool, int | None]]] = {
             cat: [] for cat in self.n_gt
         }
-        self.matched_gt_ids: set[int] = set()
-        for (img, cat), cell in det_cells.items():
-            if cat not in self.rows:
-                continue
-            ranked = sorted(cell, key=lambda r: (-r[1].score, r[0]))
-            gts = gt_cells.get((img, cat), [])
-            ious = _iou_matrix([r[1].bbox for r in ranked], [g.bbox for g in gts])
-            assign = _greedy_assign(ious, 0.5)
-            for (idx, det), g in zip(ranked, assign):
-                gt_id = gts[g].id if g is not None else None
-                if gt_id is not None:
-                    self.matched_gt_ids.add(gt_id)
-                self.rows[cat].append((det.score, idx, g is not None, gt_id))
-        for cat in self.rows:
-            self.rows[cat].sort(key=lambda r: (-r[0], r[1]))
+        self.matched_gt_ids = {pool[g].id for g in match if g >= 0}
+        for i, g in sorted(zip(kept.tolist(), match), key=lambda r: (-dets[r[0]].score, r[0])):
+            cell = self.rows.get(dets[i].category_id)
+            if cell is not None:
+                cell.append((dets[i].score, i, g >= 0, pool[g].id if g >= 0 else None))
 
     def mean_ap(self, rows=None, n_gt=None) -> float:
         rows = self.rows if rows is None else rows
@@ -307,10 +273,10 @@ class _Ap50Rankings:
             }
             return self.mean_ap(rows=rows)
 
-        # cls/loc: fix each labeled detection onto its target gt when that gt
-        # is still free, else suppress the detection; best-ranked claim wins
+        # cls/loc: fix each labeled, ranked detection onto its target gt when
+        # that gt is still free, else suppress it; best-ranked claim wins
         targets = labels.cls_targets if kind is ErrorKind.CLS else labels.loc_targets
-        fixed = sorted((i for i in targets if i not in tp_at_50),
+        fixed = sorted((i for i in targets if i in self.kept and i not in tp_at_50),
                        key=lambda i: (-dets[i].score, i))
         claimed = set(self.matched_gt_ids)
         drop: set[int] = set()

@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unabench import Annotation, BoundingBox, Category, Dataset, Detection, ImageRecord
+from unabench import (
+    Annotation,
+    BoundingBox,
+    Category,
+    Dataset,
+    Detection,
+    ImageRecord,
+    classify_errors,
+    evaluate,
+    tide_report,
+)
 
 VAL2017_PATH = Path(
     os.environ.get("UNABENCH_COCO_VAL2017", "/data/coco/annotations/instances_val2017.json")
@@ -104,3 +116,75 @@ def micro_instance(rng: np.random.Generator) -> tuple[Dataset, list[Detection]]:
             cat = int(rng.integers(1, n_cat + 1))
         dets.append(Detection(image_id, cat, bbox, float(rng.random())))
     return ds, dets
+
+
+def tied_crowd_instance(rng: np.random.Generator) -> tuple[Dataset, list[Detection]]:
+    """A :func:`micro_instance` with scores rounded to thirds and ~20% crowd gts.
+
+    Rounded scores make equal-score ties common, so tie order is compared
+    against the reference; crowd ground truths must be invisible to matching.
+    """
+    ds, dets = micro_instance(rng)
+    anns = tuple(replace(a, crowd_flag=bool(rng.random() < 0.2)) for a in ds.annotations)
+    dets = [replace(d, score=round(d.score * 3) / 3) for d in dets]
+    return replace(ds, annotations=anns), dets
+
+
+def capped_tie_instance() -> tuple[Dataset, list[Detection]]:
+    """Fixed problem with tied scores, crowd gts and one image over the cap.
+
+    Every score is a multiple of 1/3. Image 1 carries more than 100
+    detections, among them wrong-class and loose copies of its ground truth
+    at the lowest score, so the per-image cap cuts through a tie group.
+    """
+    ds = build_dataset(n_images=4, n_categories=3, n_annotations=30, seed=13, crowd_every=5)
+    rng = np.random.default_rng(2024)
+    n_cat = len(ds.categories)
+
+    def near(a: Annotation, spread: float) -> BoundingBox:
+        b = a.bbox
+        dx, dy, dw, dh = rng.uniform(-spread, spread, 4)
+        return BoundingBox(max(0.0, b.x + dx * b.w), max(0.0, b.y + dy * b.h),
+                           b.w * (1.0 + dw), b.h * (1.0 + dh))
+
+    def background(image_id: int) -> Detection:
+        box = BoundingBox(float(rng.uniform(0, 560)), float(rng.uniform(0, 400)),
+                          float(rng.uniform(8, 80)), float(rng.uniform(8, 80)))
+        return Detection(image_id, int(rng.integers(1, n_cat + 1)), box,
+                         int(rng.integers(1, 4)) / 3)
+
+    dets = []
+    for a in ds.annotations:
+        for _ in range(2):
+            cat = a.category_id if rng.random() < 0.7 else 1 + a.category_id % n_cat
+            dets.append(Detection(a.image_id, cat, near(a, 0.15), int(rng.integers(1, 4)) / 3))
+    dets += [background(int(rng.integers(1, 5))) for _ in range(12)]
+    dets += [background(1) for _ in range(100)]
+    for a in ds.annotations_by_image.get(1, ()):
+        dets.append(Detection(1, 1 + a.category_id % n_cat, a.bbox, 1 / 3))
+        dets.append(Detection(1, a.category_id, near(a, 0.4), 1 / 3))
+    return ds, dets
+
+
+def match_summary(ds: Dataset, dets: list[Detection]) -> dict:
+    """Full-precision outputs of ``evaluate``, ``classify_errors`` and
+    ``tide_report`` as plain JSON values (floats round-trip exactly)."""
+    s = evaluate(ds, dets)
+    out: dict = {"evaluate": {
+        "ap": s.ap, "ap50": s.ap50, "ap75": s.ap75,
+        "per_category": {str(c): [t.ap, t.ap50, t.ap75] for c, t in sorted(s.per_category.items())},
+    }}
+    for tf, tb in ((0.5, 0.1), (0.6, 0.2)):
+        e = classify_errors(ds, dets, tf, tb)
+        r = tide_report(ds, dets, tf, tb)
+        out[f"tf={tf} tb={tb}"] = {
+            "labels": [None if lab is None else lab.value for lab in e.labels],
+            "matched_gt": list(e.matched_gt),
+            "miss_ids": sorted(e.miss_ids),
+            "cls_targets": sorted(e.cls_targets.items()),
+            "loc_targets": sorted(e.loc_targets.items()),
+            "baseline_ap50": r.baseline_ap50,
+            "oracle_ap": {k.value: v for k, v in r.oracle_ap.items()},
+            "counts": {k.value: n for k, n in r.counts.items()},
+        }
+    return json.loads(json.dumps(out))

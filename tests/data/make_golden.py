@@ -1,12 +1,18 @@
-"""Regenerate the golden eval fixture.
+"""Regenerate the golden eval and matching fixtures.
 
 Run from the repository root:
 
     python3 tests/data/make_golden.py
 
-The expected numbers come from the brute-force reference evaluator, not from
-the package, so the golden file stays an independent check. The script fails
-if package and reference disagree beyond 1e-9 before rounding.
+The numbers in ``eval_golden.json`` come from the brute-force reference
+evaluator, not from the package, so that file stays an independent check.
+The script fails if package and reference disagree beyond 1e-9 before
+rounding.
+
+``match_golden.json`` instead pins the package's own full-precision
+``evaluate`` / ``classify_errors`` / ``tide_report`` outputs on the micro
+files and on ``conftest.capped_tie_instance``, at two (tf, tb) pairs. It is
+a regression pin: rewrite it only for a deliberate change of results.
 """
 
 import json
@@ -18,9 +24,16 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from unabench import BoundingBox, Detection, evaluate, parse_dataset, serialize_dataset
+from unabench import (
+    BoundingBox,
+    Detection,
+    evaluate,
+    parse_dataset,
+    parse_detections,
+    serialize_dataset,
+)
 
-from conftest import build_dataset
+from conftest import build_dataset, capped_tie_instance, match_summary
 from reference import evaluate_ref
 
 
@@ -78,7 +91,11 @@ def main() -> None:
         ],
     }
     (HERE / "eval_golden.json").write_text(json.dumps(golden, indent=2) + "\n")
-    print("micro_gt.json, micro_dt.json, eval_golden.json written")
+
+    micro_dets = parse_detections((HERE / "micro_dt.json").read_bytes(), ds)
+    pins = {"micro": match_summary(ds, micro_dets), "capped_ties": match_summary(*capped_tie_instance())}
+    (HERE / "match_golden.json").write_text(json.dumps(pins, indent=1) + "\n")
+    print("micro_gt.json, micro_dt.json, eval_golden.json, match_golden.json written")
     print("overall:", golden["ap"], golden["ap50"], golden["ap75"])
 
 

@@ -18,7 +18,7 @@ from unabench import (
     match_greedy,
 )
 
-from conftest import build_dataset, dets_from_gt, micro_instance
+from conftest import build_dataset, dets_from_gt, micro_instance, tied_crowd_instance
 from reference import evaluate_ref
 
 
@@ -266,6 +266,21 @@ def test_evaluate_matches_reference_oracle_quick():
         assert mine.ap75 == pytest.approx(ref["overall"]["ap75"], abs=1e-9)
         for cat, triple in mine.per_category.items():
             assert triple.ap == pytest.approx(ref["per_category"][cat]["ap"], abs=1e-9)
+
+
+@pytest.mark.parametrize("max_dets", [100, 3])
+def test_evaluate_matches_reference_with_ties_crowd_and_cap(max_dets):
+    rng = np.random.default_rng(57)
+    for _ in range(150):
+        ds, dets = tied_crowd_instance(rng)
+        mine = evaluate(ds, dets, max_dets=max_dets)
+        ref = evaluate_ref(ds, dets, max_dets=max_dets)
+        for key in ("ap", "ap50", "ap75"):
+            assert getattr(mine, key) == pytest.approx(ref["overall"][key], abs=1e-9)
+        assert mine.per_category.keys() == ref["per_category"].keys()
+        for cat, triple in mine.per_category.items():
+            for key in ("ap", "ap50", "ap75"):
+                assert getattr(triple, key) == pytest.approx(ref["per_category"][cat][key], abs=1e-9)
 
 
 def test_threshold_grids_are_exact():

@@ -148,6 +148,23 @@ def test_crowd_gt_invisible_to_classification():
     assert a.miss_ids == frozenset()
 
 
+def test_oracles_leave_capped_out_detections_out():
+    # one TP, 100 background detections ranked below it, and a Cls error on
+    # the free cat-2 gt ranked last, so the per-image cap drops it
+    gt_rows = [(10, 10, 20, 20, 1), (60, 60, 20, 20, 2)]
+    det_rows = [(10, 10, 20, 20, 1, 0.9)]
+    det_rows += [(0.5 * k % 90, 85, 5, 5, 3, 0.5) for k in range(100)]
+    det_rows += [(60, 60, 20, 20, 1, 0.1)]
+    ds, dets = _scene(gt_rows, det_rows)
+    labels = classify_errors(ds, dets)
+    assert labels.labels[-1] is ErrorKind.CLS
+    r = tide_report(ds, dets)
+    assert r.baseline_ap50 == pytest.approx(0.5)
+    fixed_ds, fixed_dets = apply_oracle(ds, dets, labels, ErrorKind.CLS)
+    assert evaluate(fixed_ds, fixed_dets).ap50 == pytest.approx(0.5)
+    assert r.oracle_ap[ErrorKind.CLS] == pytest.approx(0.5)
+
+
 def test_perfect_detections_all_zero():
     ds = build_dataset(n_annotations=30, n_categories=3, seed=41)
     r = tide_report(ds, dets_from_gt(ds, score=0.9))
