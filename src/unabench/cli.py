@@ -4,7 +4,8 @@ Flags mirror the library config field names one-to-one. Any flag may also
 come from a ``key = value`` config file (``--config``), with the command
 line taking precedence; the environment variable ``UNABENCH_SEED`` supplies
 the default seed only. Exit codes: 0 success, 1 validation or domain error,
-2 I/O error. Nothing is written on a validation failure.
+2 I/O error. Nothing is written on a validation failure, and ``inject``
+moves its dataset and sidecar log into place only once both are written.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +85,7 @@ def _conv_ratio(flag: str, raw: str) -> float:
     return v
 
 
-def _conv_delta(flag: str, raw: str) -> float:
+def _conv_open_unit(flag: str, raw: str) -> float:
     v = _num(flag, raw)
     if not 0.0 < v < 1.0:
         raise CliError(f"{flag} must be in (0, 1), got {raw}")
@@ -93,13 +96,6 @@ def _conv_tf(flag: str, raw: str) -> float:
     v = _num(flag, raw)
     if not 0.0 < v <= 1.0:
         raise CliError(f"{flag} must be in (0, 1], got {raw}")
-    return v
-
-
-def _conv_tb(flag: str, raw: str) -> float:
-    v = _num(flag, raw)
-    if not 0.0 < v < 1.0:
-        raise CliError(f"{flag} must be in (0, 1), got {raw}")
     return v
 
 
@@ -127,10 +123,10 @@ _OPTIONS: dict[str, tuple] = {
     "type": (_conv_type, None),
     "ratio": (_conv_ratio, None),
     "seed": (_conv_seed, 0),
-    "loc_delta": (_conv_delta, 0.4),
+    "loc_delta": (_conv_open_unit, 0.4),
     "bogus_size_policy": (_conv_policy, BogusSizePolicy.SAMPLE_EXISTING),
     "tf": (_conv_tf, 0.5),
-    "tb": (_conv_tb, 0.1),
+    "tb": (_conv_open_unit, 0.1),
     "format": (_conv_format, "text"),
     "workers": (_conv_workers, 1),
 }
@@ -241,7 +237,30 @@ def _load_dataset(path: str) -> Dataset:
     return parse_dataset(Path(path).read_bytes())
 
 
+def _write_all(files: list[tuple[Path, bytes]]) -> None:
+    """Write each file to a temp file in its directory, then move them into
+    place in the given order, only after every write succeeded. The temp
+    files are removed whatever happens."""
+    temps: list[Path] = []
+    try:
+        for path, data in files:
+            # not mkstemp: its 0600 mode would end up on the outputs
+            tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+            with tmp.open("xb") as f:
+                temps.append(tmp)
+                f.write(data)
+        for (path, _), tmp in zip(files, temps):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+
+
 def cmd_inject(opts: dict) -> int:
+    out = Path(opts["out"])
+    log_path = Path(f"{opts['out']}.log.json")
+    if Path(opts["ann"]).resolve() in (out.resolve(), log_path.resolve()):
+        raise CliError(f"--out {opts['out']} would overwrite --ann {opts['ann']}")
     ds = _load_dataset(opts["ann"])
     config = NoiseConfig(
         noise_type=opts["type"],
@@ -253,10 +272,8 @@ def cmd_inject(opts: dict) -> int:
     noisy, log = inject(ds, config, workers=opts["workers"])
     payload = serialize_dataset(noisy)
     log_payload = json.dumps(log.to_dict(), indent=2, allow_nan=False).encode("utf-8")
-    out = Path(opts["out"])
-    log_path = Path(f"{opts['out']}.log.json")
-    out.write_bytes(payload)
-    log_path.write_bytes(log_payload)
+    # the sidecar goes first, so no dataset is ever left without its log
+    _write_all([(log_path, log_payload), (out, payload)])
     counts = log.counts()
     print(f"wrote {out} ({len(noisy.annotations)} annotations) and {log_path}")
     print(f"noise type: {config.noise_type.value}, ratio: {config.ratio}, seed: {config.seed}")
@@ -351,9 +368,9 @@ def cmd_tide(opts: dict) -> int:
 
 def dataset_stats(ds: Dataset) -> dict:
     """Counting summary: sizes, per-category counts, box-area quantiles."""
+    counts = Counter(a.category_id for a in ds.annotations)
     per_category = [
-        {"id": c.id, "name": c.name,
-         "count": sum(1 for a in ds.annotations if a.category_id == c.id)}
+        {"id": c.id, "name": c.name, "count": counts[c.id]}
         for c in sorted(ds.categories, key=lambda c: c.id)
     ]
     stats = {

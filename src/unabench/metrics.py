@@ -8,11 +8,15 @@ IoU grid and over all categories that have at least one ground truth.
 One engine does all matching. :func:`_match` groups detections and ground
 truth into image x category cells once; :func:`_greedy` then steps
 detection rank k over every cell at once and settles all IoU thresholds in
-the same step. ``evaluate`` (all ten thresholds), the TIDE baseline (0.5,
-capped), TIDE error classification (tf, uncapped) and ``match_greedy`` (one
-cell) are its callers. Because the cap keeps each image's best-ranked
-detections and a cell ranks the same way, capped matching is a per-cell
-prefix of uncapped matching.
+the same step. Its callers: ``evaluate`` (capped, all ten thresholds),
+``tide.classify_errors`` (uncapped, tf), ``tide.tide_report`` (one uncapped
+call at 0.5 and tf, which serves both the labels and the capped AP50
+baseline) and ``match_greedy`` (one cell). Because the cap keeps each
+image's best-ranked detections and a cell ranks the same way, capped
+matching is a per-cell prefix of uncapped matching.
+
+One helper, :func:`_category_ap`, pools AP for ``evaluate`` and for every
+TIDE baseline and oracle.
 
 All ties (equal scores, equal IoUs) break by input order, so results are
 invariant to the order records appear in the input files.
@@ -60,11 +64,6 @@ def _pair_iou(d: np.ndarray, g: np.ndarray) -> np.ndarray:
     iy = np.minimum(d[..., 1] + d[..., 3], g[..., 1] + g[..., 3]) - np.maximum(d[..., 1], g[..., 1])
     inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
     return inter / (d[..., 2] * d[..., 3] + g[..., 2] * g[..., 3] - inter)
-
-
-def _iou_matrix(det_boxes: Sequence[BoundingBox], gt_boxes: Sequence[BoundingBox]) -> np.ndarray:
-    """IoU of every det box against every gt box, shape (n_det, n_gt)."""
-    return _pair_iou(_boxes(det_boxes)[:, None], _boxes(gt_boxes)[None, :])
 
 
 def _greedy(d_box: np.ndarray, g_box: np.ndarray, d_order: np.ndarray, g_order: np.ndarray,
@@ -249,6 +248,27 @@ def _cap_per_image(dets: Sequence[Detection], limit: int) -> np.ndarray:
     return np.sort(order[rank < limit])
 
 
+def _ranked(dets: Sequence[Detection], kept: np.ndarray) -> np.ndarray:
+    """Positions in ``kept`` in global rank order: (-score, input index)."""
+    return np.lexsort((kept, np.array([-dets[i].score for i in kept], dtype=np.float64)))
+
+
+def _category_ap(cat: np.ndarray, tp: np.ndarray, n_gt: dict[int, int]) -> tuple[list[int], np.ndarray]:
+    """Per-category AP of rows given in global rank order.
+
+    ``cat`` holds each row's category and ``tp`` its TP flags, one column per
+    IoU threshold. Returns the categories with ``n_gt`` > 0, ascending, and
+    their APs, shape (len(categories), tp.shape[1]).
+    """
+    cats = sorted(c for c, n in n_gt.items() if n > 0)
+    order = np.argsort(cat, kind="stable")
+    lo, hi = np.searchsorted(cat[order], cats, "left"), np.searchsorted(cat[order], cats, "right")
+    return cats, np.array([
+        [_interpolated_ap(tp[order[a:b], t], n_gt[c]) for t in range(tp.shape[1])]
+        for c, a, b in zip(cats, lo, hi)
+    ]).reshape(len(cats), tp.shape[1])
+
+
 def evaluate(gt: Dataset, dets: Sequence[Detection], *, max_dets: int = MAX_DETECTIONS_PER_IMAGE) -> EvalSummary:
     """Score detections against a dataset under the full IoU grid.
 
@@ -259,37 +279,18 @@ def evaluate(gt: Dataset, dets: Sequence[Detection], *, max_dets: int = MAX_DETE
     """
     gt_pool = gt.non_crowd
     kept = _cap_per_image(dets, max_dets)
-    tp = _match(gt_pool, dets, kept, IOU_THRESHOLDS) >= 0
-    gt_count = Counter(a.category_id for a in gt_pool)
-
-    # rows grouped by category, each group in (-score, input index) rank
-    cat = np.array([dets[i].category_id for i in kept], dtype=np.int64)
-    score = np.array([dets[i].score for i in kept], dtype=np.float64)
-    order = np.lexsort((kept, -score, cat))
-    cat = cat[order]
-
-    per_category: dict[int, ApTriple] = {}
-    ap_grid: list[np.ndarray] = []
-    for c in sorted(gt_count):
-        rows = order[np.searchsorted(cat, c, "left"):np.searchsorted(cat, c, "right")]
-        aps = np.array([_interpolated_ap(tp[rows, t], gt_count[c]) for t in range(len(IOU_THRESHOLDS))])
-        ap_grid.append(aps)
-        per_category[c] = ApTriple(
-            ap=float(aps.mean()), ap50=float(aps[_AP50_INDEX]), ap75=float(aps[_AP75_INDEX]),
-        )
-
-    if ap_grid:
-        grid = np.stack(ap_grid)
-        ap = float(grid.mean())
-        ap50 = float(grid[:, _AP50_INDEX].mean())
-        ap75 = float(grid[:, _AP75_INDEX].mean())
-    else:
-        ap = ap50 = ap75 = 0.0
-
+    rank = _ranked(dets, kept)
+    tp = _match(gt_pool, dets, kept, IOU_THRESHOLDS)[rank] >= 0
+    cat = np.array([dets[i].category_id for i in kept[rank]], dtype=np.int64)
+    cats, grid = _category_ap(cat, tp, Counter(a.category_id for a in gt_pool))
+    per_category = {
+        c: ApTriple(ap=float(aps.mean()), ap50=float(aps[_AP50_INDEX]), ap75=float(aps[_AP75_INDEX]))
+        for c, aps in zip(cats, grid)
+    }
     return EvalSummary(
-        ap=ap,
-        ap50=ap50,
-        ap75=ap75,
+        ap=float(grid.mean()) if cats else 0.0,
+        ap50=float(grid[:, _AP50_INDEX].mean()) if cats else 0.0,
+        ap75=float(grid[:, _AP75_INDEX].mean()) if cats else 0.0,
         per_category=per_category,
         n_detections=len(kept),
         n_ground_truths=len(gt_pool),

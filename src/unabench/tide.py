@@ -3,7 +3,9 @@
 Each false positive gets exactly one label (Cls, Loc, Both, Dupe, Bkg);
 missed ground truths form the sixth component. For each component an
 oracle "perfectly fixes" just that mistake class and AP50 is re-measured;
-the gap to the baseline is that component's cost.
+the gap to the baseline is that component's cost. :func:`tide_report`
+does all of it from one match, with the oracles as edits of rank-ordered
+arrays scored by the AP helper ``evaluate`` uses.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import MAX_DETECTIONS_PER_IMAGE, _cap_per_image, _interpolated_ap, _iou_matrix, _match
+from .metrics import (MAX_DETECTIONS_PER_IMAGE, _boxes, _cap_per_image, _category_ap, _match,
+                      _pair_iou, _ranked)
 from .model import Annotation, Dataset, Detection
 
 DEFAULT_TF = 0.5
@@ -69,14 +72,22 @@ def _check_thresholds(tf: float, tb: float) -> None:
         raise ValueError(f"tb must satisfy 0 < tb < tf, got tb={tb}, tf={tf}")
 
 
+def _check_thresholds(tf: float, tb: float) -> None:
+    if not 0.0 < tf <= 1.0:
+        raise ValueError(f"tf must be in (0, 1], got {tf}")
+    if not 0.0 < tb < tf:
+        raise ValueError(f"tb must satisfy 0 < tb < tf, got tb={tb}, tf={tf}")
+
+
 def classify_errors(
     gt: Dataset, dets: Sequence[Detection], tf: float = DEFAULT_TF, tb: float = DEFAULT_TB,
 ) -> ErrorAssignment:
     """Label every unmatched detection with one error kind.
 
     Detections are first matched greedily at ``tf`` per image and category
-    (crowd ground truth excluded). Each leftover detection is labeled by the
-    first applicable rule against the ground truth of its image:
+    (crowd ground truth excluded), in one :func:`metrics._match` call. Each
+    leftover detection is labeled by the first applicable rule against the
+    ground truth of its image:
 
     1. Cls:  best different-class IoU >= tf
     2. Loc:  best same-class IoU in [tb, tf)
@@ -89,85 +100,71 @@ def classify_errors(
     every false positive gets exactly one label.
     """
     _check_thresholds(tf, tb)
-
     pool = gt.non_crowd
-    match = _match(pool, dets, np.arange(len(dets)), (tf,))[:, 0]
+    return _classify(pool, dets, _match(pool, dets, np.arange(len(dets)), (tf,))[:, 0], tf, tb)[0]
+
+
+def _classify(
+    pool: Sequence[Annotation], dets: Sequence[Detection], match: np.ndarray, tf: float, tb: float,
+) -> tuple[ErrorAssignment, np.ndarray, np.ndarray]:
+    """Apply the :func:`classify_errors` rules given the match at ``tf``.
+
+    ``match`` holds each detection's matched ``pool`` row, -1 for none. Each
+    image gets one IoU matrix, its unmatched detections against its ground
+    truth; every rule is a row mask of it and targets are the first-max
+    column. Also returns, per detection, its label as an ``ERROR_ORDER``
+    index (-1 when matched) and the ``pool`` row of its Cls/Loc target (-1
+    when it has none), which the oracles edit.
+    """
+    n = len(dets)
+    rule = np.full(n, -1, dtype=np.int64)
+    target = np.full(n, -1, dtype=np.int64)
     taken = np.zeros(len(pool), dtype=bool)
     taken[match[match >= 0]] = True
-    matched = [pool[g].id if g >= 0 else None for g in match.tolist()]
+    miss = ~taken
+    d_box, g_box = _boxes([d.bbox for d in dets]), _boxes([a.bbox for a in pool])
+    d_cat = np.array([d.category_id for d in dets], dtype=np.int64)
+    g_cat = np.array([a.category_id for a in pool], dtype=np.int64)
+    # detections are rows 0..n-1 and ground truths n.. of one index space
+    img = np.array([d.image_id for d in dets] + [a.image_id for a in pool], dtype=np.int64)
+    order = np.argsort(img, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(img[order])) + 1):
+        di, gi = rows[rows < n], rows[rows >= n] - n
+        di = di[match[di] < 0]
+        if gi.size == 0:
+            rule[di] = ERROR_ORDER.index(ErrorKind.BKG)
+            continue
+        ious = _pair_iou(d_box[di, None], g_box[None, gi])
+        same = d_cat[di, None] == g_cat[None, gi]
+        best_same = np.where(same, ious, 0.0).max(axis=1)
+        best_diff = np.where(same, 0.0, ious).max(axis=1)
+        best_dupe = np.where(same & taken[gi], ious, 0.0).max(axis=1)
+        rules = np.stack([                                    # in ERROR_ORDER
+            best_diff >= tf,                                  # Cls
+            (tb <= best_same) & (best_same < tf),             # Loc
+            (tb <= best_diff) & (best_diff < tf),             # Both
+            best_dupe >= tf,                                  # Dupe
+            (best_same < tb) & (best_diff < tb),              # Bkg
+        ])
+        if not rules.any(axis=0).all():  # a same-class gt at IoU >= tf must be taken
+            raise RuntimeError("error rules failed to cover a detection; matching is inconsistent")
+        rule[di] = kind = rules.argmax(axis=0)
+        fix = kind <= 1  # Cls targets another class, Loc its own
+        best = np.where(np.where(kind[:, None] == 0, ~same, same), ious, -1.0).argmax(axis=1)
+        target[di[fix]] = gi[best[fix]]
+        miss[gi] &= ~(ious[fix] >= tb).any(axis=0)
 
-    by_image_gt: dict[int, list[int]] = {}
-    for j, a in enumerate(pool):
-        by_image_gt.setdefault(a.image_id, []).append(j)
-    by_image_det: dict[int, list[int]] = {}
-    for i, d in enumerate(dets):
-        by_image_det.setdefault(d.image_id, []).append(i)
-
-    labels: list[ErrorKind | None] = [None] * len(dets)
-    cls_targets: dict[int, int] = {}
-    loc_targets: dict[int, int] = {}
-    miss_ids: set[int] = set()
-
-    for img, det_idx in by_image_det.items():
-        cols = by_image_gt.get(img, [])
-        unmatched = [i for i in det_idx if matched[i] is None]
-        _classify_image(dets, unmatched, [pool[j] for j in cols], taken[cols], tf, tb,
-                        labels, cls_targets, loc_targets)
-    for img, cols in by_image_gt.items():
-        covering = [i for i in by_image_det.get(img, []) if labels[i] in (ErrorKind.CLS, ErrorKind.LOC)]
-        cov_ious = _iou_matrix([dets[i].bbox for i in covering], [pool[j].bbox for j in cols])
-        for c, j in enumerate(cols):
-            if not taken[j] and not (cov_ious[:, c] >= tb).any():
-                miss_ids.add(pool[j].id)
-
-    return ErrorAssignment(
-        labels=tuple(labels),
-        matched_gt=tuple(matched),
-        miss_ids=frozenset(miss_ids),
-        cls_targets=cls_targets,
-        loc_targets=loc_targets,
+    ids = [a.id for a in pool]
+    assignment = ErrorAssignment(
+        labels=tuple(ERROR_ORDER[r] if r >= 0 else None for r in rule.tolist()),
+        matched_gt=tuple(ids[g] if g >= 0 else None for g in match.tolist()),
+        miss_ids=frozenset(ids[j] for j in np.flatnonzero(miss).tolist()),
+        cls_targets={i: ids[target[i]] for i in np.flatnonzero(rule == 0).tolist()},
+        loc_targets={i: ids[target[i]] for i in np.flatnonzero(rule == 1).tolist()},
         tf=tf,
         tb=tb,
     )
-
-
-def _classify_image(
-    dets: Sequence[Detection],
-    det_idx: list[int],
-    gts: list[Annotation],
-    gt_taken: np.ndarray,
-    tf: float,
-    tb: float,
-    labels: list[ErrorKind | None],
-    cls_targets: dict[int, int],
-    loc_targets: dict[int, int],
-) -> None:
-    """Label the unmatched detections ``det_idx`` of one image, in place.
-
-    ``gts`` is the image's non-crowd ground truth and ``gt_taken`` flags the
-    ones matched at ``tf``.
-    """
-    ious = _iou_matrix([dets[i].bbox for i in det_idx], [g.bbox for g in gts])
-    gt_cat = np.array([g.category_id for g in gts], dtype=np.int64)
-    for r, i in enumerate(det_idx):
-        same = gt_cat == dets[i].category_id
-        row = ious[r]
-        mx_same = float(row[same].max()) if same.any() else 0.0
-        mx_diff = float(row[~same].max()) if (~same).any() else 0.0
-        if mx_diff >= tf:
-            labels[i] = ErrorKind.CLS
-            cls_targets[i] = gts[int(np.flatnonzero(~same)[row[~same].argmax()])].id
-        elif tb <= mx_same < tf:
-            labels[i] = ErrorKind.LOC
-            loc_targets[i] = gts[int(np.flatnonzero(same)[row[same].argmax()])].id
-        elif tb <= mx_diff < tf:
-            labels[i] = ErrorKind.BOTH
-        elif (same & gt_taken).any() and float(row[same & gt_taken].max()) >= tf:
-            labels[i] = ErrorKind.DUPE
-        elif mx_same < tb and mx_diff < tb:
-            labels[i] = ErrorKind.BKG
-        else:  # a same-class gt at IoU >= tf must be taken after greedy matching
-            raise RuntimeError("error rules failed to cover a detection; matching is inconsistent")
+    return assignment, rule, target
 
 
 def apply_oracle(
@@ -212,129 +209,76 @@ class TideReport:
     tb: float
 
 
-class _Ap50Rankings:
-    """Baseline AP50 match structure with per-detection identity kept.
-
-    ``rows[cat]`` holds (score, det index, is-tp, matched gt id) in ranking
-    order for every category that has ground truth; oracles edit these rows
-    instead of re-running matching, so a fix can only remove a false
-    positive, turn one into a true positive on a free gt, or shrink a
-    category's gt count. Each of those moves AP up, never down, which is
-    what makes every reported gap non-negative. Plain re-matching after the
-    data-level fix does not have that guarantee: a re-classed detection can
-    steal a gt inside its new category and push the old match down the
-    ranking. ``kept`` holds the detections that survive the per-image cap;
-    only those are in the ranking, so only those can be fixed.
-    """
-
-    def __init__(self, gt: Dataset, dets: Sequence[Detection]):
-        pool = gt.non_crowd
-        kept = _cap_per_image(dets, MAX_DETECTIONS_PER_IMAGE)
-        match = _match(pool, dets, kept, (0.5,))[:, 0].tolist()
-        self.kept = set(kept.tolist())
-        self.n_gt: dict[int, int] = Counter(a.category_id for a in pool)
-        self.rows: dict[int, list[tuple[float, int, bool, int | None]]] = {
-            cat: [] for cat in self.n_gt
-        }
-        self.matched_gt_ids = {pool[g].id for g in match if g >= 0}
-        for i, g in sorted(zip(kept.tolist(), match), key=lambda r: (-dets[r[0]].score, r[0])):
-            cell = self.rows.get(dets[i].category_id)
-            if cell is not None:
-                cell.append((dets[i].score, i, g >= 0, pool[g].id if g >= 0 else None))
-
-    def mean_ap(self, rows=None, n_gt=None) -> float:
-        rows = self.rows if rows is None else rows
-        n_gt = self.n_gt if n_gt is None else n_gt
-        cats = sorted(c for c in n_gt if n_gt[c] > 0)
-        if not cats:
-            return 0.0
-        aps = [
-            _interpolated_ap(np.array([r[2] for r in rows[c]], dtype=bool), n_gt[c])
-            for c in cats
-        ]
-        return float(np.array(aps).mean())
-
-    def oracle_ap(self, gt: Dataset, dets: Sequence[Detection],
-                  labels: ErrorAssignment, kind: ErrorKind) -> float:
-        if kind is ErrorKind.MISS:
-            n_gt = dict(self.n_gt)
-            for gt_id in labels.miss_ids:
-                n_gt[gt.annotations_by_id[gt_id].category_id] -= 1
-            return self.mean_ap(n_gt=n_gt)
-
-        # when the classification threshold differs from 0.50, a labeled
-        # detection can still be a true positive here; those rows stay put
-        tp_at_50 = {i for cell in self.rows.values() for (_, i, tp, _) in cell if tp}
-
-        if kind in (ErrorKind.BOTH, ErrorKind.DUPE, ErrorKind.BKG):
-            rows = {
-                cat: [r for r in cell if labels.labels[r[1]] is not kind or r[2]]
-                for cat, cell in self.rows.items()
-            }
-            return self.mean_ap(rows=rows)
-
-        # cls/loc: fix each labeled, ranked detection onto its target gt when
-        # that gt is still free, else suppress it; best-ranked claim wins
-        targets = labels.cls_targets if kind is ErrorKind.CLS else labels.loc_targets
-        fixed = sorted((i for i in targets if i in self.kept and i not in tp_at_50),
-                       key=lambda i: (-dets[i].score, i))
-        claimed = set(self.matched_gt_ids)
-        drop: set[int] = set()
-        insert: dict[int, list[tuple[float, int, bool, int | None]]] = {}
-        flip: set[int] = set()
-        for i in fixed:
-            gt_id = targets[i]
-            if gt_id in claimed:
-                drop.add(i)
-                continue
-            claimed.add(gt_id)
-            if kind is ErrorKind.CLS:
-                drop.add(i)  # leaves its old category's ranking
-                cat = gt.annotations_by_id[gt_id].category_id
-                insert.setdefault(cat, []).append((dets[i].score, i, True, gt_id))
-            else:
-                flip.add(i)
-        rows = {}
-        for cat, cell in self.rows.items():
-            cell = [
-                (s, i, True if i in flip else tp, g)
-                for (s, i, tp, g) in cell
-                if i not in drop
-            ]
-            if cat in insert:
-                cell = sorted(cell + insert[cat], key=lambda r: (-r[0], r[1]))
-            rows[cat] = cell
-        return self.mean_ap(rows=rows)
+def _ap50(cat: np.ndarray, tp: np.ndarray, n_gt: dict[int, int]) -> float:
+    """Mean AP over the categories with ground truth of rank-ordered rows."""
+    cats, aps = _category_ap(cat, tp[:, None], n_gt)
+    return float(aps.mean()) if cats else 0.0
 
 
 def tide_report(
     gt: Dataset, dets: Sequence[Detection], tf: float = DEFAULT_TF, tb: float = DEFAULT_TB,
 ) -> TideReport:
-    """Classify errors once, then measure each oracle independently.
+    """Classify errors, then measure each oracle independently, from one match.
 
-    The baseline is the plain AP50 of (gt, dets). Oracle APs are measured on
-    the frozen baseline match structure (fix-or-suppress per detection), so
-    every delta is non-negative by construction; for the deleting oracles
-    (Both, Dupe, Bkg, Miss) this coincides exactly with re-evaluating the
-    :func:`apply_oracle` output, because removing unmatched detections or
-    unmatched ground truths never changes anyone else's match.
+    One :func:`metrics._match` call over all detections at 0.5 and ``tf``
+    (0.5 alone when ``tf`` == 0.5) gives the labels (tf column) and the
+    baseline, the plain AP50 of (gt, dets): the 0.5 column on the detections
+    the per-image cap keeps, in global rank order (-score, index). Each
+    oracle edits these rank-ordered (category, TP, keep) arrays instead of
+    re-matching: Both/Dupe/Bkg drop their rows that are not TPs at 0.5;
+    Miss lowers the per-category gt counts; Cls/Loc fix, in rank order, the
+    first claim on each target no TP holds and drop the other claims (a Cls
+    fix only changes the row's category, as ranking is global).
+
+    So a fix can only remove a false positive, turn one into a true positive
+    on a free gt, or shrink a category's gt count; each moves AP up, never
+    down, so every delta is non-negative. Re-matching the data-level fix
+    lacks that guarantee: a re-classed detection can steal a gt inside its
+    new category and push the old match down the ranking. For Both, Dupe,
+    Bkg and Miss the result equals re-evaluating :func:`apply_oracle`'s
+    output, because removing unmatched detections or ground truths changes
+    no other match. Only detections inside the cap are ranked or fixed.
     """
-    assignment = classify_errors(gt, dets, tf, tb)
-    rankings = _Ap50Rankings(gt, dets)
-    baseline = rankings.mean_ap()
+    _check_thresholds(tf, tb)
+    pool = gt.non_crowd
+    match = _match(pool, dets, np.arange(len(dets)), (0.5,) if tf == 0.5 else (0.5, tf))
+    assignment, rule, target = _classify(pool, dets, match[:, -1], tf, tb)
+
+    kept = _cap_per_image(dets, MAX_DETECTIONS_PER_IMAGE)
+    rows = kept[_ranked(dets, kept)]
+    g50, rule, target = match[rows, 0], rule[rows], target[rows]
+    tp = g50 >= 0
+    taken = np.zeros(len(pool), dtype=bool)
+    taken[g50[tp]] = True
+    cat = np.array([dets[i].category_id for i in rows], dtype=np.int64)
+    g_cat = np.array([a.category_id for a in pool], dtype=np.int64)
+    n_gt = Counter(g_cat.tolist())
+    baseline = _ap50(cat, tp, n_gt)
+
     oracle_ap: dict[ErrorKind, float] = {}
-    delta_ap: dict[ErrorKind, float] = {}
-    counts: dict[ErrorKind, int] = {}
-    for kind in ERROR_ORDER:
-        ap = rankings.oracle_ap(gt, dets, assignment, kind)
-        oracle_ap[kind] = ap
-        delta_ap[kind] = ap - baseline
-        counts[kind] = assignment.count(kind)
+    for k, kind in enumerate(ERROR_ORDER):
+        if kind is ErrorKind.MISS:
+            missed = Counter(gt.annotations_by_id[i].category_id for i in assignment.miss_ids)
+            oracle_ap[kind] = _ap50(cat, tp, n_gt - missed)
+            continue
+        # when tf differs from 0.5, a labeled detection can still be a TP
+        # here; those rows stay put
+        edit = (rule == k) & ~tp
+        keep, o_cat, o_tp = ~edit, cat.copy(), tp.copy()
+        if kind in (ErrorKind.CLS, ErrorKind.LOC):
+            fixed = np.flatnonzero(edit)
+            first = np.zeros(fixed.size, dtype=bool)
+            first[np.unique(target[fixed], return_index=True)[1]] = True
+            fixed = fixed[first & ~taken[target[fixed]]]
+            keep[fixed] = o_tp[fixed] = True
+            o_cat[fixed] = g_cat[target[fixed]]  # a Loc target has the row's own class
+        oracle_ap[kind] = _ap50(o_cat[keep], o_tp[keep], n_gt)
+
     return TideReport(
         baseline_ap50=baseline,
         oracle_ap=oracle_ap,
-        delta_ap=delta_ap,
-        counts=counts,
+        delta_ap={kind: ap - baseline for kind, ap in oracle_ap.items()},
+        counts={kind: assignment.count(kind) for kind in ERROR_ORDER},
         tf=tf,
         tb=tb,
     )

@@ -194,6 +194,14 @@ def match_summary(ds: Dataset, dets: list[Detection]) -> dict:
     return json.loads(json.dumps(out))
 
 
+def match_fuzz_digest(n: int = 300, seed: int = 4242) -> str:
+    """SHA-256 of :func:`match_summary` over ``n`` :func:`tied_crowd_instance`
+    draws from one seeded rng: tied scores, crowd gts, every error kind."""
+    rng = np.random.default_rng(seed)
+    blob = json.dumps([match_summary(*tied_crowd_instance(rng)) for _ in range(n)])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def edge_noise_dataset() -> Dataset:
     """Fixed dataset of one- and two-pixel boxes against image edges.
 

@@ -17,8 +17,10 @@ or the order of records shows up there.
 
 ``match_golden.json`` instead pins the package's own full-precision
 ``evaluate`` / ``classify_errors`` / ``tide_report`` outputs on the micro
-files and on ``conftest.capped_tie_instance``, at two (tf, tb) pairs. It is
-a regression pin: rewrite it only for a deliberate change of results.
+files and on ``conftest.capped_tie_instance``, at two (tf, tb) pairs, plus
+``tied_crowd_fuzz``: the SHA-256 of the same outputs over 300 seeded
+``conftest.tied_crowd_instance`` draws (``conftest.match_fuzz_digest``). It
+is a regression pin: rewrite it only for a deliberate change of results.
 """
 
 import json
@@ -42,6 +44,7 @@ from unabench import (
 from conftest import (
     build_dataset,
     capped_tie_instance,
+    match_fuzz_digest,
     match_summary,
     noise_digests,
     noise_golden_cases,
@@ -105,7 +108,8 @@ def main() -> None:
     (HERE / "eval_golden.json").write_text(json.dumps(golden, indent=2) + "\n")
 
     micro_dets = parse_detections((HERE / "micro_dt.json").read_bytes(), ds)
-    pins = {"micro": match_summary(ds, micro_dets), "capped_ties": match_summary(*capped_tie_instance())}
+    pins = {"micro": match_summary(ds, micro_dets), "capped_ties": match_summary(*capped_tie_instance()),
+            "tied_crowd_fuzz": match_fuzz_digest()}
     (HERE / "match_golden.json").write_text(json.dumps(pins, indent=1) + "\n")
     digests = {name: noise_digests(ds, config) for name, ds, config in noise_golden_cases()}
     (HERE / "noise_golden.json").write_text(json.dumps(digests, indent=1) + "\n")

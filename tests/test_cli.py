@@ -77,6 +77,32 @@ def test_inject_rejects_out_of_range_ratio(tmp_path, gt_path, capsys):
     assert not out.exists()
 
 
+def test_inject_failed_sidecar_leaves_no_dataset_and_no_temp_file(tmp_path, gt_path, capsys):
+    out = tmp_path / "noisy.json"
+    (tmp_path / "noisy.json.log.json").mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    rc = main(["inject", "--ann", gt_path, "--out", str(out),
+               "--type", "una", "--ratio", "0.3", "--seed", "2"])
+    assert rc == 2
+    assert "i/o error" in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert not any((tmp_path / "noisy.json.log.json").iterdir())
+
+
+@pytest.mark.parametrize("ann_name, out", [("gt.json", "gt.json"), ("gt.json", "./gt.json"),
+                                           ("gt.log.json", "gt")])
+def test_inject_refuses_to_overwrite_its_input(tmp_path, gt_path, capsys, ann_name, out):
+    ann = Path(gt_path).rename(tmp_path / ann_name)
+    original = ann.read_bytes()
+    rc = main(["inject", "--ann", str(ann), "--out", f"{tmp_path}/{out}",
+               "--type", "missing", "--ratio", "0.5", "--seed", "1"])
+    assert rc == 1
+    assert "would overwrite --ann" in capsys.readouterr().err
+    assert ann.read_bytes() == original
+    assert sorted(p.name for p in tmp_path.iterdir()) == [ann_name]
+
+
 def test_inject_missing_input_file(tmp_path, capsys):
     rc = main(["inject", "--ann", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o.json"),

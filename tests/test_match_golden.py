@@ -1,8 +1,9 @@
-"""Exact pins of AP, error labels and oracle APs on two fixed inputs.
+"""Exact pins of AP, error labels and oracle APs on two fixed inputs and a fuzz.
 
 ``data/match_golden.json`` holds full-precision outputs written by
-``data/make_golden.py``; any drift in matching, tie order, the per-image
-cap or the oracles shows up here as an exact mismatch.
+``data/make_golden.py``, and the SHA-256 of the same outputs over 300
+seeded tied-score/crowd instances; any drift in matching, tie order, the
+per-image cap or the oracles shows up here as an exact mismatch.
 """
 
 import json
@@ -12,7 +13,7 @@ import pytest
 
 from unabench import parse_dataset, parse_detections
 
-from conftest import capped_tie_instance, match_summary
+from conftest import capped_tie_instance, match_fuzz_digest, match_summary
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = json.loads((DATA / "match_golden.json").read_text())
@@ -29,3 +30,7 @@ def test_outputs_match_golden_exactly(name, build):
     want = GOLDEN[name]
     for section in want:
         assert got[section] == want[section], section
+
+
+def test_tied_crowd_fuzz_matches_golden_digest():
+    assert match_fuzz_digest() == GOLDEN["tied_crowd_fuzz"]

@@ -18,6 +18,8 @@ from unabench import (
     match_greedy,
 )
 
+from unabench.metrics import _cap_per_image, _match
+
 from conftest import build_dataset, dets_from_gt, micro_instance, tied_crowd_instance
 from reference import evaluate_ref
 
@@ -281,6 +283,21 @@ def test_evaluate_matches_reference_with_ties_crowd_and_cap(max_dets):
         for cat, triple in mine.per_category.items():
             for key in ("ap", "ap50", "ap75"):
                 assert getattr(triple, key) == pytest.approx(ref["per_category"][cat][key], abs=1e-9)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_capped_matching_is_a_prefix_of_uncapped_matching(cap):
+    # TIDE reads its capped AP50 baseline off one uncapped match
+    rng = np.random.default_rng(101 + cap)
+    cut = 0
+    for _ in range(300):
+        ds, dets = tied_crowd_instance(rng)
+        pool = ds.non_crowd
+        kept = _cap_per_image(dets, cap)
+        full = _match(pool, dets, np.arange(len(dets)), IOU_THRESHOLDS)
+        np.testing.assert_array_equal(full[kept], _match(pool, dets, kept, IOU_THRESHOLDS))
+        cut += len(dets) - len(kept)
+    assert cut > 0
 
 
 def test_threshold_grids_are_exact():
