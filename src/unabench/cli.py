@@ -16,6 +16,8 @@ import os
 import secrets
 import sys
 from collections import Counter
+from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,19 +49,11 @@ def _conv_str(flag: str, raw: str) -> str:
     return raw
 
 
-def _conv_type(flag: str, raw: str) -> NoiseType:
+def _conv_enum(enum: type[Enum], flag: str, raw: str) -> Enum:
     try:
-        return NoiseType(raw)
+        return enum(raw)
     except ValueError:
-        valid = ", ".join(t.value for t in NoiseType)
-        raise CliError(f"{flag} must be one of {{{valid}}}, got {raw!r}") from None
-
-
-def _conv_policy(flag: str, raw: str) -> BogusSizePolicy:
-    try:
-        return BogusSizePolicy(raw)
-    except ValueError:
-        valid = ", ".join(p.value for p in BogusSizePolicy)
+        valid = ", ".join(m.value for m in enum)
         raise CliError(f"{flag} must be one of {{{valid}}}, got {raw!r}") from None
 
 
@@ -120,11 +114,11 @@ _OPTIONS: dict[str, tuple] = {
     "out": (_conv_str, None),
     "gt": (_conv_str, None),
     "dt": (_conv_str, None),
-    "type": (_conv_type, None),
+    "type": (partial(_conv_enum, NoiseType), None),
     "ratio": (_conv_ratio, None),
     "seed": (_conv_seed, 0),
     "loc_delta": (_conv_open_unit, 0.4),
-    "bogus_size_policy": (_conv_policy, BogusSizePolicy.SAMPLE_EXISTING),
+    "bogus_size_policy": (partial(_conv_enum, BogusSizePolicy), BogusSizePolicy.SAMPLE_EXISTING),
     "tf": (_conv_tf, 0.5),
     "tb": (_conv_open_unit, 0.1),
     "format": (_conv_format, "text"),

@@ -5,28 +5,28 @@ image, matched greedily in descending score order against same-category
 ground truth of the same image, and AP is the mean over the 10-threshold
 IoU grid and over all categories that have at least one ground truth.
 
-One engine does all matching. :func:`_match` groups detections and ground
-truth into image x category cells once; :func:`_greedy` then steps
-detection rank k over every cell at once and settles all IoU thresholds in
-the same step. Its callers: ``evaluate`` (capped, all ten thresholds),
-``tide.classify_errors`` (uncapped, tf), ``tide.tide_report`` (one uncapped
-call at 0.5 and tf, which serves both the labels and the capped AP50
-baseline) and ``match_greedy`` (one cell). Because the cap keeps each
-image's best-ranked detections and a cell ranks the same way, capped
-matching is a per-cell prefix of uncapped matching.
-
-One helper, :func:`_category_ap`, pools AP for ``evaluate`` and for every
+Each entry point turns its records into arrays once, with :func:`_columns`
+(image, category, (n, 4) boxes, score), and passes only arrays down.
+:func:`_ranked` holds the one rank policy: detection indices ordered by
+(-score, input index), optionally capped per image. :func:`_match`, the one
+matching engine, takes detection rows already in that order and groups
+them and the ground truth into image x category cells; :func:`_greedy` then
+steps rank k over every cell at once and settles all IoU thresholds in the
+same step. Because the cap keeps each image's best-ranked detections and a
+cell ranks the same way, capped matching is a per-cell prefix of uncapped
+matching, so ``tide.tide_report`` reads its capped AP50 baseline off one
+uncapped match. :func:`_category_ap` pools AP for ``evaluate`` and for every
 TIDE baseline and oracle.
 
-All ties (equal scores, equal IoUs) break by input order, so results are
-invariant to the order records appear in the input files.
+All ties (equal scores, equal IoUs) break by input order, so a given pair
+of input files always gives the same matches and the same AP.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,10 +52,40 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def _boxes(boxes: Sequence[BoundingBox]) -> np.ndarray:
-    """(n, 4) float array of (x, y, w, h) rows, built column by column."""
-    cols = [[b.x for b in boxes], [b.y for b in boxes], [b.w for b in boxes], [b.h for b in boxes]]
-    return np.array(cols, dtype=np.float64).T
+class _Columns(NamedTuple):
+    """Records as arrays, row i for record i; ``scores`` is None for ground truth."""
+
+    images: np.ndarray
+    categories: np.ndarray
+    boxes: np.ndarray
+    scores: np.ndarray | None
+
+
+def _columns(records: Sequence[Annotation | Detection]) -> _Columns:
+    """The only place records become arrays; boxes are (n, 4) (x, y, w, h) rows."""
+    bb = [r.bbox for r in records]
+    scored = not records or isinstance(records[0], Detection)
+    return _Columns(
+        np.array([r.image_id for r in records], dtype=np.int64),
+        np.array([r.category_id for r in records], dtype=np.int64),
+        np.array([[b.x for b in bb], [b.y for b in bb], [b.w for b in bb], [b.h for b in bb]],
+                 dtype=np.float64).T,
+        np.array([r.score for r in records], dtype=np.float64) if scored else None,
+    )
+
+
+def _ranked(d: _Columns, limit: int | None) -> np.ndarray:
+    """Detection indices in rank order, (-score, input index), keeping only the
+    first ``limit`` of each image (all of them when ``limit`` is None)."""
+    order = np.argsort(-d.scores, kind="stable")
+    if limit is None:
+        return order
+    img = d.images[order]
+    by_image = np.argsort(img, kind="stable")  # rank order within each image
+    first = np.searchsorted(img[by_image], img[by_image], side="left")
+    keep = np.zeros(len(order), dtype=bool)
+    keep[by_image[np.arange(len(order)) - first < limit]] = True
+    return order[keep]
 
 
 def _pair_iou(d: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -110,23 +140,19 @@ def _greedy(d_box: np.ndarray, g_box: np.ndarray, d_order: np.ndarray, g_order: 
     return out
 
 
-def _match(gt_pool: Sequence[Annotation], dets: Sequence[Detection], kept: np.ndarray,
-           thresholds: Sequence[float]) -> np.ndarray:
-    """Match ``dets[kept]`` against ``gt_pool`` per image x category cell.
+def _match(g: _Columns, d: _Columns, rows: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
+    """Match detections ``rows`` against ground truth ``g`` per image x category cell.
 
-    Each cell ranks its detections by (-score, input index) and keeps its
-    ground truth in pool order. Returns a (len(kept), len(thresholds)) array
-    of matched positions in ``gt_pool``, -1 where a detection is unmatched.
+    ``rows`` must be in rank order (see :func:`_ranked`): each cell takes its
+    detections in that order and its ground truth in ``g`` order. Returns a
+    (len(d), len(thresholds)) array of matched ``g`` rows, indexed by
+    detection; -1 where a detection is unmatched or not in ``rows``.
     """
-    sel = [dets[i] for i in kept]
-    _, img = np.unique([d.image_id for d in sel] + [a.image_id for a in gt_pool], return_inverse=True)
-    cat_ids, cat = np.unique([d.category_id for d in sel] + [a.category_id for a in gt_pool],
-                             return_inverse=True)
+    _, img = np.unique(np.concatenate((d.images[rows], g.images)), return_inverse=True)
+    cat_ids, cat = np.unique(np.concatenate((d.categories[rows], g.categories)), return_inverse=True)
     cells, cell = np.unique(img * len(cat_ids) + cat, return_inverse=True)
-    d_cell, g_cell = cell[:len(sel)], cell[len(sel):]
-    score = np.array([d.score for d in sel], dtype=np.float64)
-    return _greedy(_boxes([d.bbox for d in sel]), _boxes([a.bbox for a in gt_pool]),
-                   np.lexsort((kept, -score, d_cell)), np.argsort(g_cell, kind="stable"),
+    d_cell, g_cell = cell[:len(rows)], cell[len(rows):]
+    return _greedy(d.boxes, g.boxes, rows[np.argsort(d_cell, kind="stable")], np.argsort(g_cell, kind="stable"),
                    np.bincount(d_cell, minlength=len(cells)), np.bincount(g_cell, minlength=len(cells)),
                    thresholds).T
 
@@ -156,8 +182,7 @@ def match_greedy(dets: Sequence[Detection], gts: Sequence[Annotation], threshold
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    rows = _greedy(_boxes([d.bbox for d in dets]), _boxes([g.bbox for g in gts]),
-                   np.arange(len(dets)), np.arange(len(gts)),
+    rows = _greedy(_columns(dets).boxes, _columns(gts).boxes, np.arange(len(dets)), np.arange(len(gts)),
                    np.array([len(dets)]), np.array([len(gts)]), (threshold,))[0].tolist()
     gt_matched: list[int | None] = [None] * len(gts)
     for d, g in enumerate(rows):
@@ -199,16 +224,9 @@ def average_precision(matches: Iterable[MatchResult], n_gt: int) -> float:
     ``n_gt`` is the category's total ground-truth count. Returns 0.0 when
     ``n_gt`` is 0.
     """
-    scores: list[float] = []
-    flags: list[bool] = []
-    for m in matches:
-        for det, gt_id in zip(m.detections, m.matched_gt):
-            scores.append(det.score)
-            flags.append(gt_id is not None)
-    if not scores:
-        return 0.0
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    tp_sorted = np.array([flags[i] for i in order], dtype=bool)
+    dets = [det for m in matches for det in m.detections]
+    flags = np.array([gt_id is not None for m in matches for gt_id in m.matched_gt], dtype=bool)
+    tp_sorted = flags[_ranked(_columns(dets), None)]
     return _interpolated_ap(tp_sorted, n_gt)
 
 
@@ -237,22 +255,6 @@ class EvalSummary:
     n_ground_truths: int
 
 
-def _cap_per_image(dets: Sequence[Detection], limit: int) -> np.ndarray:
-    """Input indices, ascending, of the ``limit`` best-scoring detections per
-    image (input order on ties)."""
-    img = np.array([d.image_id for d in dets], dtype=np.int64)
-    score = np.array([d.score for d in dets], dtype=np.float64)
-    order = np.lexsort((np.arange(len(dets)), -score, img))
-    img = img[order]
-    rank = np.arange(len(dets)) - np.searchsorted(img, img, side="left")
-    return np.sort(order[rank < limit])
-
-
-def _ranked(dets: Sequence[Detection], kept: np.ndarray) -> np.ndarray:
-    """Positions in ``kept`` in global rank order: (-score, input index)."""
-    return np.lexsort((kept, np.array([-dets[i].score for i in kept], dtype=np.float64)))
-
-
 def _category_ap(cat: np.ndarray, tp: np.ndarray, n_gt: dict[int, int]) -> tuple[list[int], np.ndarray]:
     """Per-category AP of rows given in global rank order.
 
@@ -277,12 +279,10 @@ def evaluate(gt: Dataset, dets: Sequence[Detection], *, max_dets: int = MAX_DETE
     count as false positives for their category if it has ground truth
     elsewhere). Categories without any ground truth are skipped.
     """
-    gt_pool = gt.non_crowd
-    kept = _cap_per_image(dets, max_dets)
-    rank = _ranked(dets, kept)
-    tp = _match(gt_pool, dets, kept, IOU_THRESHOLDS)[rank] >= 0
-    cat = np.array([dets[i].category_id for i in kept[rank]], dtype=np.int64)
-    cats, grid = _category_ap(cat, tp, Counter(a.category_id for a in gt_pool))
+    g, d = _columns(gt.non_crowd), _columns(dets)
+    rows = _ranked(d, max_dets)
+    tp = _match(g, d, rows, IOU_THRESHOLDS)[rows] >= 0
+    cats, grid = _category_ap(d.categories[rows], tp, Counter(g.categories.tolist()))
     per_category = {
         c: ApTriple(ap=float(aps.mean()), ap50=float(aps[_AP50_INDEX]), ap75=float(aps[_AP75_INDEX]))
         for c, aps in zip(cats, grid)
@@ -292,6 +292,6 @@ def evaluate(gt: Dataset, dets: Sequence[Detection], *, max_dets: int = MAX_DETE
         ap50=float(grid[:, _AP50_INDEX].mean()) if cats else 0.0,
         ap75=float(grid[:, _AP75_INDEX].mean()) if cats else 0.0,
         per_category=per_category,
-        n_detections=len(kept),
-        n_ground_truths=len(gt_pool),
+        n_detections=len(rows),
+        n_ground_truths=len(g.images),
     )

@@ -564,22 +564,19 @@ def _assemble(
 
 def inject_categorization(ds: Dataset, ratio: float, seed: int = 0) -> tuple[Dataset, InjectionLog]:
     """Flip the category of an exact-count subset, uniformly to another class."""
-    config = NoiseConfig(NoiseType.CATEGORIZATION, ratio, seed)
-    return _assemble(ds, config, _plan_categorization(ds, ratio, seed), {}, frozenset(), [])
+    return inject(ds, NoiseConfig(NoiseType.CATEGORIZATION, ratio, seed))
 
 
 def inject_localization(
     ds: Dataset, ratio: float, delta: float = DEFAULT_LOC_DELTA, seed: int = 0, *, workers: int = 1,
 ) -> tuple[Dataset, InjectionLog]:
     """Jitter the boxes of an exact-count subset; areas are recomputed."""
-    config = NoiseConfig(NoiseType.LOCALIZATION, ratio, seed, loc_delta=delta)
-    return _assemble(ds, config, {}, _plan_localization(ds, ratio, delta, seed), frozenset(), [])
+    return inject(ds, NoiseConfig(NoiseType.LOCALIZATION, ratio, seed, loc_delta=delta))
 
 
 def inject_missing(ds: Dataset, ratio: float, seed: int = 0) -> tuple[Dataset, InjectionLog]:
     """Drop an exact-count subset of non-crowd annotations."""
-    config = NoiseConfig(NoiseType.MISSING, ratio, seed)
-    return _assemble(ds, config, {}, {}, select_targets(ds, ratio, seed, "missing"), [])
+    return inject(ds, NoiseConfig(NoiseType.MISSING, ratio, seed))
 
 
 def inject_bogus(
@@ -591,8 +588,7 @@ def inject_bogus(
     workers: int = 1,
 ) -> tuple[Dataset, InjectionLog]:
     """Add an exact-count batch of fabricated annotations on random images."""
-    config = NoiseConfig(NoiseType.BOGUS, ratio, seed, bogus_size_policy=policy)
-    return _assemble(ds, config, {}, {}, frozenset(), _plan_bogus(ds, ratio, seed, BogusSizePolicy(policy)))
+    return inject(ds, NoiseConfig(NoiseType.BOGUS, ratio, seed, bogus_size_policy=policy))
 
 
 def inject_una(
@@ -612,26 +608,24 @@ def inject_una(
     Fabricated sizes under ``sample_existing`` draw from the original
     annotations, not the edited ones.
     """
-    config = NoiseConfig(NoiseType.UNA, ratio, seed, loc_delta=delta, bogus_size_policy=policy)
-    flips = _plan_categorization(ds, ratio, seed)
-    moves = _plan_localization(ds, ratio, delta, seed)
-    removed = select_targets(ds, ratio, seed, "missing")
-    bogus = _plan_bogus(ds, ratio, seed, BogusSizePolicy(policy))
-    return _assemble(ds, config, flips, moves, removed, bogus)
+    return inject(ds, NoiseConfig(NoiseType.UNA, ratio, seed, loc_delta=delta, bogus_size_policy=policy))
 
 
 def inject(ds: Dataset, config: NoiseConfig, *, workers: int = 1) -> tuple[Dataset, InjectionLog]:
-    """Dispatch on ``config.noise_type``; returns the noisy dataset and log.
+    """Plan the kinds ``config.noise_type`` names, then apply them in one pass.
 
-    ``workers`` is accepted for compatibility and has no effect.
+    ``una`` plans all four kinds, in the order below. A single kind logs
+    the defaults of the settings it does not use. ``workers`` is accepted
+    for compatibility and has no effect.
     """
-    t = config.noise_type
-    if t is NoiseType.CATEGORIZATION:
-        return inject_categorization(ds, config.ratio, config.seed)
-    if t is NoiseType.LOCALIZATION:
-        return inject_localization(ds, config.ratio, config.loc_delta, config.seed)
-    if t is NoiseType.MISSING:
-        return inject_missing(ds, config.ratio, config.seed)
-    if t is NoiseType.BOGUS:
-        return inject_bogus(ds, config.ratio, config.seed, config.bogus_size_policy)
-    return inject_una(ds, config.ratio, config.loc_delta, config.seed, config.bogus_size_policy)
+    t, ratio, seed = config.noise_type, config.ratio, config.seed
+    una = t is NoiseType.UNA
+    if not una:
+        config = NoiseConfig(t, ratio, seed,
+                             config.loc_delta if t is NoiseType.LOCALIZATION else DEFAULT_LOC_DELTA,
+                             config.bogus_size_policy if t is NoiseType.BOGUS else BogusSizePolicy.SAMPLE_EXISTING)
+    flips = _plan_categorization(ds, ratio, seed) if una or t is NoiseType.CATEGORIZATION else {}
+    moves = _plan_localization(ds, ratio, config.loc_delta, seed) if una or t is NoiseType.LOCALIZATION else {}
+    removed = select_targets(ds, ratio, seed, "missing") if una or t is NoiseType.MISSING else frozenset()
+    bogus = _plan_bogus(ds, ratio, seed, config.bogus_size_policy) if una or t is NoiseType.BOGUS else []
+    return _assemble(ds, config, flips, moves, removed, bogus)

@@ -17,9 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import (MAX_DETECTIONS_PER_IMAGE, _boxes, _cap_per_image, _category_ap, _match,
-                      _pair_iou, _ranked)
-from .model import Annotation, Dataset, Detection
+from .metrics import MAX_DETECTIONS_PER_IMAGE, _category_ap, _Columns, _columns, _match, _pair_iou, _ranked
+from .model import Dataset, Detection
 
 DEFAULT_TF = 0.5
 DEFAULT_TB = 0.1
@@ -72,13 +71,6 @@ def _check_thresholds(tf: float, tb: float) -> None:
         raise ValueError(f"tb must satisfy 0 < tb < tf, got tb={tb}, tf={tf}")
 
 
-def _check_thresholds(tf: float, tb: float) -> None:
-    if not 0.0 < tf <= 1.0:
-        raise ValueError(f"tf must be in (0, 1], got {tf}")
-    if not 0.0 < tb < tf:
-        raise ValueError(f"tb must satisfy 0 < tb < tf, got tb={tb}, tf={tf}")
-
-
 def classify_errors(
     gt: Dataset, dets: Sequence[Detection], tf: float = DEFAULT_TF, tb: float = DEFAULT_TB,
 ) -> ErrorAssignment:
@@ -101,32 +93,41 @@ def classify_errors(
     """
     _check_thresholds(tf, tb)
     pool = gt.non_crowd
-    return _classify(pool, dets, _match(pool, dets, np.arange(len(dets)), (tf,))[:, 0], tf, tb)[0]
+    g, d = _columns(pool), _columns(dets)
+    match = _match(g, d, _ranked(d, None), (tf,))[:, 0]
+    rule, target, miss = _classify(g, d, match, tf, tb)
+    ids = [a.id for a in pool]
+    return ErrorAssignment(
+        labels=tuple(ERROR_ORDER[r] if r >= 0 else None for r in rule.tolist()),
+        matched_gt=tuple(ids[m] if m >= 0 else None for m in match.tolist()),
+        miss_ids=frozenset(ids[j] for j in np.flatnonzero(miss).tolist()),
+        cls_targets={i: ids[target[i]] for i in np.flatnonzero(rule == 0).tolist()},
+        loc_targets={i: ids[target[i]] for i in np.flatnonzero(rule == 1).tolist()},
+        tf=tf,
+        tb=tb,
+    )
 
 
 def _classify(
-    pool: Sequence[Annotation], dets: Sequence[Detection], match: np.ndarray, tf: float, tb: float,
-) -> tuple[ErrorAssignment, np.ndarray, np.ndarray]:
+    g: _Columns, d: _Columns, match: np.ndarray, tf: float, tb: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply the :func:`classify_errors` rules given the match at ``tf``.
 
-    ``match`` holds each detection's matched ``pool`` row, -1 for none. Each
+    ``match`` holds each detection's matched ``g`` row, -1 for none. Each
     image gets one IoU matrix, its unmatched detections against its ground
     truth; every rule is a row mask of it and targets are the first-max
-    column. Also returns, per detection, its label as an ``ERROR_ORDER``
-    index (-1 when matched) and the ``pool`` row of its Cls/Loc target (-1
-    when it has none), which the oracles edit.
+    column. Returns, per detection, its label as an ``ERROR_ORDER`` index
+    (-1 when matched) and the ``g`` row of its Cls/Loc target (-1 when it
+    has none), and per ground truth whether it is Miss.
     """
-    n = len(dets)
+    n = len(d.images)
     rule = np.full(n, -1, dtype=np.int64)
     target = np.full(n, -1, dtype=np.int64)
-    taken = np.zeros(len(pool), dtype=bool)
+    taken = np.zeros(len(g.images), dtype=bool)
     taken[match[match >= 0]] = True
     miss = ~taken
-    d_box, g_box = _boxes([d.bbox for d in dets]), _boxes([a.bbox for a in pool])
-    d_cat = np.array([d.category_id for d in dets], dtype=np.int64)
-    g_cat = np.array([a.category_id for a in pool], dtype=np.int64)
     # detections are rows 0..n-1 and ground truths n.. of one index space
-    img = np.array([d.image_id for d in dets] + [a.image_id for a in pool], dtype=np.int64)
+    img = np.concatenate((d.images, g.images))
     order = np.argsort(img, kind="stable")
     for rows in np.split(order, np.flatnonzero(np.diff(img[order])) + 1):
         di, gi = rows[rows < n], rows[rows >= n] - n
@@ -134,8 +135,8 @@ def _classify(
         if gi.size == 0:
             rule[di] = ERROR_ORDER.index(ErrorKind.BKG)
             continue
-        ious = _pair_iou(d_box[di, None], g_box[None, gi])
-        same = d_cat[di, None] == g_cat[None, gi]
+        ious = _pair_iou(d.boxes[di, None], g.boxes[None, gi])
+        same = d.categories[di, None] == g.categories[None, gi]
         best_same = np.where(same, ious, 0.0).max(axis=1)
         best_diff = np.where(same, 0.0, ious).max(axis=1)
         best_dupe = np.where(same & taken[gi], ious, 0.0).max(axis=1)
@@ -154,17 +155,7 @@ def _classify(
         target[di[fix]] = gi[best[fix]]
         miss[gi] &= ~(ious[fix] >= tb).any(axis=0)
 
-    ids = [a.id for a in pool]
-    assignment = ErrorAssignment(
-        labels=tuple(ERROR_ORDER[r] if r >= 0 else None for r in rule.tolist()),
-        matched_gt=tuple(ids[g] if g >= 0 else None for g in match.tolist()),
-        miss_ids=frozenset(ids[j] for j in np.flatnonzero(miss).tolist()),
-        cls_targets={i: ids[target[i]] for i in np.flatnonzero(rule == 0).tolist()},
-        loc_targets={i: ids[target[i]] for i in np.flatnonzero(rule == 1).tolist()},
-        tf=tf,
-        tb=tb,
-    )
-    return assignment, rule, target
+    return rule, target, miss
 
 
 def apply_oracle(
@@ -222,8 +213,8 @@ def tide_report(
 
     One :func:`metrics._match` call over all detections at 0.5 and ``tf``
     (0.5 alone when ``tf`` == 0.5) gives the labels (tf column) and the
-    baseline, the plain AP50 of (gt, dets): the 0.5 column on the detections
-    the per-image cap keeps, in global rank order (-score, index). Each
+    baseline, the plain AP50 of (gt, dets): the 0.5 column on the rows
+    :func:`metrics._ranked` keeps under the per-image cap, in rank order. Each
     oracle edits these rank-ordered (category, TP, keep) arrays instead of
     re-matching: Both/Dupe/Bkg drop their rows that are not TPs at 0.5;
     Miss lowers the per-category gt counts; Cls/Loc fix, in rank order, the
@@ -240,26 +231,24 @@ def tide_report(
     no other match. Only detections inside the cap are ranked or fixed.
     """
     _check_thresholds(tf, tb)
-    pool = gt.non_crowd
-    match = _match(pool, dets, np.arange(len(dets)), (0.5,) if tf == 0.5 else (0.5, tf))
-    assignment, rule, target = _classify(pool, dets, match[:, -1], tf, tb)
+    g, d = _columns(gt.non_crowd), _columns(dets)
+    match = _match(g, d, _ranked(d, None), (0.5,) if tf == 0.5 else (0.5, tf))
+    rule, target, miss = _classify(g, d, match[:, -1], tf, tb)
+    counts = np.bincount(rule[rule >= 0], minlength=len(ERROR_ORDER) - 1).tolist() + [int(miss.sum())]
 
-    kept = _cap_per_image(dets, MAX_DETECTIONS_PER_IMAGE)
-    rows = kept[_ranked(dets, kept)]
+    rows = _ranked(d, MAX_DETECTIONS_PER_IMAGE)
     g50, rule, target = match[rows, 0], rule[rows], target[rows]
     tp = g50 >= 0
-    taken = np.zeros(len(pool), dtype=bool)
+    taken = np.zeros(len(g.images), dtype=bool)
     taken[g50[tp]] = True
-    cat = np.array([dets[i].category_id for i in rows], dtype=np.int64)
-    g_cat = np.array([a.category_id for a in pool], dtype=np.int64)
-    n_gt = Counter(g_cat.tolist())
+    cat = d.categories[rows]
+    n_gt = Counter(g.categories.tolist())
     baseline = _ap50(cat, tp, n_gt)
 
     oracle_ap: dict[ErrorKind, float] = {}
     for k, kind in enumerate(ERROR_ORDER):
         if kind is ErrorKind.MISS:
-            missed = Counter(gt.annotations_by_id[i].category_id for i in assignment.miss_ids)
-            oracle_ap[kind] = _ap50(cat, tp, n_gt - missed)
+            oracle_ap[kind] = _ap50(cat, tp, Counter(g.categories[~miss].tolist()))
             continue
         # when tf differs from 0.5, a labeled detection can still be a TP
         # here; those rows stay put
@@ -271,14 +260,14 @@ def tide_report(
             first[np.unique(target[fixed], return_index=True)[1]] = True
             fixed = fixed[first & ~taken[target[fixed]]]
             keep[fixed] = o_tp[fixed] = True
-            o_cat[fixed] = g_cat[target[fixed]]  # a Loc target has the row's own class
+            o_cat[fixed] = g.categories[target[fixed]]  # a Loc target has the row's own class
         oracle_ap[kind] = _ap50(o_cat[keep], o_tp[keep], n_gt)
 
     return TideReport(
         baseline_ap50=baseline,
         oracle_ap=oracle_ap,
         delta_ap={kind: ap - baseline for kind, ap in oracle_ap.items()},
-        counts={kind: assignment.count(kind) for kind in ERROR_ORDER},
+        counts=dict(zip(ERROR_ORDER, counts)),
         tf=tf,
         tb=tb,
     )

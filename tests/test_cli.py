@@ -2,6 +2,7 @@
 subprocess smoke checks."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from unabench.cli import dataset_stats, diff_datasets, main
 from conftest import build_dataset
 
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 MICRO_GT = str(DATA / "micro_gt.json")
 MICRO_DT = str(DATA / "micro_dt.json")
 
@@ -115,7 +117,17 @@ def test_inject_rejects_bad_type(tmp_path, gt_path, capsys):
     rc = main(["inject", "--ann", gt_path, "--out", str(tmp_path / "o.json"),
                "--type", "gaussian", "--ratio", "0.1"])
     assert rc == 1
-    assert "--type" in capsys.readouterr().err
+    assert ("--type must be one of {categorization, localization, missing, bogus, una}, got 'gaussian'"
+            in capsys.readouterr().err)
+
+
+def test_inject_rejects_bad_bogus_size_policy(tmp_path, gt_path, capsys):
+    rc = main(["inject", "--ann", gt_path, "--out", str(tmp_path / "o.json"),
+               "--type", "bogus", "--ratio", "0.1", "--bogus-size-policy", "huge"])
+    assert rc == 1
+    assert ("--bogus-size-policy must be one of {sample_existing, uniform_fraction}, got 'huge'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_inject_missing_required_flags(gt_path, capsys):
@@ -364,17 +376,19 @@ def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 1
 
 
+def _run_module(*args):
+    """``python -m unabench`` with this checkout's ``src`` first on the path."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "unabench", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def test_console_script_smoke(tmp_path, gt_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "unabench", "stats", "--ann", gt_path],
-        capture_output=True, text=True)
+    proc = _run_module("stats", "--ann", gt_path)
     assert proc.returncode == 0
     assert "annotations:  40" in proc.stdout
 
 
 def test_console_script_error_smoke(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "unabench", "eval", "--gt", str(tmp_path / "x.json"),
-         "--dt", str(tmp_path / "y.json")],
-        capture_output=True, text=True)
+    proc = _run_module("eval", "--gt", str(tmp_path / "x.json"), "--dt", str(tmp_path / "y.json"))
     assert proc.returncode == 2

@@ -18,7 +18,7 @@ from unabench import (
     match_greedy,
 )
 
-from unabench.metrics import _cap_per_image, _match
+from unabench.metrics import _columns, _match, _ranked
 
 from conftest import build_dataset, dets_from_gt, micro_instance, tied_crowd_instance
 from reference import evaluate_ref
@@ -292,12 +292,30 @@ def test_capped_matching_is_a_prefix_of_uncapped_matching(cap):
     cut = 0
     for _ in range(300):
         ds, dets = tied_crowd_instance(rng)
-        pool = ds.non_crowd
-        kept = _cap_per_image(dets, cap)
-        full = _match(pool, dets, np.arange(len(dets)), IOU_THRESHOLDS)
-        np.testing.assert_array_equal(full[kept], _match(pool, dets, kept, IOU_THRESHOLDS))
+        g, d = _columns(ds.non_crowd), _columns(dets)
+        kept = _ranked(d, cap)
+        full = _match(g, d, _ranked(d, None), IOU_THRESHOLDS)
+        np.testing.assert_array_equal(full[kept], _match(g, d, kept, IOU_THRESHOLDS)[kept])
         cut += len(dets) - len(kept)
     assert cut > 0
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, None])
+def test_ranked_is_score_then_input_order_capped_per_image(cap):
+    rng = np.random.default_rng(211 + (cap or 0))
+    cut = 0
+    for _ in range(300):
+        _, dets = tied_crowd_instance(rng)
+        order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+        seen: dict[int, int] = {}
+        expected = []
+        for i in order:
+            seen[dets[i].image_id] = seen.get(dets[i].image_id, 0) + 1
+            if cap is None or seen[dets[i].image_id] <= cap:
+                expected.append(i)
+        assert _ranked(_columns(dets), cap).tolist() == expected
+        cut += len(dets) - len(expected)
+    assert (cut > 0) == (cap is not None)
 
 
 def test_threshold_grids_are_exact():

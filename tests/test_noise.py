@@ -29,7 +29,7 @@ from unabench import (
     serialize_dataset,
     validate_dataset,
 )
-from unabench.noise import _stream, _BOGUS_ITEM
+from unabench.noise import DEFAULT_LOC_DELTA, _stream, _BOGUS_ITEM
 
 from conftest import build_dataset
 
@@ -463,6 +463,19 @@ def test_inject_dispatch_and_byte_determinism(noise_type):
     assert serialize_dataset(out1) == serialize_dataset(out2)
     assert log1 == log2
     validate_dataset(out1)
+
+
+@pytest.mark.parametrize("noise_type", list(NoiseType))
+def test_inject_logs_only_the_settings_its_kinds_use(noise_type):
+    ds = build_dataset(n_annotations=60, seed=29)
+    config = NoiseConfig(noise_type, 0.3, seed=5, loc_delta=0.25, bogus_size_policy="uniform_fraction")
+    logged = inject(ds, config)[1].config
+    uses_delta = noise_type in (NoiseType.LOCALIZATION, NoiseType.UNA)
+    uses_policy = noise_type in (NoiseType.BOGUS, NoiseType.UNA)
+    assert logged.loc_delta == (0.25 if uses_delta else DEFAULT_LOC_DELTA)
+    assert logged.bogus_size_policy is (BogusSizePolicy.UNIFORM_FRACTION if uses_policy
+                                        else BogusSizePolicy.SAMPLE_EXISTING)
+    assert (logged.noise_type, logged.ratio, logged.seed) == (noise_type, 0.3, 5)
 
 
 @pytest.mark.parametrize("noise_type", [NoiseType.LOCALIZATION, NoiseType.BOGUS, NoiseType.UNA])
