@@ -5,7 +5,8 @@ come from a ``key = value`` config file (``--config``), with the command
 line taking precedence; the environment variable ``UNABENCH_SEED`` supplies
 the default seed only. Exit codes: 0 success, 1 validation or domain error,
 2 I/O error. Nothing is written on a validation failure, and ``inject``
-moves its dataset and sidecar log into place only once both are written.
+moves its dataset and sidecar log into place only once both are written
+and synced.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from .metrics import EvalSummary, evaluate
 from .model import Dataset, ValidationError, parse_dataset, parse_detections, serialize_dataset
-from .noise import BogusSizePolicy, NoiseConfig, NoiseType, inject
-from .tide import ERROR_ORDER, ErrorKind, TideReport, tide_report
+from .noise import DEFAULT_LOC_DELTA, BogusSizePolicy, NoiseConfig, NoiseType, inject
+from .tide import DEFAULT_TB, DEFAULT_TF, ERROR_ORDER, ErrorKind, TideReport, tide_report
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -65,47 +66,19 @@ def _conv_format(flag: str, raw: str) -> str:
     return value
 
 
-def _num(flag: str, raw: str, kind=float):
+def _conv_number(kind: type, ok, bounds: str, flag: str, raw: str):
+    """Parse ``raw`` as a ``kind`` and check it with ``ok``; ``bounds`` words the range."""
     try:
-        return kind(raw)
+        v = kind(raw)
     except (TypeError, ValueError):
         raise CliError(f"{flag} expects a number, got {raw!r}") from None
-
-
-def _conv_ratio(flag: str, raw: str) -> float:
-    v = _num(flag, raw)
-    if not 0.0 <= v <= 1.0:
-        raise CliError(f"{flag} must be in [0, 1], got {raw}")
+    if not ok(v):
+        raise CliError(f"{flag} must be {bounds}, got {raw}")
     return v
 
 
-def _conv_open_unit(flag: str, raw: str) -> float:
-    v = _num(flag, raw)
-    if not 0.0 < v < 1.0:
-        raise CliError(f"{flag} must be in (0, 1), got {raw}")
-    return v
-
-
-def _conv_tf(flag: str, raw: str) -> float:
-    v = _num(flag, raw)
-    if not 0.0 < v <= 1.0:
-        raise CliError(f"{flag} must be in (0, 1], got {raw}")
-    return v
-
-
-def _conv_seed(flag: str, raw: str) -> int:
-    v = _num(flag, raw, int)
-    if not 0 <= v < 2**64:
-        raise CliError(f"{flag} must be in [0, 2**64), got {raw}")
-    return v
-
-
-def _conv_workers(flag: str, raw: str) -> int:
-    v = _num(flag, raw, int)
-    if v < 1:
-        raise CliError(f"{flag} must be at least 1, got {raw}")
-    return v
-
+_conv_open_unit = partial(_conv_number, float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_conv_seed = partial(_conv_number, int, lambda v: 0 <= v < 2**64, "in [0, 2**64)")
 
 # option name -> (converter, default); None defaults mean "required if the
 # subcommand lists it as required"
@@ -115,14 +88,14 @@ _OPTIONS: dict[str, tuple] = {
     "gt": (_conv_str, None),
     "dt": (_conv_str, None),
     "type": (partial(_conv_enum, NoiseType), None),
-    "ratio": (_conv_ratio, None),
+    "ratio": (partial(_conv_number, float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"), None),
     "seed": (_conv_seed, 0),
-    "loc_delta": (_conv_open_unit, 0.4),
+    "loc_delta": (_conv_open_unit, DEFAULT_LOC_DELTA),
     "bogus_size_policy": (partial(_conv_enum, BogusSizePolicy), BogusSizePolicy.SAMPLE_EXISTING),
-    "tf": (_conv_tf, 0.5),
-    "tb": (_conv_open_unit, 0.1),
+    "tf": (partial(_conv_number, float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"), DEFAULT_TF),
+    "tb": (_conv_open_unit, DEFAULT_TB),
     "format": (_conv_format, "text"),
-    "workers": (_conv_workers, 1),
+    "workers": (partial(_conv_number, int, lambda v: v >= 1, "at least 1"), 1),
 }
 
 _SUBCOMMANDS: dict[str, dict] = {
@@ -233,8 +206,14 @@ def _load_dataset(path: str) -> Dataset:
 
 def _write_all(files: list[tuple[Path, bytes]]) -> None:
     """Write each file to a temp file in its directory, then move them into
-    place in the given order, only after every write succeeded. The temp
-    files are removed whatever happens."""
+    place in the given order, only after every write succeeded.
+
+    Every temp file is fsynced before the first move, and every directory
+    after the last, so no move can outlive a power cut with a partly written
+    file behind it. A path that is a symlink is replaced by a regular file,
+    not written through: the temp file and the move stay in the directory
+    the caller named. The temp files are removed whatever happens.
+    """
     temps: list[Path] = []
     try:
         for path, data in files:
@@ -243,8 +222,16 @@ def _write_all(files: list[tuple[Path, bytes]]) -> None:
             with tmp.open("xb") as f:
                 temps.append(tmp)
                 f.write(data)
+                f.flush()
+                os.fsync(f.fileno())
         for (path, _), tmp in zip(files, temps):
             os.replace(tmp, path)
+        for directory in dict.fromkeys(path.parent for path, _ in files):
+            fd = os.open(directory, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
     finally:
         for tmp in temps:
             tmp.unlink(missing_ok=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,7 +22,7 @@ class ValidationError(ValueError):
     """A dataset or results document violates the format contract.
 
     ``errors`` holds one message per problem, each prefixed with the path of
-    the offending record, e.g. ``annotations[3] (id=17): unknown image_id 99``.
+    the offending record, e.g. ``annotations[3] (id=17): missing field 'bbox'``.
     """
 
     def __init__(self, errors):
@@ -48,11 +49,6 @@ class BoundingBox:
     @property
     def area(self) -> float:
         return self.w * self.h
-
-    @property
-    def corners(self) -> tuple[float, float, float, float]:
-        """``(x1, y1, x2, y2)`` corner form."""
-        return (self.x, self.y, self.x + self.w, self.y + self.h)
 
     def as_list(self) -> list[float]:
         return [self.x, self.y, self.w, self.h]
@@ -121,7 +117,12 @@ class Dataset:
 
     @cached_property
     def annotations_by_id(self) -> dict[int, Annotation]:
-        return {a.id: a for a in self.annotations}
+        """Raises ``ValueError`` naming a duplicated id: no caller may merge two records."""
+        by_id = {a.id: a for a in self.annotations}
+        if len(by_id) < len(self.annotations):
+            dup = next(i for i, n in Counter(a.id for a in self.annotations).items() if n > 1)
+            raise ValueError(f"duplicate annotation id {dup}")
+        return by_id
 
     @cached_property
     def categories_by_id(self) -> dict[int, Category]:
@@ -142,19 +143,35 @@ class Dataset:
     @cached_property
     def _non_crowd_ids(self) -> tuple[int, ...]:
         """Ids of :attr:`non_crowd`, sorted: the pool noise targets are drawn from."""
-        return tuple(sorted(a.id for a in self.non_crowd))
+        return tuple(sorted(i for i, a in self.annotations_by_id.items() if not a.crowd_flag))
 
     def max_annotation_id(self) -> int:
         return max(self.annotations_by_id, default=0)
 
 
-def _is_int(v) -> bool:
-    # bool is an int subclass; a literal true/false is not a valid id
-    return isinstance(v, int) and not isinstance(v, bool)
+# Checks on decoded JSON go by exact type: a literal true/false, a bool, is
+# neither an id nor a number.
+_NUMBERS = frozenset((int, float))
 
 
 def _is_num(v) -> bool:
-    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+    return type(v) in _NUMBERS and math.isfinite(v)
+
+
+def _check_refs_and_box(path: str, rec, image_ids, category_ids, errors: list[str]) -> bool:
+    """Reference and box rules for annotations and detections; True if the box is usable."""
+    if rec.image_id not in image_ids:
+        errors.append(f"{path}: unknown image_id {rec.image_id}")
+    if rec.category_id not in category_ids:
+        errors.append(f"{path}: unknown category_id {rec.category_id}")
+    b = rec.bbox
+    if not all(map(math.isfinite, (b.x, b.y, b.w, b.h))):
+        errors.append(f"{path}: non-finite bbox {b.as_list()}")
+        return False
+    if b.w <= 0 or b.h <= 0:
+        errors.append(f"{path}: non-positive box width/height (w={b.w}, h={b.h})")
+        return False
+    return True
 
 
 def validate_dataset(ds: Dataset) -> None:
@@ -190,19 +207,11 @@ def validate_dataset(ds: Dataset) -> None:
         if a.id in seen_ann:
             errors.append(f"{path}: duplicate annotation id")
         seen_ann.add(a.id)
-        if a.image_id not in seen_img:
-            errors.append(f"{path}: unknown image_id {a.image_id}")
-        if a.category_id not in seen_cat:
-            errors.append(f"{path}: unknown category_id {a.category_id}")
-        b = a.bbox
-        if not all(math.isfinite(v) for v in (b.x, b.y, b.w, b.h)):
-            errors.append(f"{path}: non-finite bbox {b.as_list()}")
+        if not _check_refs_and_box(path, a, seen_img, seen_cat, errors):
             continue
-        if b.w <= 0 or b.h <= 0:
-            errors.append(f"{path}: non-positive box width/height (w={b.w}, h={b.h})")
-        elif not math.isfinite(a.area) or a.area < 0:
+        if not math.isfinite(a.area) or a.area < 0:
             errors.append(f"{path}: bad area {a.area}")
-        im = ds.images_by_id.get(a.image_id)
+        b, im = a.bbox, ds.images_by_id.get(a.image_id)
         if im is not None and (b.x < 0 or b.y < 0 or b.x + b.w > im.width or b.y + b.h > im.height):
             out_of_bounds.append(a.id)
 
@@ -218,104 +227,89 @@ def validate_dataset(ds: Dataset) -> None:
         raise ValidationError(errors)
 
 
-def _parse_bbox(raw, path: str, errors: list[str]) -> BoundingBox:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4 or not all(_is_num(v) for v in raw):
-        errors.append(f"{path}: bbox must be four finite numbers, got {raw!r}")
-        return BoundingBox(0.0, 0.0, 1.0, 1.0)
-    return BoundingBox(*(float(v) for v in raw))
+def _box(v):
+    if type(v) is list and len(v) == 4 and _NUMBERS.issuperset(map(type, v)) and all(map(math.isfinite, v)):
+        return BoundingBox(*map(float, v))
+    return _UNREAD
 
 
-def _req(record: dict, key: str, path: str, errors: list[str]):
-    if key not in record:
-        errors.append(f"{path}: missing field {key!r}")
-        return None
-    return record[key]
+# Field types: (reader, problem, fallback). A reader returns the field's value,
+# or _UNREAD to reject it; an absent key reads as _UNREAD, which every reader
+# rejects. A missing or rejected field is reported, a rejected value with
+# ``problem``, and reads as ``fallback`` so the checks after it still run.
+_UNREAD = object()
+_INT = (lambda v: v if type(v) is int else _UNREAD, "field {key!r} must be an integer, got {value!r}", 0)
+_STR = (lambda v: v if isinstance(v, str) else _UNREAD, "{key} must be a string", "")
+_NUM = (lambda v: float(v) if _is_num(v) else _UNREAD, "{key} must be a finite number, got {value!r}", 0.0)
+_BOX = (_box, "{key} must be four finite numbers, got {value!r}", BoundingBox(0.0, 0.0, 1.0, 1.0))
+# Record kinds: (section name, label paths with the record's id, field types by
+# key, in the order their problems are reported). _DEFAULTS holds the optional keys and
+# what an absent one reads as; a null area is derived from the box too.
+_IMAGES = ("images", False, {"file_name": _STR, "id": _INT, "width": _INT, "height": _INT})
+_ANNOTATIONS = ("annotations", True, {
+    "iscrowd": (lambda v: bool(v) if v in (0, 1) else _UNREAD, "{key} must be 0 or 1, got {value!r}", False),
+    "area": (lambda v: None if v is None else float(v) if _is_num(v) else _UNREAD, _NUM[1], None),
+    "id": _INT, "image_id": _INT, "category_id": _INT, "bbox": _BOX})
+_CATEGORIES = ("categories", False, {"name": _STR, "id": _INT})
+_RESULTS = ("results", False, {"image_id": _INT, "category_id": _INT, "bbox": _BOX, "score": _NUM})
+_DEFAULTS = {"iscrowd": 0, "area": None}
 
 
-def _req_int(record: dict, key: str, path: str, errors: list[str]) -> int:
-    v = _req(record, key, path, errors)
-    if v is None:
-        return 0
-    if not _is_int(v):
-        errors.append(f"{path}: field {key!r} must be an integer, got {v!r}")
-        return 0
-    return v
+def _read_records(section: list, kind: tuple, errors: list[str]):
+    """Yield ``(path, fields)`` for each object record of a document section, ``fields``
+    mapping each key of the kind to its value or fallback: the only reader of JSON records."""
+    name, labelled, types = kind
+    fields = [(key, *field_type, _DEFAULTS.get(key, _UNREAD)) for key, field_type in types.items()]
+    for i, rec in enumerate(section):
+        path = f"{name}[{i}]"
+        if not isinstance(rec, dict):
+            errors.append(f"{path}: record must be an object")
+            continue
+        if labelled and type(rec.get("id")) is int:
+            path = f"{path} (id={rec['id']})"
+        values = {}
+        for key, read, problem, fallback, absent in fields:
+            raw = rec.get(key, absent)
+            value = read(raw)
+            if value is _UNREAD:
+                if raw is None and "{value" not in problem:
+                    problem += ", got {value!r}"  # a null shows even where a wrong value does not
+                text = f"missing field {key!r}" if raw is _UNREAD else problem.format(key=key, value=raw)
+                errors.append(f"{path}: {text}")
+                value = fallback
+            values[key] = value
+        yield path, values
+
+
+def _load_json(data: bytes | str, top: type, shape: str):
+    """Decode a whole document whose top level must be a ``top``."""
+    try:
+        doc = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ValidationError([f"document: not valid JSON ({e})"]) from e
+    if not isinstance(doc, top):
+        raise ValidationError([f"document: {shape}"])
+    return doc
 
 
 def parse_dataset(data: bytes | str) -> Dataset:
     """Parse a COCO-format annotation document and validate it.
 
     Accepts raw bytes or text. Raises :class:`ValidationError` with a message
-    per malformed record; the document is never partially accepted.
+    per malformed record; the document is never partially accepted. A
+    required field that is absent or ``null`` is an error; ``iscrowd`` may
+    be absent (0) and ``area`` absent or ``null`` (derived from the box).
     """
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ValidationError([f"document: not valid JSON ({e})"]) from e
-    if not isinstance(doc, dict):
-        raise ValidationError(["document: top level must be an object"])
-
-    errors: list[str] = []
-    for key in ("images", "annotations", "categories"):
-        if not isinstance(doc.get(key), list):
-            errors.append(f"document: missing or non-array {key!r} section")
+    doc = _load_json(data, dict, "top level must be an object")
+    errors = [f"document: missing or non-array {key!r} section"
+              for key in ("images", "annotations", "categories") if not isinstance(doc.get(key), list)]
     if errors:
         raise ValidationError(errors)
 
-    images: list[ImageRecord] = []
-    for i, rec in enumerate(doc["images"]):
-        path = f"images[{i}]"
-        if not isinstance(rec, dict):
-            errors.append(f"{path}: record must be an object")
-            continue
-        name = _req(rec, "file_name", path, errors)
-        if name is not None and not isinstance(name, str):
-            errors.append(f"{path}: file_name must be a string")
-            name = ""
-        images.append(ImageRecord(
-            id=_req_int(rec, "id", path, errors),
-            width=_req_int(rec, "width", path, errors),
-            height=_req_int(rec, "height", path, errors),
-            file_name=name or "",
-        ))
-
-    annotations: list[Annotation] = []
-    for i, rec in enumerate(doc["annotations"]):
-        path = f"annotations[{i}]"
-        if not isinstance(rec, dict):
-            errors.append(f"{path}: record must be an object")
-            continue
-        if "id" in rec and _is_int(rec["id"]):
-            path = f"{path} (id={rec['id']})"
-        crowd = rec.get("iscrowd", 0)
-        if crowd not in (0, 1, False, True):
-            errors.append(f"{path}: iscrowd must be 0 or 1, got {crowd!r}")
-            crowd = 0
-        area = rec.get("area")
-        if area is not None and not _is_num(area):
-            errors.append(f"{path}: area must be a finite number, got {area!r}")
-            area = None
-        annotations.append(Annotation(
-            id=_req_int(rec, "id", path, errors),
-            image_id=_req_int(rec, "image_id", path, errors),
-            category_id=_req_int(rec, "category_id", path, errors),
-            bbox=_parse_bbox(_req(rec, "bbox", path, errors), path, errors),
-            crowd_flag=bool(crowd),
-            area=float(area) if area is not None else None,
-        ))
-
-    categories: list[Category] = []
-    for i, rec in enumerate(doc["categories"]):
-        path = f"categories[{i}]"
-        if not isinstance(rec, dict):
-            errors.append(f"{path}: record must be an object")
-            continue
-        name = _req(rec, "name", path, errors)
-        if name is not None and not isinstance(name, str):
-            errors.append(f"{path}: name must be a string")
-            name = ""
-        categories.append(Category(id=_req_int(rec, "id", path, errors), name=name or ""))
-
+    images = [ImageRecord(**v) for _, v in _read_records(doc["images"], _IMAGES, errors)]
+    annotations = [Annotation(crowd_flag=v.pop("iscrowd"), **v)
+                   for _, v in _read_records(doc["annotations"], _ANNOTATIONS, errors)]
+    categories = [Category(**v) for _, v in _read_records(doc["categories"], _CATEGORIES, errors)]
     if errors:
         raise ValidationError(errors)
 
@@ -360,43 +354,15 @@ def parse_detections(data: bytes | str, ds: Dataset) -> list[Detection]:
     """Parse a COCO results array against ``ds``; input order is preserved.
 
     Each record needs ``image_id``, ``category_id``, ``bbox`` and a finite
-    ``score``; ids must resolve against ``ds``. All problems are collected
-    into a single :class:`ValidationError`.
+    ``score``, none of them ``null``; ids must resolve against ``ds``. All
+    problems are collected into a single :class:`ValidationError`.
     """
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ValidationError([f"document: not valid JSON ({e})"]) from e
-    if not isinstance(doc, list):
-        raise ValidationError(["document: results must be a JSON array"])
-
+    doc = _load_json(data, list, "results must be a JSON array")
     errors: list[str] = []
     out: list[Detection] = []
-    for i, rec in enumerate(doc):
-        path = f"results[{i}]"
-        if not isinstance(rec, dict):
-            errors.append(f"{path}: record must be an object")
-            continue
-        image_id = _req_int(rec, "image_id", path, errors)
-        category_id = _req_int(rec, "category_id", path, errors)
-        bbox = _parse_bbox(_req(rec, "bbox", path, errors), path, errors)
-        score = _req(rec, "score", path, errors)
-        if score is not None and not _is_num(score):
-            errors.append(f"{path}: score must be a finite number, got {score!r}")
-            score = 0.0
-        if image_id not in ds.images_by_id:
-            errors.append(f"{path}: unknown image_id {image_id}")
-        if category_id not in ds.categories_by_id:
-            errors.append(f"{path}: unknown category_id {category_id}")
-        if bbox.w <= 0 or bbox.h <= 0:
-            errors.append(f"{path}: non-positive box width/height (w={bbox.w}, h={bbox.h})")
-        out.append(Detection(
-            image_id=image_id,
-            category_id=category_id,
-            bbox=bbox,
-            score=float(score) if score is not None else 0.0,
-        ))
-
+    for path, v in _read_records(doc, _RESULTS, errors):
+        out.append(Detection(**v))
+        _check_refs_and_box(path, out[-1], ds.images_by_id, ds.categories_by_id, errors)
     if errors:
         raise ValidationError(errors)
     return out

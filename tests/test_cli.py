@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from unabench import parse_dataset, serialize_dataset
+from unabench import BogusSizePolicy, NoiseConfig, NoiseType, inject, parse_dataset, serialize_dataset
 from unabench.cli import dataset_stats, diff_datasets, main
 
 from conftest import build_dataset
@@ -77,6 +77,68 @@ def test_inject_rejects_out_of_range_ratio(tmp_path, gt_path, capsys):
     err = capsys.readouterr().err
     assert "--ratio" in err and "[0, 1]" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, raw, message", [
+    ("inject", "--ratio", "1.5", "--ratio must be in [0, 1], got 1.5"),
+    ("inject", "--seed", "18446744073709551616", "--seed must be in [0, 2**64), got 18446744073709551616"),
+    ("inject", "--loc-delta", "1", "--loc-delta must be in (0, 1), got 1"),
+    ("inject", "--workers", "0", "--workers must be at least 1, got 0"),
+    ("tide", "--tf", "0", "--tf must be in (0, 1], got 0"),
+    ("tide", "--tb", "1.0", "--tb must be in (0, 1), got 1.0"),
+])
+def test_numeric_flag_out_of_range_message(tmp_path, gt_path, capsys, command, flag, raw, message):
+    if command == "inject":
+        args = ["--ann", gt_path, "--out", str(tmp_path / "o.json"), "--type", "missing", "--ratio", "0.1"]
+    else:
+        args = ["--gt", gt_path, "--dt", gt_path]
+    assert main([command, *args, flag, raw]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.json"]
+
+
+def test_inject_syncs_both_files_before_the_first_replace(tmp_path, gt_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(["inject", "--ann", gt_path, "--out", str(tmp_path / "noisy.json"),
+                 "--type", "una", "--ratio", "0.3", "--seed", "2"]) == 0
+    assert [kind for kind, _ in events] == ["fsync", "fsync", "replace", "replace", "fsync"]
+    synced, moved = [ino for _, ino in events[:2]], [ino for _, ino in events[2:4]]
+    assert synced == moved  # the sidecar's temp file, then the dataset's
+    assert moved == [os.stat(tmp_path / "noisy.json.log.json").st_ino, os.stat(tmp_path / "noisy.json").st_ino]
+    assert events[4][1] == os.stat(tmp_path).st_ino
+
+
+def test_inject_replaces_a_symlinked_out_with_a_regular_file(tmp_path, gt_path):
+    target = tmp_path / "target.json"
+    target.write_bytes(b"untouched")
+    out = tmp_path / "noisy.json"
+    out.symlink_to(target)
+    assert main(["inject", "--ann", gt_path, "--out", str(out),
+                 "--type", "missing", "--ratio", "0.2", "--seed", "1"]) == 0
+    assert not out.is_symlink()
+    assert target.read_bytes() == b"untouched"
+    assert parse_dataset(out.read_bytes())
+
+
+def test_inject_bogus_uniform_fraction_matches_the_library(tmp_path, gt_path):
+    out = tmp_path / "noisy.json"
+    assert main(["inject", "--ann", gt_path, "--out", str(out), "--type", "bogus", "--ratio", "0.3",
+                 "--seed", "7", "--bogus-size-policy", "uniform_fraction"]) == 0
+    config = NoiseConfig(NoiseType.BOGUS, 0.3, 7, bogus_size_policy=BogusSizePolicy.UNIFORM_FRACTION)
+    noisy, _ = inject(parse_dataset(Path(gt_path).read_bytes()), config)
+    assert out.read_bytes() == serialize_dataset(noisy)
 
 
 def test_inject_failed_sidecar_leaves_no_dataset_and_no_temp_file(tmp_path, gt_path, capsys):

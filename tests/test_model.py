@@ -252,6 +252,101 @@ def test_ids_must_be_integers():
         parse_dataset(json.dumps(doc))
 
 
+
+# --- field errors, pinned ----------------------------------------------------------
+
+_ABSENT = object()
+_IMAGE = {"id": 1, "width": 100, "height": 80, "file_name": "a.jpg"}
+_ANNOTATION = {"id": 1, "image_id": 1, "category_id": 1, "bbox": [10, 10, 20, 20], "area": 400, "iscrowd": 0}
+_CATEGORY = {"id": 1, "name": "cat"}
+_RESULT = {"image_id": 1, "category_id": 1, "bbox": [1, 1, 4, 4], "score": 0.5}
+_SECTIONS = {"images": _IMAGE, "annotations": _ANNOTATION, "categories": _CATEGORY, "results": _RESULT}
+_ANN = "annotations[0] (id=1)"
+
+FIELD_ERRORS = [
+    ("images", "file_name", _ABSENT, ["images[0]: missing field 'file_name'"]),
+    ("images", "file_name", None, ["images[0]: file_name must be a string, got None"]),
+    ("images", "file_name", 7, ["images[0]: file_name must be a string"]),
+    ("images", "id", _ABSENT, ["images[0]: missing field 'id'"]),
+    ("images", "id", None, ["images[0]: field 'id' must be an integer, got None"]),
+    ("images", "id", "1", ["images[0]: field 'id' must be an integer, got '1'"]),
+    ("images", "width", _ABSENT, ["images[0]: missing field 'width'"]),
+    ("images", "width", None, ["images[0]: field 'width' must be an integer, got None"]),
+    ("images", "width", 100.0, ["images[0]: field 'width' must be an integer, got 100.0"]),
+    ("images", "height", _ABSENT, ["images[0]: missing field 'height'"]),
+    ("images", "height", None, ["images[0]: field 'height' must be an integer, got None"]),
+    ("images", "height", True, ["images[0]: field 'height' must be an integer, got True"]),
+    ("annotations", "iscrowd", _ABSENT, []),
+    ("annotations", "iscrowd", None, [f"{_ANN}: iscrowd must be 0 or 1, got None"]),
+    ("annotations", "iscrowd", 2, [f"{_ANN}: iscrowd must be 0 or 1, got 2"]),
+    ("annotations", "area", _ABSENT, []),
+    ("annotations", "area", None, []),
+    ("annotations", "area", "big", [f"{_ANN}: area must be a finite number, got 'big'"]),
+    ("annotations", "id", _ABSENT, ["annotations[0]: missing field 'id'"]),
+    ("annotations", "id", None, ["annotations[0]: field 'id' must be an integer, got None"]),
+    ("annotations", "id", "a", ["annotations[0]: field 'id' must be an integer, got 'a'"]),
+    ("annotations", "image_id", _ABSENT, [f"{_ANN}: missing field 'image_id'"]),
+    ("annotations", "image_id", None, [f"{_ANN}: field 'image_id' must be an integer, got None"]),
+    ("annotations", "image_id", 1.0, [f"{_ANN}: field 'image_id' must be an integer, got 1.0"]),
+    ("annotations", "category_id", _ABSENT, [f"{_ANN}: missing field 'category_id'"]),
+    ("annotations", "category_id", None, [f"{_ANN}: field 'category_id' must be an integer, got None"]),
+    ("annotations", "category_id", False, [f"{_ANN}: field 'category_id' must be an integer, got False"]),
+    ("annotations", "bbox", _ABSENT, [f"{_ANN}: missing field 'bbox'"]),
+    ("annotations", "bbox", None, [f"{_ANN}: bbox must be four finite numbers, got None"]),
+    ("annotations", "bbox", [1, 2, 3], [f"{_ANN}: bbox must be four finite numbers, got [1, 2, 3]"]),
+    ("categories", "name", _ABSENT, ["categories[0]: missing field 'name'"]),
+    ("categories", "name", None, ["categories[0]: name must be a string, got None"]),
+    ("categories", "name", 5, ["categories[0]: name must be a string"]),
+    ("categories", "id", _ABSENT, ["categories[0]: missing field 'id'"]),
+    ("categories", "id", None, ["categories[0]: field 'id' must be an integer, got None"]),
+    ("categories", "id", [1], ["categories[0]: field 'id' must be an integer, got [1]"]),
+    ("results", "image_id", _ABSENT, ["results[0]: missing field 'image_id'", "results[0]: unknown image_id 0"]),
+    ("results", "image_id", None,
+     ["results[0]: field 'image_id' must be an integer, got None", "results[0]: unknown image_id 0"]),
+    ("results", "image_id", "1",
+     ["results[0]: field 'image_id' must be an integer, got '1'", "results[0]: unknown image_id 0"]),
+    ("results", "category_id", _ABSENT,
+     ["results[0]: missing field 'category_id'", "results[0]: unknown category_id 0"]),
+    ("results", "category_id", None,
+     ["results[0]: field 'category_id' must be an integer, got None", "results[0]: unknown category_id 0"]),
+    ("results", "category_id", 1.5,
+     ["results[0]: field 'category_id' must be an integer, got 1.5", "results[0]: unknown category_id 0"]),
+    ("results", "bbox", _ABSENT, ["results[0]: missing field 'bbox'"]),
+    ("results", "bbox", None, ["results[0]: bbox must be four finite numbers, got None"]),
+    ("results", "bbox", [1, 1, 4, "4"], ["results[0]: bbox must be four finite numbers, got [1, 1, 4, '4']"]),
+    ("results", "score", _ABSENT, ["results[0]: missing field 'score'"]),
+    ("results", "score", None, ["results[0]: score must be a finite number, got None"]),
+    ("results", "score", "high", ["results[0]: score must be a finite number, got 'high'"]),
+] + [(section, None, [1], [f"{section}[0]: record must be an object"]) for section in _SECTIONS]
+
+
+def _parse_section(section: str, record) -> None:
+    doc = {"images": [_IMAGE], "annotations": [_ANNOTATION], "categories": [_CATEGORY]}
+    if section == "results":
+        parse_detections(json.dumps([record]), parse_dataset(json.dumps(doc)))
+    else:
+        parse_dataset(json.dumps(dict(doc, **{section: [record]})))
+
+
+@pytest.mark.parametrize("section, field, value, errors", FIELD_ERRORS, ids=[
+    f"{s}-{f or 'record'}-{'absent' if v is _ABSENT else repr(v)}" for s, f, v, _ in FIELD_ERRORS])
+def test_field_errors_are_pinned(section, field, value, errors):
+    """Every field of every record kind absent, null and of the wrong type,
+    plus a non-object record; a rejected null reads ``got None``."""
+    if field is None:
+        record = value
+    else:
+        record = {k: v for k, v in _SECTIONS[section].items() if k != field}
+        if value is not _ABSENT:
+            record[field] = value
+    if not errors:
+        _parse_section(section, record)
+        return
+    with pytest.raises(ValidationError) as err:
+        _parse_section(section, record)
+    assert err.value.errors == errors
+
+
 @requires_val2017
 def test_val2017_parses_and_reserializes_stably():
     ds = parse_dataset(VAL2017_PATH.read_bytes())

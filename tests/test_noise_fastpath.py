@@ -189,9 +189,9 @@ def test_bogus_plan_equals_per_item_make_bogus_box(seed, policy):
             assert _bits(got.bbox.as_list() + [got.area]) == _bits(want.bbox.as_list() + [want.area])
 
 
-# --- assembly ------------------------------------------------------------------
+# --- input contract ------------------------------------------------------------
 
-def test_assemble_edits_and_drops_every_copy_of_a_duplicated_id():
+def test_injectors_refuse_a_duplicated_annotation_id(monkeypatch):
     # a Dataset built in code is not validated: id 3 appears twice
     images = (ImageRecord(1, 80, 60, "a.jpg"), ImageRecord(2, 80, 60, "b.jpg"))
     cats = (Category(1, "a"), Category(2, "b"))
@@ -199,12 +199,15 @@ def test_assemble_edits_and_drops_every_copy_of_a_duplicated_id():
             Annotation(5, 1, 2, BoundingBox(30.0, 5.0, 12.0, 12.0)),
             Annotation(3, 2, 1, BoundingBox(10.0, 10.0, 20.0, 15.0)))
     ds = Dataset(images, anns, cats)
-    noisy, log = noise.inject_missing(ds, 1.0, seed=1)
-    assert 3 in log.removed and all(a.id != 3 for a in noisy.annotations)
-    noisy, log = noise.inject_categorization(ds, 1.0, seed=1)
-    assert [(a.id, a.image_id, a.category_id) for a in noisy.annotations] == [(3, 1, 2), (5, 1, 1), (3, 2, 2)]
-    assert [e.id for e in log.corrupted] == [3, 3, 5]
-    noisy, log = noise.inject_localization(ds, 1.0, seed=1)
-    moved = [a for a in noisy.annotations if a.id == 3]
-    assert [a.image_id for a in moved] == [1, 2]
-    assert all(a.bbox != anns[0].bbox for a in moved)
+
+    def no_draws(*args):
+        raise AssertionError("drew random numbers before refusing the input")
+
+    monkeypatch.setattr(noise, "_stream", no_draws)
+    monkeypatch.setattr(noise, "_blocks", no_draws)
+    with pytest.raises(ValueError, match="^duplicate annotation id 3$"):
+        select_targets(ds, 1.0, 1, "missing")
+    for injector in (noise.inject_categorization, noise.inject_localization, noise.inject_missing,
+                     noise.inject_bogus, noise.inject_una):
+        with pytest.raises(ValueError, match="^duplicate annotation id 3$"):
+            injector(ds, 1.0, seed=1)
