@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import EvalSummary, evaluate
-from .model import Dataset, ValidationError, parse_dataset, parse_detections, serialize_dataset
+from .model import Dataset, ValidationError, _Columns, _detection_table, parse_dataset, serialize_dataset
 from .noise import DEFAULT_LOC_DELTA, BogusSizePolicy, NoiseConfig, NoiseType, inject
 from .tide import DEFAULT_TB, DEFAULT_TF, ERROR_ORDER, ErrorKind, TideReport, tide_report
 
@@ -204,6 +204,12 @@ def _load_dataset(path: str) -> Dataset:
     return parse_dataset(Path(path).read_bytes())
 
 
+def _load_scoring(opts: dict) -> tuple[Dataset, _Columns]:
+    """Ground truth and the results file as columns: scoring builds no detection records."""
+    gt = _load_dataset(opts["gt"])
+    return gt, _detection_table(Path(opts["dt"]).read_bytes(), gt)
+
+
 def _write_all(files: list[tuple[Path, bytes]]) -> None:
     """Write each file to a temp file in its directory, then move them into
     place in the given order, only after every write succeeded.
@@ -298,8 +304,7 @@ def _render_eval(summary: EvalSummary, gt: Dataset, fmt: str) -> str:
 
 
 def cmd_eval(opts: dict) -> int:
-    gt = _load_dataset(opts["gt"])
-    dets = parse_detections(Path(opts["dt"]).read_bytes(), gt)
+    gt, dets = _load_scoring(opts)
     print(_render_eval(evaluate(gt, dets), gt, opts["format"]))
     return EXIT_OK
 
@@ -341,8 +346,7 @@ def _render_tide(report: TideReport, fmt: str) -> str:
 
 
 def cmd_tide(opts: dict) -> int:
-    gt = _load_dataset(opts["gt"])
-    dets = parse_detections(Path(opts["dt"]).read_bytes(), gt)
+    gt, dets = _load_scoring(opts)
     print(_render_tide(tide_report(gt, dets, tf=opts["tf"], tb=opts["tb"]), opts["format"]))
     return EXIT_OK
 

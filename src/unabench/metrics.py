@@ -5,8 +5,8 @@ image, matched greedily in descending score order against same-category
 ground truth of the same image, and AP is the mean over the 10-threshold
 IoU grid and over all categories that have at least one ground truth.
 
-Each entry point turns its records into arrays once, with :func:`_columns`
-(image, category, (n, 4) boxes, score), and passes only arrays down.
+Each entry point gets its arrays (image, category, (n, 4) boxes, score) once
+from :func:`model._columns`, the one records-to-arrays point, and passes only arrays down.
 :func:`_ranked` holds the one rank policy: detection indices ordered by
 (-score, input index), optionally capped per image. :func:`_match`, the one
 matching engine, takes detection rows already in that order and groups
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Annotation, BoundingBox, Dataset, Detection
+from .model import Annotation, BoundingBox, Dataset, Detection, _Columns, _columns
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 RECALL_GRID: tuple[float, ...] = tuple(round(0.01 * i, 2) for i in range(101))
@@ -50,28 +50,6 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
         return 0.0
     inter = ix * iy
     return inter / (a.area + b.area - inter)
-
-
-class _Columns(NamedTuple):
-    """Records as arrays, row i for record i; ``scores`` is None for ground truth."""
-
-    images: np.ndarray
-    categories: np.ndarray
-    boxes: np.ndarray
-    scores: np.ndarray | None
-
-
-def _columns(records: Sequence[Annotation | Detection]) -> _Columns:
-    """The only place records become arrays; boxes are (n, 4) (x, y, w, h) rows."""
-    bb = [r.bbox for r in records]
-    scored = not records or isinstance(records[0], Detection)
-    return _Columns(
-        np.array([r.image_id for r in records], dtype=np.int64),
-        np.array([r.category_id for r in records], dtype=np.int64),
-        np.array([[b.x for b in bb], [b.y for b in bb], [b.w for b in bb], [b.h for b in bb]],
-                 dtype=np.float64).T,
-        np.array([r.score for r in records], dtype=np.float64) if scored else None,
-    )
 
 
 def _ranked(d: _Columns, limit: int | None) -> np.ndarray:

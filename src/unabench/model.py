@@ -14,6 +14,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -160,9 +165,9 @@ def _is_num(v) -> bool:
 
 def _check_refs_and_box(path: str, rec, image_ids, category_ids, errors: list[str]) -> bool:
     """Reference and box rules for annotations and detections; True if the box is usable."""
-    if rec.image_id not in image_ids:
+    if rec.image_id is not _UNREAD and rec.image_id not in image_ids:
         errors.append(f"{path}: unknown image_id {rec.image_id}")
-    if rec.category_id not in category_ids:
+    if rec.category_id is not _UNREAD and rec.category_id not in category_ids:
         errors.append(f"{path}: unknown category_id {rec.category_id}")
     b = rec.bbox
     if not all(map(math.isfinite, (b.x, b.y, b.w, b.h))):
@@ -236,9 +241,9 @@ def _box(v):
 # Field types: (reader, problem, fallback). A reader returns the field's value,
 # or _UNREAD to reject it; an absent key reads as _UNREAD, which every reader
 # rejects. A missing or rejected field is reported, a rejected value with
-# ``problem``, and reads as ``fallback`` so the checks after it still run.
+# ``problem``, and reads as ``fallback`` so later checks run; they skip an _UNREAD id.
 _UNREAD = object()
-_INT = (lambda v: v if type(v) is int else _UNREAD, "field {key!r} must be an integer, got {value!r}", 0)
+_INT = (lambda v: v if type(v) is int else _UNREAD, "field {key!r} must be an integer, got {value!r}", _UNREAD)
 _STR = (lambda v: v if isinstance(v, str) else _UNREAD, "{key} must be a string", "")
 _NUM = (lambda v: float(v) if _is_num(v) else _UNREAD, "{key} must be a finite number, got {value!r}", 0.0)
 _BOX = (_box, "{key} must be four finite numbers, got {value!r}", BoundingBox(0.0, 0.0, 1.0, 1.0))
@@ -270,7 +275,10 @@ def _read_records(section: list, kind: tuple, errors: list[str]):
         values = {}
         for key, read, problem, fallback, absent in fields:
             raw = rec.get(key, absent)
-            value = read(raw)
+            try:
+                value = read(raw)
+            except OverflowError:  # an int too large for a float is not a finite number
+                value = _UNREAD
             if value is _UNREAD:
                 if raw is None and "{value" not in problem:
                     problem += ", got {value!r}"  # a null shows even where a wrong value does not
@@ -350,14 +358,52 @@ def serialize_dataset(ds: Dataset) -> bytes:
     return text.encode("utf-8")
 
 
-def parse_detections(data: bytes | str, ds: Dataset) -> list[Detection]:
-    """Parse a COCO results array against ``ds``; input order is preserved.
+class _Columns(NamedTuple):
+    """Records as arrays, row i for record i; ``scores`` is None for ground truth."""
 
-    Each record needs ``image_id``, ``category_id``, ``bbox`` and a finite
-    ``score``, none of them ``null``; ids must resolve against ``ds``. All
-    problems are collected into a single :class:`ValidationError`.
-    """
+    images: np.ndarray
+    categories: np.ndarray
+    boxes: np.ndarray
+    scores: np.ndarray | None
+
+
+def _columns(records: Sequence[Annotation | Detection] | _Columns) -> _Columns:
+    """The only place records become arrays, boxes as (n, 4) (x, y, w, h) rows; a table passes as is."""
+    if isinstance(records, _Columns):
+        return records
+    bb = [r.bbox for r in records]
+    scored = not records or isinstance(records[0], Detection)
+    return _Columns(
+        np.array([r.image_id for r in records], dtype=np.int64),
+        np.array([r.category_id for r in records], dtype=np.int64),
+        np.array([[b.x for b in bb], [b.y for b in bb], [b.w for b in bb], [b.h for b in bb]],
+                 dtype=np.float64).T,
+        np.array([r.score for r in records], dtype=np.float64) if scored else None,
+    )
+
+
+def _detection_table(data: bytes | str, ds: Dataset) -> _Columns:
+    """:func:`parse_detections` into columns. Whole-column checks pass valid input; on any
+    failure :func:`_walk_detections` judges the input and words its errors, so it alone decides."""
     doc = _load_json(data, list, "results must be a JSON array")
+    try:  # a non-object record, a missing key, a number beyond int64 or float64: to the walk
+        img, cat, box, score = (list(map(itemgetter(key), doc)) for key in _RESULTS[2])
+        flat = list(chain.from_iterable(box))
+        if (set(map(type, img)) | set(map(type, cat)) <= {int} and set(map(type, box)) <= {list}
+                and set(map(len, box)) <= {4} and set(map(type, flat)) | set(map(type, score)) <= _NUMBERS):
+            t = _Columns(np.array(img, dtype=np.int64), np.array(cat, dtype=np.int64),
+                         np.array(flat, dtype=np.float64).reshape(-1, 4), np.array(score, dtype=np.float64))
+            if (np.isfinite(t.boxes).all() and np.isfinite(t.scores).all() and (t.boxes[:, 2:] > 0).all()
+                    and np.isin(t.images, np.fromiter(ds.images_by_id, np.int64)).all()
+                    and np.isin(t.categories, np.fromiter(ds.categories_by_id, np.int64)).all()):
+                return t
+    except (KeyError, TypeError, OverflowError):
+        pass
+    return _columns(_walk_detections(doc, ds))
+
+
+def _walk_detections(doc: list, ds: Dataset) -> list[Detection]:
+    """Check a decoded results array record by record; raise listing every problem."""
     errors: list[str] = []
     out: list[Detection] = []
     for path, v in _read_records(doc, _RESULTS, errors):
@@ -366,3 +412,15 @@ def parse_detections(data: bytes | str, ds: Dataset) -> list[Detection]:
     if errors:
         raise ValidationError(errors)
     return out
+
+
+def parse_detections(data: bytes | str, ds: Dataset) -> list[Detection]:
+    """Parse a COCO results array against ``ds``; input order is preserved.
+
+    Each record needs ``image_id``, ``category_id``, ``bbox`` and a finite
+    ``score``, none of them ``null``; ids must resolve against ``ds``. All
+    problems are collected into a single :class:`ValidationError`.
+    """
+    t = _detection_table(data, ds)
+    return [Detection(i, c, BoundingBox(*b), s)
+            for i, c, b, s in zip(t.images.tolist(), t.categories.tolist(), t.boxes.tolist(), t.scores.tolist())]

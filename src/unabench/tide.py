@@ -5,7 +5,7 @@ missed ground truths form the sixth component. For each component an
 oracle "perfectly fixes" just that mistake class and AP50 is re-measured;
 the gap to the baseline is that component's cost. :func:`tide_report`
 does all of it from one match, with the oracles as edits of rank-ordered
-arrays scored by the AP helper ``evaluate`` uses.
+arrays (from :func:`model._columns`) scored by the AP helper ``evaluate`` uses.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import MAX_DETECTIONS_PER_IMAGE, _category_ap, _Columns, _columns, _match, _pair_iou, _ranked
-from .model import Dataset, Detection
+from .metrics import MAX_DETECTIONS_PER_IMAGE, _category_ap, _match, _pair_iou, _ranked
+from .model import Dataset, Detection, _Columns, _columns
 
 DEFAULT_TF = 0.5
 DEFAULT_TB = 0.1

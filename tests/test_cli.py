@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from unabench import BogusSizePolicy, NoiseConfig, NoiseType, inject, parse_dataset, serialize_dataset
+from unabench import BogusSizePolicy, Detection, NoiseConfig, NoiseType, inject, parse_dataset, serialize_dataset
 from unabench.cli import dataset_stats, diff_datasets, main
 
 from conftest import build_dataset
@@ -241,6 +241,22 @@ def test_eval_rejects_unknown_format(gt_path, capsys):
     assert "--format" in capsys.readouterr().err
 
 
+def test_eval_and_tide_build_no_detection_records(monkeypatch, capsys):
+    """The results file goes to the metrics as columns, never as records."""
+    before = {}
+    for cmd in ("eval", "tide"):
+        assert main([cmd, "--gt", MICRO_GT, "--dt", MICRO_DT]) == 0
+        before[cmd] = capsys.readouterr().out
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Detection record was built")
+
+    monkeypatch.setattr(Detection, "__init__", refuse)
+    for cmd in ("eval", "tide"):
+        assert main([cmd, "--gt", MICRO_GT, "--dt", MICRO_DT]) == 0
+        assert capsys.readouterr().out == before[cmd]
+
+
 # --- tide --------------------------------------------------------------------
 
 def _single_cls_paths(tmp_path):
@@ -449,6 +465,27 @@ def test_console_script_smoke(tmp_path, gt_path):
     proc = _run_module("stats", "--ann", gt_path)
     assert proc.returncode == 0
     assert "annotations:  40" in proc.stdout
+
+
+_HUGE = "1" + "0" * 400  # an integer literal too large for a float
+
+
+@pytest.mark.parametrize("command, error", [
+    ("stats", "annotations[0] (id=1): bbox must be four finite numbers, got [10, 10, " + _HUGE + ", 20]"),
+    ("eval", "results[0]: score must be a finite number, got " + _HUGE),
+])
+def test_an_int_too_large_for_a_float_is_a_validation_error(tmp_path, command, error):
+    gt = tmp_path / "gt.json"
+    gt.write_text('{"images": [{"id": 1, "width": 100, "height": 80, "file_name": "a.jpg"}], '
+                  '"categories": [{"id": 1, "name": "cat"}], "annotations": [{"id": 1, "image_id": 1, '
+                  '"category_id": 1, "bbox": [10, 10, ' + ("20" if command == "eval" else _HUGE) + ', 20]}]}')
+    dt = tmp_path / "dt.json"
+    dt.write_text('[{"image_id": 1, "category_id": 1, "bbox": [1, 1, 4, 4], "score": ' + _HUGE + '}]')
+    args = ("stats", "--ann", str(gt)) if command == "stats" else ("eval", "--gt", str(gt), "--dt", str(dt))
+    proc = _run_module(*args)
+    assert proc.returncode == 1
+    assert error in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_console_script_error_smoke(tmp_path):

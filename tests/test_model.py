@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 
 import pytest
 
@@ -14,11 +15,15 @@ from unabench import (
     ValidationError,
     parse_dataset,
     parse_detections,
+    evaluate,
     serialize_dataset,
+    tide_report,
     validate_dataset,
 )
+from unabench import model
+from unabench.model import _columns, _detection_table, _walk_detections
 
-from conftest import VAL2017_PATH, build_dataset, requires_val2017
+from conftest import VAL2017_PATH, build_dataset, capped_tie_instance, requires_val2017
 
 
 MINIMAL = {
@@ -300,17 +305,12 @@ FIELD_ERRORS = [
     ("categories", "id", _ABSENT, ["categories[0]: missing field 'id'"]),
     ("categories", "id", None, ["categories[0]: field 'id' must be an integer, got None"]),
     ("categories", "id", [1], ["categories[0]: field 'id' must be an integer, got [1]"]),
-    ("results", "image_id", _ABSENT, ["results[0]: missing field 'image_id'", "results[0]: unknown image_id 0"]),
-    ("results", "image_id", None,
-     ["results[0]: field 'image_id' must be an integer, got None", "results[0]: unknown image_id 0"]),
-    ("results", "image_id", "1",
-     ["results[0]: field 'image_id' must be an integer, got '1'", "results[0]: unknown image_id 0"]),
-    ("results", "category_id", _ABSENT,
-     ["results[0]: missing field 'category_id'", "results[0]: unknown category_id 0"]),
-    ("results", "category_id", None,
-     ["results[0]: field 'category_id' must be an integer, got None", "results[0]: unknown category_id 0"]),
-    ("results", "category_id", 1.5,
-     ["results[0]: field 'category_id' must be an integer, got 1.5", "results[0]: unknown category_id 0"]),
+    ("results", "image_id", _ABSENT, ["results[0]: missing field 'image_id'"]),
+    ("results", "image_id", None, ["results[0]: field 'image_id' must be an integer, got None"]),
+    ("results", "image_id", "1", ["results[0]: field 'image_id' must be an integer, got '1'"]),
+    ("results", "category_id", _ABSENT, ["results[0]: missing field 'category_id'"]),
+    ("results", "category_id", None, ["results[0]: field 'category_id' must be an integer, got None"]),
+    ("results", "category_id", 1.5, ["results[0]: field 'category_id' must be an integer, got 1.5"]),
     ("results", "bbox", _ABSENT, ["results[0]: missing field 'bbox'"]),
     ("results", "bbox", None, ["results[0]: bbox must be four finite numbers, got None"]),
     ("results", "bbox", [1, 1, 4, "4"], ["results[0]: bbox must be four finite numbers, got [1, 1, 4, '4']"]),
@@ -345,6 +345,89 @@ def test_field_errors_are_pinned(section, field, value, errors):
     with pytest.raises(ValidationError) as err:
         _parse_section(section, record)
     assert err.value.errors == errors
+
+
+_HUGE = 10 ** 400  # an integer literal too large for a float
+
+
+@pytest.mark.parametrize("section, field, value, error", [
+    ("annotations", "bbox", [10, 10, _HUGE, 20],
+     f"{_ANN}: bbox must be four finite numbers, got [10, 10, {_HUGE}, 20]"),
+    ("annotations", "area", _HUGE, f"{_ANN}: area must be a finite number, got {_HUGE}"),
+    ("results", "bbox", [1, 1, 4, _HUGE],
+     f"results[0]: bbox must be four finite numbers, got [1, 1, 4, {_HUGE}]"),
+    ("results", "score", _HUGE, f"results[0]: score must be a finite number, got {_HUGE}"),
+], ids=["annotation-bbox", "annotation-area", "result-bbox", "result-score"])
+def test_an_int_too_large_for_a_float_is_not_finite(section, field, value, error):
+    with pytest.raises(ValidationError) as err:
+        _parse_section(section, dict(_SECTIONS[section], **{field: value}))
+    assert err.value.errors == [error]
+
+
+# --- results table against the record walk -------------------------------------------
+
+def _assert_table_agrees_with_walk(data: str, ds: Dataset) -> bool:
+    """``_detection_table`` raises the walk's errors or returns its records' columns
+    bit for bit; returns whether the input was accepted."""
+    try:
+        records = _walk_detections(json.loads(data), ds)
+    except ValidationError as walk_err:
+        with pytest.raises(ValidationError) as err:
+            _detection_table(data, ds)
+        assert err.value.errors == walk_err.errors
+        return False
+    got, want = _detection_table(data, ds), _columns(records)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+    assert parse_detections(data, ds) == records
+    return True
+
+
+_RESULTS = [
+    {"image_id": 1, "category_id": 1, "bbox": [1, 1, 4, 4], "score": 0.5},
+    {"image_id": 1, "category_id": 2, "bbox": [2.5, 3, 10, 0.5], "score": 1},
+    {"image_id": 1, "category_id": 1, "bbox": [0, 0, 2 ** 60 + 1, 7.25], "score": 0.5},
+]
+_BAD = {"absent": _ABSENT, "null": None, "true": True, "string": "1", "nan": math.nan, "huge": _HUGE}
+MUTATIONS = [(f"{key}-{name}", key, value) for key in _RESULT for name, value in _BAD.items()] + [
+    *[(f"bbox-item-{name}", "bbox", [1, 1, value, 4]) for name, value in _BAD.items() if value is not _ABSENT],
+    ("image_id-unknown", "image_id", 2), ("category_id-unknown", "category_id", 3),
+    ("image_id-beyond-int64", "image_id", 2 ** 63), ("score-negative", "score", -1),
+    ("bbox-width-0", "bbox", [1, 1, 0, 4]), ("bbox-height-negative", "bbox", [1, 1, 4, -0.5]),
+    ("bbox-3-items", "bbox", [1, 1, 4]), ("bbox-5-items", "bbox", [1, 1, 4, 4, 4]), ("bbox-string", "bbox", "1114"),
+    ("extra-key", "note", "x"), ("record-list", None, [1]), ("record-string", None, "x"), ("record-null", None, None),
+]
+_ACCEPTED = {"score-negative", "extra-key"}
+
+
+@pytest.mark.parametrize("name, key, value", MUTATIONS, ids=[m[0] for m in MUTATIONS])
+def test_results_table_agrees_with_the_walk(name, key, value):
+    """One record of a valid results file mutated: the table and the walk give
+    the same errors or the same columns."""
+    if key is None:
+        record = value
+    else:
+        record = {k: v for k, v in _RESULTS[1].items() if k != key}
+        if value is not _ABSENT:
+            record[key] = value
+    data = json.dumps([_RESULTS[0], record, _RESULTS[2]])
+    assert _assert_table_agrees_with_walk(data, parse_dataset(json.dumps(MINIMAL))) == (name in _ACCEPTED)
+
+
+def test_results_table_takes_valid_input_without_the_walk(monkeypatch):
+    """Int and float coordinates, tied scores, one image over the per-image cap."""
+    ds, dets = capped_tie_instance()
+    rows = [{"image_id": d.image_id, "category_id": d.category_id, "score": 1 if d.score == 1 else d.score,
+             "bbox": [round(v) for v in d.bbox.as_list()] if i % 3 == 0 else d.bbox.as_list()}
+            for i, d in enumerate(dets)]
+    assert any(r["score"] == 1 for r in rows) and any(type(r["bbox"][0]) is int for r in rows)
+    data = json.dumps(rows)
+    assert _assert_table_agrees_with_walk(data, ds)
+    records = parse_detections(data, ds)
+    monkeypatch.setattr(model, "_walk_detections", lambda *args: pytest.fail("valid input reached the walk"))
+    table = _detection_table(data, ds)
+    assert evaluate(ds, table) == evaluate(ds, records)
+    assert tide_report(ds, table) == tide_report(ds, records)
 
 
 @requires_val2017
