@@ -384,6 +384,45 @@ def test_diff_reconciles_with_combined_injection_log(tmp_path, gt_path, capsys):
     assert doc["other_changed"] == []
 
 
+def _diff_doc(anns):
+    return json.dumps({"images": [{"id": 1, "width": 100, "height": 80, "file_name": "a.jpg"},
+                                  {"id": 2, "width": 100, "height": 80, "file_name": "b.jpg"}],
+                       "categories": [{"id": 1, "name": "cat"}, {"id": 2, "name": "dog"}],
+                       "annotations": anns})
+
+
+def _ann(ann_id, **fields):
+    return {"id": ann_id, "image_id": 1, "category_id": 1, "bbox": [10, 10, 20, 20], "area": 400, "iscrowd": 0,
+            **fields}
+
+
+def test_diff_names_every_kind_of_change(tmp_path, capsys):
+    """One hand-made pair hits every key; a box move that changes the area too is
+    only ``bbox_changed``."""
+    old = [_ann(i) for i in (9, 1, 2, 3, 4, 5, 6, 8, 11, 12)]
+    new = [_ann(12, bbox=[11, 10, 20, 20], area=401.0, category_id=2),  # box and area move, class flips
+           _ann(13), _ann(11, category_id=2),                           # 13 added
+           _ann(1, category_id=2),                                      # class flip
+           _ann(2, bbox=[10, 10, 21, 20], area=420),                    # box move with its area
+           _ann(3, area=400.5),                                         # area drift, same box
+           _ann(4, image_id=2),                                         # image change
+           _ann(5, iscrowd=1),                                          # crowd flip
+           _ann(8, bbox=[10.0, 10.0, 20.0, 20.0], area=400.0),          # same values as floats
+           _ann(9)]                                                     # 6 removed
+    want = {"category_changed": [1, 11, 12], "bbox_changed": [2, 12], "other_changed": [3, 4, 5],
+            "removed": [6], "added": [13]}
+    a, b = parse_dataset(_diff_doc(old)), parse_dataset(_diff_doc(new))
+    assert diff_datasets(a, b) == want
+    assert diff_datasets(b, a) == {**want, "removed": [13], "added": [6]}
+    assert diff_datasets(a, a) == {key: [] for key in want}
+    paths = []
+    for name, anns in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(_diff_doc(anns))
+    assert main(["diff", "--format", "json", *map(str, paths)]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+
+
 # --- config file and environment ----------------------------------------------
 
 def test_config_file_supplies_flags(tmp_path, gt_path, capsys):

@@ -177,6 +177,24 @@ def test_out_of_bounds_box_warns_but_passes(caplog):
     assert any("1" in r.getMessage() for r in caplog.records)
 
 
+def test_out_of_bounds_warning_text_is_pinned(caplog):
+    """The count, the first 10 ids in record order, then ``, ...`` when there are more."""
+    inside = {"image_id": 1, "category_id": 1, "bbox": [10, 10, 20, 20]}
+    outside = [[-1, 10, 20, 20], [10, -0.5, 20, 20], [90, 10, 10.5, 20], [10, 70, 20, 10.25]]
+    ids = [40, 3, 17, 8, 25, 1, 33, 12, 9, 21, 2, 50]
+    anns = []
+    for k, ann_id in enumerate(ids):
+        anns.append(dict(inside, id=ann_id, bbox=outside[k % 4]))
+        anns.append(dict(inside, id=100 + k))
+    for n, shown in ((12, "40, 3, 17, 8, 25, 1, 33, 12, 9, 21, ..."), (10, "40, 3, 17, 8, 25, 1, 33, 12, 9, 21"),
+                     (1, "40")):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="unabench.model"):
+            parse_dataset(json.dumps(dict(MINIMAL, annotations=anns[:2 * n])))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{n} annotation box(es) extend beyond image bounds (ids {shown}); kept as-is"]
+
+
 def test_serialized_key_order_and_id_sorting():
     ds = build_dataset(n_annotations=3, seed=5)
     doc = json.loads(serialize_dataset(ds))
