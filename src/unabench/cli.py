@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import EvalSummary, evaluate
-from .model import Dataset, ValidationError, _Columns, _detection_table, parse_dataset, serialize_dataset
+from .model import (Dataset, ValidationError, _all_distinct, _Columns, _detection_table, parse_dataset,
+                    serialize_dataset)
 from .noise import DEFAULT_LOC_DELTA, BogusSizePolicy, NoiseConfig, NoiseType, inject
 from .tide import DEFAULT_TB, DEFAULT_TF, ERROR_ORDER, ErrorKind, TideReport, tide_report
 
@@ -353,22 +354,22 @@ def cmd_tide(opts: dict) -> int:
 
 def dataset_stats(ds: Dataset) -> dict:
     """Counting summary: sizes, per-category counts, box-area quantiles."""
-    counts = Counter(a.category_id for a in ds.annotations)
+    t = ds._table
+    counts = Counter(t.categories.tolist())
     per_category = [
         {"id": c.id, "name": c.name, "count": counts[c.id]}
         for c in sorted(ds.categories, key=lambda c: c.id)
     ]
     stats = {
         "images": len(ds.images),
-        "annotations": len(ds.annotations),
-        "crowd": sum(1 for a in ds.annotations if a.crowd_flag),
+        "annotations": len(t.ids),
+        "crowd": int(t.crowd.sum()),
         "categories": len(ds.categories),
         "per_category": per_category,
         "box_area_quantiles": None,
     }
-    if ds.annotations:
-        areas = np.array([a.bbox.area for a in ds.annotations])
-        q = np.percentile(areas, [0, 25, 50, 75, 100])
+    if len(t.ids):
+        q = np.percentile(t.boxes[:, 2] * t.boxes[:, 3], [0, 25, 50, 75, 100])
         stats["box_area_quantiles"] = {
             "min": float(q[0]), "p25": float(q[1]), "p50": float(q[2]),
             "p75": float(q[3]), "max": float(q[4]),
@@ -421,25 +422,21 @@ def diff_datasets(a: Dataset, b: Dataset) -> dict:
     ``other_changed`` catches field changes the injectors never make
     (image_id, crowd flag, or area drifting from its box).
     """
-    a_by, b_by = a.annotations_by_id, b.annotations_by_id
-    out = {
-        "category_changed": [],
-        "bbox_changed": [],
-        "other_changed": [],
-        "removed": sorted(set(a_by) - set(b_by)),
-        "added": sorted(set(b_by) - set(a_by)),
+    for ds in (a, b):
+        if not _all_distinct(ds._table.ids):
+            ds.annotations_by_id  # raises, naming the duplicated id
+    ta, tb = a._table, b._table
+    common, ia, ib = np.intersect1d(ta.ids, tb.ids, assume_unique=True, return_indices=True)
+    same_box = (ta.boxes[ia] == tb.boxes[ib]).all(axis=1)
+    other = ((ta.images[ia] != tb.images[ib]) | (ta.crowd[ia] != tb.crowd[ib])
+             | (same_box & (ta.areas[ia] != tb.areas[ib])))
+    return {
+        "category_changed": common[ta.categories[ia] != tb.categories[ib]].tolist(),
+        "bbox_changed": common[~same_box].tolist(),
+        "other_changed": common[other].tolist(),
+        "removed": np.sort(ta.ids[~np.isin(ta.ids, tb.ids)]).tolist(),
+        "added": np.sort(tb.ids[~np.isin(tb.ids, ta.ids)]).tolist(),
     }
-    for ann_id in sorted(set(a_by) & set(b_by)):
-        old, new = a_by[ann_id], b_by[ann_id]
-        if old.category_id != new.category_id:
-            out["category_changed"].append(ann_id)
-        if old.bbox != new.bbox:
-            out["bbox_changed"].append(ann_id)
-        if (old.image_id, old.crowd_flag) != (new.image_id, new.crowd_flag) or (
-            old.bbox == new.bbox and old.area != new.area
-        ):
-            out["other_changed"].append(ann_id)
-    return out
 
 
 def _render_diff(diff: dict, fmt: str) -> str:

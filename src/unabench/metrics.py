@@ -5,8 +5,10 @@ image, matched greedily in descending score order against same-category
 ground truth of the same image, and AP is the mean over the 10-threshold
 IoU grid and over all categories that have at least one ground truth.
 
-Each entry point gets its arrays (image, category, (n, 4) boxes, score) once
-from :func:`model._columns`, the one records-to-arrays point, and passes only arrays down.
+Each entry point gets its arrays (image, category, (n, 4) boxes, score) once,
+the ground truth's from its dataset's annotation table and the detections'
+from :func:`model._columns` (a results table passes as is), and passes only
+arrays down.
 :func:`_ranked` holds the one rank policy: detection indices ordered by
 (-score, input index), optionally capped per image. :func:`_match`, the one
 matching engine, takes detection rows already in that order and groups
@@ -257,7 +259,7 @@ def evaluate(gt: Dataset, dets: Sequence[Detection], *, max_dets: int = MAX_DETE
     count as false positives for their category if it has ground truth
     elsewhere). Categories without any ground truth are skipped.
     """
-    g, d = _columns(gt.non_crowd), _columns(dets)
+    (_, g), d = gt._table.non_crowd(), _columns(dets)
     rows = _ranked(d, max_dets)
     tp = _match(g, d, rows, IOU_THRESHOLDS)[rows] >= 0
     cats, grid = _category_ap(d.categories[rows], tp, Counter(g.categories.tolist()))

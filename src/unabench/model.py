@@ -4,6 +4,17 @@ Datasets are immutable value objects. Parsing collects every problem it can
 find and reports them together; serialization is canonical (id-sorted arrays,
 fixed key order, compact separators) so equal datasets always produce
 byte-identical output regardless of construction order.
+
+Decoded JSON becomes arrays in one place, the column pull (:func:`_pull` and
+the ``_*_column`` builders): each field of a section is taken as one list,
+checked by exact type at C speed and built into a numpy array. It fills the
+annotation table of :func:`parse_dataset` (:class:`_AnnotationTable`) and the
+results table of :func:`_detection_table`, so valid input builds no record.
+Where a column check fails, the record walk (:func:`_read_records`, then
+:func:`validate_dataset`'s checks per record) judges the input: it alone
+words errors and decides what is rejected. A parsed dataset builds its
+annotation records from its table on first access of ``annotations``; records
+become arrays in :func:`_columns` and :meth:`_AnnotationTable.of`.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -104,7 +115,10 @@ class Dataset:
     """An immutable collection of images, annotations and categories.
 
     Record order is preserved as given; lookups and the eligible (non-crowd)
-    pool are built lazily and cached.
+    pool are built lazily and cached. A parsed dataset holds its annotations
+    as a table and builds the records on first access of ``annotations``; one
+    built from records makes its table on first use. Either way its value,
+    hash and repr are those of its records.
     """
 
     images: tuple[ImageRecord, ...]
@@ -115,6 +129,27 @@ class Dataset:
         object.__setattr__(self, "images", tuple(self.images))
         object.__setattr__(self, "annotations", tuple(self.annotations))
         object.__setattr__(self, "categories", tuple(self.categories))
+
+    @classmethod
+    def _of_table(cls, images, table: _AnnotationTable, categories) -> Dataset:
+        """A dataset whose annotation records are built from ``table`` when first read."""
+        ds = object.__new__(cls)
+        for name, value in (("images", tuple(images)), ("categories", tuple(categories)), ("_table", table)):
+            object.__setattr__(ds, name, value)
+        return ds
+
+    def __getattr__(self, name: str):
+        # reached only while a dataset made by _of_table has no annotation records yet
+        table = self.__dict__.get("_table")
+        if name != "annotations" or table is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        records = table.records()
+        object.__setattr__(self, "annotations", records)
+        return records
+
+    @cached_property
+    def _table(self) -> _AnnotationTable:
+        return _AnnotationTable.of(self.annotations)
 
     @cached_property
     def images_by_id(self) -> dict[int, ImageRecord]:
@@ -185,7 +220,9 @@ def validate_dataset(ds: Dataset) -> None:
     Boxes that stick out of their image are common in real exports and are
     only warned about. Everything else (duplicate ids, dangling references,
     non-positive box sizes, non-finite values) raises :class:`ValidationError`
-    listing every offending record.
+    listing every offending record. The annotations are checked as columns of
+    the dataset's table; when a check fails, or an image or category is at
+    fault, :func:`_walk_annotations` judges them record by record.
     """
     errors: list[str] = []
 
@@ -205,21 +242,9 @@ def validate_dataset(ds: Dataset) -> None:
             errors.append(f"{path}: duplicate category id")
         seen_cat.add(c.id)
 
-    seen_ann: set[int] = set()
-    out_of_bounds: list[int] = []
-    for i, a in enumerate(ds.annotations):
-        path = f"annotations[{i}] (id={a.id})"
-        if a.id in seen_ann:
-            errors.append(f"{path}: duplicate annotation id")
-        seen_ann.add(a.id)
-        if not _check_refs_and_box(path, a, seen_img, seen_cat, errors):
-            continue
-        if not math.isfinite(a.area) or a.area < 0:
-            errors.append(f"{path}: bad area {a.area}")
-        b, im = a.bbox, ds.images_by_id.get(a.image_id)
-        if im is not None and (b.x < 0 or b.y < 0 or b.x + b.w > im.width or b.y + b.h > im.height):
-            out_of_bounds.append(a.id)
-
+    out_of_bounds = None if errors else _table_out_of_bounds(ds)
+    if out_of_bounds is None:
+        out_of_bounds = _walk_annotations(ds, seen_img, seen_cat, errors)
     if out_of_bounds:
         sample = ", ".join(str(v) for v in out_of_bounds[:10])
         extra = ", ..." if len(out_of_bounds) > 10 else ""
@@ -232,6 +257,56 @@ def validate_dataset(ds: Dataset) -> None:
         raise ValidationError(errors)
 
 
+def _table_out_of_bounds(ds: Dataset) -> list[int] | None:
+    """Ids of the annotations whose box sticks out of its image, in record order, read
+    off the table; None when a column check fails and the record walk must judge."""
+    try:
+        t = ds._table
+        image_ids = np.array([im.id for im in ds.images], dtype=np.int64)
+        sizes = np.array([(im.width, im.height) for im in ds.images], dtype=np.float64).reshape(-1, 2)
+        category_ids = np.array([c.id for c in ds.categories], dtype=np.int64)
+    except _TO_WALK:  # records holding values no table column takes
+        return None
+    if not (_all_distinct(t.ids) and _refs_and_sizes_ok(t, image_ids, category_ids)
+            and np.isfinite(t.boxes).all() and np.isfinite(t.areas).all() and (t.areas >= 0).all()
+            and (np.abs(sizes) <= 2 ** 53).all()):  # sizes beyond 2**53 would compare inexactly
+        return None
+    order = np.argsort(image_ids)
+    w, h = sizes[order[np.searchsorted(image_ids[order], t.images)]].T
+    b = t.boxes
+    with np.errstate(over="ignore"):
+        out = (b[:, 0] < 0) | (b[:, 1] < 0) | (b[:, 0] + b[:, 2] > w) | (b[:, 1] + b[:, 3] > h)
+    return t.ids[out].tolist()
+
+
+def _walk_annotations(ds: Dataset, image_ids, category_ids, errors: list[str]) -> list[int]:
+    """:func:`validate_dataset`'s annotation checks record by record, appending every
+    problem to ``errors``; returns the ids of boxes that stick out of their image."""
+    seen_ann: set[int] = set()
+    out_of_bounds: list[int] = []
+    for i, a in enumerate(ds.annotations):
+        path = f"annotations[{i}] (id={a.id})"
+        if a.id in seen_ann:
+            errors.append(f"{path}: duplicate annotation id")
+        seen_ann.add(a.id)
+        if not _check_refs_and_box(path, a, image_ids, category_ids, errors):
+            continue
+        if not math.isfinite(a.area) or a.area < 0:
+            errors.append(f"{path}: bad area {a.area}")
+        b, im = a.bbox, ds.images_by_id.get(a.image_id)
+        if im is not None and (b.x < 0 or b.y < 0 or b.x + b.w > im.width or b.y + b.h > im.height):
+            out_of_bounds.append(a.id)
+    return out_of_bounds
+
+
+def _int(v):
+    if type(v) is not int:
+        return _UNREAD
+    if not -2 ** 63 <= v < 2 ** 63:  # integer fields become int64 columns
+        raise ValueError("field {key!r} must be an integer from -2**63 to 2**63 - 1, got {value!r}")
+    return v
+
+
 def _box(v):
     if type(v) is list and len(v) == 4 and _NUMBERS.issuperset(map(type, v)) and all(map(math.isfinite, v)):
         return BoundingBox(*map(float, v))
@@ -239,11 +314,12 @@ def _box(v):
 
 
 # Field types: (reader, problem, fallback). A reader returns the field's value,
-# or _UNREAD to reject it; an absent key reads as _UNREAD, which every reader
-# rejects. A missing or rejected field is reported, a rejected value with
-# ``problem``, and reads as ``fallback`` so later checks run; they skip an _UNREAD id.
+# or _UNREAD to reject it, or raises ValueError whose text is the problem instead;
+# an absent key reads as _UNREAD, which every reader rejects. A missing or
+# rejected field is reported, a rejected value with ``problem``, and reads as
+# ``fallback`` so later checks run; they skip an _UNREAD id.
 _UNREAD = object()
-_INT = (lambda v: v if type(v) is int else _UNREAD, "field {key!r} must be an integer, got {value!r}", _UNREAD)
+_INT = (_int, "field {key!r} must be an integer, got {value!r}", _UNREAD)
 _STR = (lambda v: v if isinstance(v, str) else _UNREAD, "{key} must be a string", "")
 _NUM = (lambda v: float(v) if _is_num(v) else _UNREAD, "{key} must be a finite number, got {value!r}", 0.0)
 _BOX = (_box, "{key} must be four finite numbers, got {value!r}", BoundingBox(0.0, 0.0, 1.0, 1.0))
@@ -279,6 +355,8 @@ def _read_records(section: list, kind: tuple, errors: list[str]):
                 value = read(raw)
             except OverflowError:  # an int too large for a float is not a finite number
                 value = _UNREAD
+            except ValueError as e:
+                value, problem = _UNREAD, e.args[0]
             if value is _UNREAD:
                 if raw is None and "{value" not in problem:
                     problem += ", got {value!r}"  # a null shows even where a wrong value does not
@@ -307,6 +385,8 @@ def parse_dataset(data: bytes | str) -> Dataset:
     per malformed record; the document is never partially accepted. A
     required field that is absent or ``null`` is an error; ``iscrowd`` may
     be absent (0) and ``area`` absent or ``null`` (derived from the box).
+    Valid annotations are read as a table; their records are built when
+    ``annotations`` is first read.
     """
     doc = _load_json(data, dict, "top level must be an object")
     errors = [f"document: missing or non-array {key!r} section"
@@ -315,13 +395,18 @@ def parse_dataset(data: bytes | str) -> Dataset:
         raise ValidationError(errors)
 
     images = [ImageRecord(**v) for _, v in _read_records(doc["images"], _IMAGES, errors)]
-    annotations = [Annotation(crowd_flag=v.pop("iscrowd"), **v)
-                   for _, v in _read_records(doc["annotations"], _ANNOTATIONS, errors)]
+    table = _annotation_table(doc["annotations"])
+    if table is None:
+        annotations = [Annotation(crowd_flag=v.pop("iscrowd"), **v)
+                       for _, v in _read_records(doc["annotations"], _ANNOTATIONS, errors)]
     categories = [Category(**v) for _, v in _read_records(doc["categories"], _CATEGORIES, errors)]
     if errors:
         raise ValidationError(errors)
 
-    ds = Dataset(images=tuple(images), annotations=tuple(annotations), categories=tuple(categories))
+    if table is None:
+        ds = Dataset(images, annotations, categories)
+    else:
+        ds = Dataset._of_table(images, table, categories)
     validate_dataset(ds)
     return ds
 
@@ -367,8 +452,48 @@ class _Columns(NamedTuple):
     scores: np.ndarray | None
 
 
+def _int_array(values: list) -> np.ndarray:
+    """Python or numpy integers (a bool counts as 0 or 1, as in a set) as int64; TypeError otherwise."""
+    col = np.array(values)
+    if col.size and col.dtype.kind not in "bi":
+        raise TypeError("not an integer column")
+    return col.astype(np.int64)
+
+
+class _AnnotationTable(NamedTuple):
+    """A dataset's annotations as arrays, row i for annotation i: ids, image and
+    category ids (int64), (n, 4) (x, y, w, h) boxes and areas (float64), crowd flags."""
+
+    ids: np.ndarray
+    images: np.ndarray
+    categories: np.ndarray
+    boxes: np.ndarray
+    areas: np.ndarray
+    crowd: np.ndarray
+
+    @classmethod
+    def of(cls, annotations: Sequence[Annotation]) -> _AnnotationTable:
+        """The table of records; TypeError where an id is not an integer, as no cast of it is exact."""
+        ids, images, categories = ([getattr(a, key) for a in annotations]
+                                   for key in ("id", "image_id", "category_id"))
+        return cls(_int_array(ids), _int_array(images), _int_array(categories),
+                   np.array([a.bbox.as_list() for a in annotations], dtype=np.float64).reshape(-1, 4),
+                   np.array([a.area for a in annotations], dtype=np.float64),
+                   np.array([a.crowd_flag for a in annotations], dtype=bool))
+
+    def records(self) -> tuple[Annotation, ...]:
+        return tuple(map(Annotation, self.ids.tolist(), self.images.tolist(), self.categories.tolist(),
+                         map(BoundingBox, *self.boxes.T.tolist()), self.crowd.tolist(), self.areas.tolist()))
+
+    def non_crowd(self) -> tuple[np.ndarray, _Columns]:
+        """Ids and columns of the rows scoring reads: every annotation but crowd regions."""
+        keep = ~self.crowd
+        return self.ids[keep], _Columns(self.images[keep], self.categories[keep], self.boxes[keep], None)
+
+
 def _columns(records: Sequence[Annotation | Detection] | _Columns) -> _Columns:
-    """The only place records become arrays, boxes as (n, 4) (x, y, w, h) rows; a table passes as is."""
+    """Records as arrays, boxes as (n, 4) (x, y, w, h) rows; a table passes as is. (A dataset's
+    own annotations become arrays in :meth:`_AnnotationTable.of`.)"""
     if isinstance(records, _Columns):
         return records
     bb = [r.bbox for r in records]
@@ -382,22 +507,81 @@ def _columns(records: Sequence[Annotation | Detection] | _Columns) -> _Columns:
     )
 
 
+# The column pull. A record or value the walk must judge raises one of _TO_WALK:
+# a non-object record or a missing key, a value of another exact type (a bool is
+# no int), a non-finite number, an int beyond int64 or float64.
+_TO_WALK = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _pull(section: list, keys) -> list[list]:
+    """Each key of a decoded section as one list, an absent optional key read as its default."""
+    return [list(map(itemgetter(key), section)) if key not in _DEFAULTS
+            else list(map(dict.get, section, repeat(key), repeat(_DEFAULTS[key]))) for key in keys]
+
+
+def _int_column(values: list) -> np.ndarray:
+    if not set(map(type, values)) <= {int}:
+        raise TypeError("not an int column")
+    return np.array(values, dtype=np.int64)
+
+
+def _num_column(values: list) -> np.ndarray:
+    if not set(map(type, values)) <= _NUMBERS:
+        raise TypeError("not a number column")
+    col = np.array(values, dtype=np.float64)
+    if not np.isfinite(col).all():
+        raise ValueError("non-finite number")
+    return col
+
+
+def _box_column(values: list) -> np.ndarray:
+    if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {4}):
+        raise TypeError("not a box column")
+    return _num_column(list(chain.from_iterable(values))).reshape(-1, 4)
+
+
+def _refs_and_sizes_ok(t: _Columns | _AnnotationTable, image_ids: np.ndarray, category_ids: np.ndarray) -> bool:
+    """Every row names a known image and category and its box has w > 0 and h > 0."""
+    return bool((t.boxes[:, 2:] > 0).all() and np.isin(t.images, image_ids).all()
+                and np.isin(t.categories, category_ids).all())
+
+
+def _all_distinct(values: np.ndarray) -> bool:
+    s = np.sort(values)  # np.unique hashes, several times slower on int64 ids
+    return not (s[1:] == s[:-1]).any()
+
+
+def _annotation_table(section: list) -> _AnnotationTable | None:
+    """The annotations section by the column pull; None where the record walk must read it.
+    An absent or null area is derived from the box, as :class:`Annotation` does."""
+    try:
+        crowd, area, ids, img, cat, box = _pull(section, _ANNOTATIONS[2])
+        flags, boxes = _int_column(crowd), _box_column(box)
+        if not set(crowd) <= {0, 1}:
+            raise ValueError("iscrowd beyond 0 and 1")
+        nulls = [i for i, a in enumerate(area) if a is None] if None in area else []
+        for i in nulls:
+            area[i] = 0
+        areas = _num_column(area)
+        with np.errstate(over="ignore"):  # an area too large for a float is inf, as in Python
+            areas[nulls] = boxes[nulls, 2] * boxes[nulls, 3]
+        return _AnnotationTable(_int_column(ids), _int_column(img), _int_column(cat), boxes, areas,
+                                flags.astype(bool))
+    except _TO_WALK:
+        return None
+
+
 def _detection_table(data: bytes | str, ds: Dataset) -> _Columns:
     """:func:`parse_detections` into columns. Whole-column checks pass valid input; on any
     failure :func:`_walk_detections` judges the input and words its errors, so it alone decides."""
     doc = _load_json(data, list, "results must be a JSON array")
-    try:  # a non-object record, a missing key, a number beyond int64 or float64: to the walk
-        img, cat, box, score = (list(map(itemgetter(key), doc)) for key in _RESULTS[2])
-        flat = list(chain.from_iterable(box))
-        if (set(map(type, img)) | set(map(type, cat)) <= {int} and set(map(type, box)) <= {list}
-                and set(map(len, box)) <= {4} and set(map(type, flat)) | set(map(type, score)) <= _NUMBERS):
-            t = _Columns(np.array(img, dtype=np.int64), np.array(cat, dtype=np.int64),
-                         np.array(flat, dtype=np.float64).reshape(-1, 4), np.array(score, dtype=np.float64))
-            if (np.isfinite(t.boxes).all() and np.isfinite(t.scores).all() and (t.boxes[:, 2:] > 0).all()
-                    and np.isin(t.images, np.fromiter(ds.images_by_id, np.int64)).all()
-                    and np.isin(t.categories, np.fromiter(ds.categories_by_id, np.int64)).all()):
-                return t
-    except (KeyError, TypeError, OverflowError):
+    try:
+        img, cat, box, score = _pull(doc, _RESULTS[2])
+        t = _Columns(_int_column(img), _int_column(cat), _box_column(box), _num_column(score))
+        known = (np.fromiter(by_id, np.int64) for by_id in (ds.images_by_id, ds.categories_by_id))
+        if _refs_and_sizes_ok(t, *known):
+            return t
+    except _TO_WALK:
         pass
     return _columns(_walk_detections(doc, ds))
 

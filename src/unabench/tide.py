@@ -5,7 +5,8 @@ missed ground truths form the sixth component. For each component an
 oracle "perfectly fixes" just that mistake class and AP50 is re-measured;
 the gap to the baseline is that component's cost. :func:`tide_report`
 does all of it from one match, with the oracles as edits of rank-ordered
-arrays (from :func:`model._columns`) scored by the AP helper ``evaluate`` uses.
+arrays (the ground truth's annotation table, the detections' columns) scored
+by the AP helper ``evaluate`` uses.
 """
 
 from __future__ import annotations
@@ -92,11 +93,10 @@ def classify_errors(
     every false positive gets exactly one label.
     """
     _check_thresholds(tf, tb)
-    pool = gt.non_crowd
-    g, d = _columns(pool), _columns(dets)
+    (ids, g), d = gt._table.non_crowd(), _columns(dets)
     match = _match(g, d, _ranked(d, None), (tf,))[:, 0]
     rule, target, miss = _classify(g, d, match, tf, tb)
-    ids = [a.id for a in pool]
+    ids = ids.tolist()
     return ErrorAssignment(
         labels=tuple(ERROR_ORDER[r] if r >= 0 else None for r in rule.tolist()),
         matched_gt=tuple(ids[m] if m >= 0 else None for m in match.tolist()),
@@ -231,7 +231,7 @@ def tide_report(
     no other match. Only detections inside the cap are ranked or fixed.
     """
     _check_thresholds(tf, tb)
-    g, d = _columns(gt.non_crowd), _columns(dets)
+    (_, g), d = gt._table.non_crowd(), _columns(dets)
     match = _match(g, d, _ranked(d, None), (0.5,) if tf == 0.5 else (0.5, tf))
     rule, target, miss = _classify(g, d, match[:, -1], tf, tb)
     counts = np.bincount(rule[rule >= 0], minlength=len(ERROR_ORDER) - 1).tolist() + [int(miss.sum())]

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from unabench import BogusSizePolicy, Detection, NoiseConfig, NoiseType, inject, parse_dataset, serialize_dataset
+from unabench import (Annotation, BogusSizePolicy, Detection, NoiseConfig, NoiseType, inject, parse_dataset,
+                      serialize_dataset)
 from unabench.cli import dataset_stats, diff_datasets, main
 
 from conftest import build_dataset
@@ -255,6 +256,27 @@ def test_eval_and_tide_build_no_detection_records(monkeypatch, capsys):
     for cmd in ("eval", "tide"):
         assert main([cmd, "--gt", MICRO_GT, "--dt", MICRO_DT]) == 0
         assert capsys.readouterr().out == before[cmd]
+
+
+def test_ground_truth_commands_build_no_annotation_records(tmp_path, monkeypatch, capsys):
+    """diff, eval, tide and stats read the ground truth as columns, never as records."""
+    noisy = tmp_path / "noisy.json"
+    assert main(["inject", "--ann", MICRO_GT, "--out", str(noisy), "--type", "una", "--ratio", "0.3"]) == 0
+    runs = [["diff", MICRO_GT, str(noisy)], ["eval", "--gt", MICRO_GT, "--dt", MICRO_DT],
+            ["tide", "--gt", MICRO_GT, "--dt", MICRO_DT], ["stats", "--ann", MICRO_GT]]
+    capsys.readouterr()
+    before = []
+    for args in runs:
+        assert main(args) == 0
+        before.append(capsys.readouterr().out)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an Annotation record was built")
+
+    monkeypatch.setattr(Annotation, "__init__", refuse)
+    for args, out in zip(runs, before):
+        assert main(args) == 0
+        assert capsys.readouterr().out == out
 
 
 # --- tide --------------------------------------------------------------------
@@ -525,6 +547,23 @@ def test_an_int_too_large_for_a_float_is_a_validation_error(tmp_path, command, e
     assert proc.returncode == 1
     assert error in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_an_id_beyond_int64_is_a_validation_error(tmp_path):
+    gt = tmp_path / "gt.json"
+    gt.write_text('{"images": [{"id": 9223372036854775808, "width": 100, "height": 80, "file_name": "a.jpg"}], '
+                  '"categories": [{"id": 1, "name": "cat"}], "annotations": [{"id": 1, '
+                  '"image_id": 9223372036854775808, "category_id": 1, "bbox": [10, 10, 20, 20]}]}')
+    dt = tmp_path / "dt.json"
+    dt.write_text('[{"image_id": 9223372036854775808, "category_id": 1, "bbox": [1, 1, 4, 4], "score": 0.5}]')
+    proc = _run_module("eval", "--gt", str(gt), "--dt", str(dt))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: 2 validation error(s)",
+        "  - images[0]: field 'id' must be an integer from -2**63 to 2**63 - 1, got 9223372036854775808",
+        "  - annotations[0] (id=1): field 'image_id' must be an integer from -2**63 to 2**63 - 1, "
+        "got 9223372036854775808",
+    ]
 
 
 def test_console_script_error_smoke(tmp_path):

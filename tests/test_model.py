@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -285,6 +286,7 @@ _CATEGORY = {"id": 1, "name": "cat"}
 _RESULT = {"image_id": 1, "category_id": 1, "bbox": [1, 1, 4, 4], "score": 0.5}
 _SECTIONS = {"images": _IMAGE, "annotations": _ANNOTATION, "categories": _CATEGORY, "results": _RESULT}
 _ANN = "annotations[0] (id=1)"
+_BEYOND_INT64 = "field {key!r} must be an integer from -2**63 to 2**63 - 1, got {value!r}"
 
 FIELD_ERRORS = [
     ("images", "file_name", _ABSENT, ["images[0]: missing field 'file_name'"]),
@@ -335,7 +337,17 @@ FIELD_ERRORS = [
     ("results", "score", _ABSENT, ["results[0]: missing field 'score'"]),
     ("results", "score", None, ["results[0]: score must be a finite number, got None"]),
     ("results", "score", "high", ["results[0]: score must be a finite number, got 'high'"]),
-] + [(section, None, [1], [f"{section}[0]: record must be an object"]) for section in _SECTIONS]
+] + [(section, None, [1], [f"{section}[0]: record must be an object"]) for section in _SECTIONS] + [
+    ("images", "id", 2 ** 63, [f"images[0]: {_BEYOND_INT64.format(key='id', value=2 ** 63)}"]),
+    ("images", "width", 2 ** 63, [f"images[0]: {_BEYOND_INT64.format(key='width', value=2 ** 63)}"]),
+    ("annotations", "id", 2 ** 63 - 1, []),
+    ("annotations", "id", -2 ** 63 - 1, [
+        f"annotations[0] (id={-2 ** 63 - 1}): {_BEYOND_INT64.format(key='id', value=-2 ** 63 - 1)}"]),
+    ("annotations", "image_id", 2 ** 63, [f"{_ANN}: {_BEYOND_INT64.format(key='image_id', value=2 ** 63)}"]),
+    ("annotations", "category_id", 2 ** 64, [f"{_ANN}: {_BEYOND_INT64.format(key='category_id', value=2 ** 64)}"]),
+    ("categories", "id", 2 ** 63, [f"categories[0]: {_BEYOND_INT64.format(key='id', value=2 ** 63)}"]),
+    ("results", "category_id", 2 ** 63, [f"results[0]: {_BEYOND_INT64.format(key='category_id', value=2 ** 63)}"]),
+]
 
 
 def _parse_section(section: str, record) -> None:
@@ -446,6 +458,116 @@ def test_results_table_takes_valid_input_without_the_walk(monkeypatch):
     table = _detection_table(data, ds)
     assert evaluate(ds, table) == evaluate(ds, records)
     assert tide_report(ds, table) == tide_report(ds, records)
+
+
+# --- annotation table against the record walk -----------------------------------------
+
+def _parse_by_walk(data: str) -> Dataset:
+    """``parse_dataset`` with every annotation read and checked record by record."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(model, "_annotation_table", lambda section: None)
+        m.setattr(model, "_table_out_of_bounds", lambda ds: None)
+        return parse_dataset(data)
+
+
+def _warnings_of(caplog, parse, data):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="unabench.model"):
+        try:
+            return parse(data), [r.getMessage() for r in caplog.records]
+        except ValidationError as e:
+            return e, [r.getMessage() for r in caplog.records]
+
+
+_ANNOTATIONS = [
+    {"id": 4, "image_id": 1, "category_id": 1, "bbox": [10, 10, 20, 20], "area": 400, "iscrowd": 0},
+    {"id": 2, "image_id": 1, "category_id": 2, "bbox": [5.5, 6.5, 30.25, 40], "area": 1210.0, "iscrowd": 1},
+    {"id": 9, "image_id": 1, "category_id": 1, "bbox": [90, 1, 2 ** 60 + 1, 7.25]},
+]
+ANNOTATION_MUTATIONS = [(f"{key}-{name}", {key: value}) for key in _ANNOTATION
+                        for name, value in {**_BAD, "beyond-int64": 2 ** 63}.items()] + [
+    ("iscrowd-2", {"iscrowd": 2}), ("iscrowd-0.0", {"iscrowd": 0.0}), ("iscrowd-1.0", {"iscrowd": 1.0}),
+    ("area-negative", {"area": -1}), ("area-derived-inf", {"area": _ABSENT, "bbox": [1, 1, 1e200, 1e200]}),
+    ("bbox-3-items", {"bbox": [1, 1, 4]}), ("bbox-5-items", {"bbox": [1, 1, 4, 4, 4]}),
+    ("bbox-width-0", {"bbox": [1, 1, 0, 4]}), ("bbox-height-negative", {"bbox": [1, 1, 4, -0.5]}),
+    ("bbox-item-beyond-int64", {"bbox": [1, 1, 2 ** 63, 4]}), ("bbox-item-true", {"bbox": [1, True, 4, 4]}),
+    ("id-duplicate", {"id": 9}), ("image_id-unknown", {"image_id": 99}),
+    ("category_id-unknown", {"category_id": 99}),
+    ("extra-key", {"note": "x"}), ("record-list", [1]), ("record-null", None),
+]
+_ANNOTATIONS_ACCEPTED = {"iscrowd-absent", "iscrowd-true", "iscrowd-0.0", "iscrowd-1.0", "area-absent",
+                         "area-null", "area-beyond-int64", "bbox-item-beyond-int64", "extra-key"}
+
+
+@pytest.mark.parametrize("name, change", ANNOTATION_MUTATIONS, ids=[m[0] for m in ANNOTATION_MUTATIONS])
+def test_annotation_table_agrees_with_the_walk(caplog, name, change):
+    """One annotation of a valid file mutated (or replaced by a non-object): the table path
+    raises the walk's errors, or returns the walk's dataset with the same warnings and a
+    table equal to its records' table bit for bit."""
+    record = change
+    if isinstance(change, dict):
+        record = {k: v for k, v in {**_ANNOTATIONS[1], **change}.items() if v is not _ABSENT}
+    data = json.dumps(dict(MINIMAL, annotations=[_ANNOTATIONS[0], record, _ANNOTATIONS[2]]))
+    walk, walk_warnings = _warnings_of(caplog, _parse_by_walk, data)
+    got, warnings = _warnings_of(caplog, parse_dataset, data)
+    assert warnings == walk_warnings
+    if isinstance(walk, ValidationError):
+        assert name not in _ANNOTATIONS_ACCEPTED
+        assert isinstance(got, ValidationError) and got.errors == walk.errors
+        return
+    assert name in _ANNOTATIONS_ACCEPTED
+    table = got._table
+    assert got == walk
+    for g, w in zip(table, model._AnnotationTable.of(walk.annotations)):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+def test_image_errors_leave_the_annotations_to_the_walk(caplog):
+    """With a duplicated image id the walk sizes a box by the image listed last; the
+    table is not consulted, so the warning and the errors are the walk's."""
+    images = [{"id": 1, "width": 100, "height": 80, "file_name": "a.jpg"},
+              {"id": 1, "width": 200, "height": 200, "file_name": "b.jpg"}]
+    data = json.dumps(dict(MINIMAL, images=images, annotations=[dict(_ANNOTATION, bbox=[150, 10, 20, 20])]))
+    walk, walk_warnings = _warnings_of(caplog, _parse_by_walk, data)
+    got, warnings = _warnings_of(caplog, parse_dataset, data)
+    assert walk.errors == got.errors == ["images[1] (id=1): duplicate image id"]
+    assert warnings == walk_warnings == []
+
+
+def test_validate_dataset_walks_a_dataset_built_in_code():
+    """Records the table cannot hold, or that fail a column check, are judged by the walk."""
+    good = parse_dataset(json.dumps(dict(MINIMAL, annotations=_ANNOTATIONS)))
+    validate_dataset(Dataset(good.images, good.annotations, good.categories))
+    odd = Annotation("a", 1, 1, BoundingBox(1.0, 1.0, 2.0, 2.0))
+    validate_dataset(Dataset(good.images, (odd,), good.categories))
+    for bad, error in ((Annotation(7, 1, 1, BoundingBox(1.0, 1.0, math.nan, 2.0)),
+                        "annotations[0] (id=7): non-finite bbox [1.0, 1.0, nan, 2.0]"),
+                       (Annotation(7, 1.5, 1, BoundingBox(1.0, 1.0, 2.0, 2.0)),
+                        "annotations[0] (id=7): unknown image_id 1.5")):
+        with pytest.raises(ValidationError) as err:
+            validate_dataset(Dataset(good.images, (bad,), good.categories))
+        assert err.value.errors == [error]
+
+
+def test_parsed_dataset_is_the_value_of_its_records():
+    """A parsed dataset builds no record until ``annotations`` is read, and equals,
+    hashes and prints as one built from its records; ``replace`` works on it unfilled."""
+    data = json.dumps(dict(MINIMAL, annotations=_ANNOTATIONS))
+    first = parse_dataset(data)
+    rebuilt = Dataset(first.images, first.annotations, first.categories)
+    for view in (lambda ds: ds, hash, repr):
+        ds = parse_dataset(data)
+        assert "annotations" not in vars(ds)
+        assert view(ds) == view(rebuilt)
+    ds = parse_dataset(data)
+    fewer = replace(ds, annotations=rebuilt.annotations[1:])
+    assert "annotations" not in vars(ds)
+    assert fewer == Dataset(rebuilt.images, rebuilt.annotations[1:], rebuilt.categories)
+    assert fewer._table.ids.tolist() == [2, 9]
+    assert replace(ds, images=ds.images[:1]) == rebuilt
+    assert ds.annotations == rebuilt.annotations and ds.annotations[2].area == float(2 ** 60 + 1) * 7.25
+    with pytest.raises(AttributeError, match="'Dataset' object has no attribute 'nope'"):
+        ds.nope
 
 
 @requires_val2017
