@@ -13,20 +13,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import secrets
 import sys
 from collections import Counter
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from .metrics import EvalSummary, evaluate
-from .model import (Dataset, ValidationError, _all_distinct, _Columns, _detection_table, parse_dataset,
+from .model import (Dataset, ValidationError, _Columns, _detection_table, parse_dataset,
                     serialize_dataset)
-from .noise import DEFAULT_LOC_DELTA, BogusSizePolicy, NoiseConfig, NoiseType, inject
+from .noise import DEFAULT_LOC_DELTA, BogusSizePolicy, CorruptionEntry, InjectionLog, NoiseConfig, NoiseType, inject
 from .tide import DEFAULT_TB, DEFAULT_TF, ERROR_ORDER, ErrorKind, TideReport, tide_report
 
 EXIT_OK = 0
@@ -244,6 +245,45 @@ def _write_all(files: list[tuple[Path, bytes]]) -> None:
             tmp.unlink(missing_ok=True)
 
 
+def _json_array(rows: list[str], indent: str) -> str:
+    """Encoded ``rows`` as ``json.dumps(indent=2)`` lays out an array nested ``indent`` deep."""
+    if not rows:
+        return "[]"
+    return f"[\n{indent}  " + f",\n{indent}  ".join(rows) + f"\n{indent}]"
+
+
+def _json_float(v: float) -> str:
+    if not math.isfinite(v):
+        raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+    return repr(float(v))
+
+
+@lru_cache(maxsize=8)
+def _kinds_json(kinds: tuple[str, ...]) -> str:
+    return _json_array(list(map(json.dumps, kinds)), "      ")
+
+
+def _entry_json(e: CorruptionEntry) -> str:
+    fields = [f'"id": {e.id}', '"kinds": ' + _kinds_json(e.kinds)]
+    if e.old_category_id is not None:
+        fields.append(f'"old_category_id": {e.old_category_id}')
+    if e.old_bbox is not None:
+        fields.append('"old_bbox": ' + _json_array(list(map(_json_float, e.old_bbox.as_list())), "      "))
+    return "{\n      " + ",\n      ".join(fields) + "\n    }"
+
+
+def sidecar_json(log: InjectionLog) -> str:
+    """The sidecar log, exactly ``json.dumps(log.to_dict(), indent=2, allow_nan=False)``, written
+    a row at a time: the standard encoder does indented output in pure Python."""
+    head = {"config": log.config.to_dict(), "counts": log.counts()}
+    fields = [f'"{key}": ' + json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+              for key, value in head.items()]
+    fields.append('"corrupted": ' + _json_array(list(map(_entry_json, log.corrupted)), "  "))
+    fields += [f'"{key}": ' + _json_array(list(map(str, ids)), "  ")
+               for key, ids in (("removed", log.removed), ("added", log.added))]
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
+
+
 def cmd_inject(opts: dict) -> int:
     out = Path(opts["out"])
     log_path = Path(f"{opts['out']}.log.json")
@@ -259,11 +299,11 @@ def cmd_inject(opts: dict) -> int:
     )
     noisy, log = inject(ds, config, workers=opts["workers"])
     payload = serialize_dataset(noisy)
-    log_payload = json.dumps(log.to_dict(), indent=2, allow_nan=False).encode("utf-8")
+    log_payload = sidecar_json(log).encode("utf-8")
     # the sidecar goes first, so no dataset is ever left without its log
     _write_all([(log_path, log_payload), (out, payload)])
     counts = log.counts()
-    print(f"wrote {out} ({len(noisy.annotations)} annotations) and {log_path}")
+    print(f"wrote {out} ({len(noisy._table.ids)} annotations) and {log_path}")
     print(f"noise type: {config.noise_type.value}, ratio: {config.ratio}, seed: {config.seed}")
     for kind in ("categorization", "localization", "missing", "bogus"):
         print(f"  {kind + ':':<16} {counts[kind]}")
@@ -423,8 +463,7 @@ def diff_datasets(a: Dataset, b: Dataset) -> dict:
     (image_id, crowd flag, or area drifting from its box).
     """
     for ds in (a, b):
-        if not _all_distinct(ds._table.ids):
-            ds.annotations_by_id  # raises, naming the duplicated id
+        ds._id_order  # raises, naming a duplicated id
     ta, tb = a._table, b._table
     common, ia, ib = np.intersect1d(ta.ids, tb.ids, assume_unique=True, return_indices=True)
     same_box = (ta.boxes[ia] == tb.boxes[ib]).all(axis=1)

@@ -8,12 +8,14 @@ byte-identical output regardless of construction order.
 Decoded JSON becomes arrays in one place, the column pull (:func:`_pull` and
 the ``_*_column`` builders): each field of a section is taken as one list,
 checked by exact type at C speed and built into a numpy array. It fills the
-annotation table of :func:`parse_dataset` (:class:`_AnnotationTable`) and the
-results table of :func:`_detection_table`, so valid input builds no record.
-Where a column check fails, the record walk (:func:`_read_records`, then
-:func:`validate_dataset`'s checks per record) judges the input: it alone
-words errors and decides what is rejected. A parsed dataset builds its
-annotation records from its table on first access of ``annotations``; records
+annotation table of :func:`parse_dataset` (:class:`_AnnotationTable`), its
+image and category records with their integer columns (:func:`_records`),
+and the results table of :func:`_detection_table`, so valid input builds no
+annotation or detection record. Where a column check fails, the record walk
+(:func:`_read_records`, then :func:`validate_dataset`'s checks per record)
+judges the input: it alone words errors and decides what is rejected. A
+parsed dataset builds its annotation records from its table on first access
+of ``annotations``; :func:`serialize_dataset` writes from the table; records
 become arrays in :func:`_columns` and :meth:`_AnnotationTable.of`.
 """
 
@@ -23,8 +25,8 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
+from functools import cached_property, partial
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -115,10 +117,10 @@ class Dataset:
     """An immutable collection of images, annotations and categories.
 
     Record order is preserved as given; lookups and the eligible (non-crowd)
-    pool are built lazily and cached. A parsed dataset holds its annotations
-    as a table and builds the records on first access of ``annotations``; one
-    built from records makes its table on first use. Either way its value,
-    hash and repr are those of its records.
+    pool are built lazily and cached. A parsed or injected dataset holds its
+    annotations as a table and builds the records on first access of
+    ``annotations``; one built from records makes its table on first use.
+    Either way its value, hash and repr are those of its records.
     """
 
     images: tuple[ImageRecord, ...]
@@ -131,10 +133,13 @@ class Dataset:
         object.__setattr__(self, "categories", tuple(self.categories))
 
     @classmethod
-    def _of_table(cls, images, table: _AnnotationTable, categories) -> Dataset:
-        """A dataset whose annotation records are built from ``table`` when first read."""
+    def _of_table(cls, images, table: _AnnotationTable, categories, **cached) -> Dataset:
+        """A dataset whose annotation records are built from ``table`` when first read;
+        ``cached`` presets lazily built lookups of the same images and categories, and
+        ``_reused=(records, source)`` lends the records that rows ``source >= 0`` copy."""
         ds = object.__new__(cls)
-        for name, value in (("images", tuple(images)), ("categories", tuple(categories)), ("_table", table)):
+        for name, value in (("images", tuple(images)), ("categories", tuple(categories)), ("_table", table),
+                            *cached.items()):
             object.__setattr__(ds, name, value)
         return ds
 
@@ -143,7 +148,7 @@ class Dataset:
         table = self.__dict__.get("_table")
         if name != "annotations" or table is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        records = table.records()
+        records = table.records(*self.__dict__.pop("_reused", ()))
         object.__setattr__(self, "annotations", records)
         return records
 
@@ -169,24 +174,52 @@ class Dataset:
         return {c.id: c for c in self.categories}
 
     @cached_property
-    def annotations_by_image(self) -> dict[int, tuple[Annotation, ...]]:
-        grouped: dict[int, list[Annotation]] = {im.id: [] for im in self.images}
-        for a in self.annotations:
-            grouped.setdefault(a.image_id, []).append(a)
-        return {k: tuple(v) for k, v in grouped.items()}
-
-    @cached_property
     def non_crowd(self) -> tuple[Annotation, ...]:
         """Annotations eligible for noise injection and evaluation."""
         return tuple(a for a in self.annotations if not a.crowd_flag)
 
     @cached_property
-    def _non_crowd_ids(self) -> tuple[int, ...]:
-        """Ids of :attr:`non_crowd`, sorted: the pool noise targets are drawn from."""
-        return tuple(sorted(i for i, a in self.annotations_by_id.items() if not a.crowd_flag))
+    def _image_table(self) -> _ImageTable:
+        return _ImageTable.of(_int_array([im.id for im in self.images]),
+                              np.array([(im.width, im.height) for im in self.images], dtype=np.float64))
+
+    @cached_property
+    def _category_ids(self) -> np.ndarray:
+        """The category ids, sorted, as int64."""
+        return np.sort(_int_array([c.id for c in self.categories]))
+
+    @cached_property
+    def _id_order(self) -> np.ndarray:
+        """Table rows in id order; raises ``ValueError`` naming a duplicated id."""
+        ids = self._table.ids
+        order = np.argsort(ids, kind="stable")
+        if (ids[order[1:]] == ids[order[:-1]]).any():
+            self.annotations_by_id  # raises, naming the duplicated id
+        return order
+
+    @cached_property
+    def _size_sources(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, starts, counts)``: row j of the image table owns the non-crowd table rows
+        ``rows[starts[j]:starts[j] + counts[j]]``, those on its image in record order, or all
+        of them in record order when its image has none, as j = len(images) does. Images
+        sharing an id share a group."""
+        t, image_ids = self._table, self._image_table.ids
+        rows = np.flatnonzero(~t.crowd)
+        images = t.images[rows]
+        slot = np.searchsorted(image_ids, images)
+        known = slot < len(image_ids)
+        known[known] = image_ids[slot[known]] == images[known]
+        slot[~known] = len(image_ids)
+        counts = np.bincount(slot, minlength=len(image_ids) + 1)
+        counts[-1] = 0
+        first = np.append(np.searchsorted(image_ids, image_ids), len(image_ids))
+        starts, counts = (np.cumsum(counts) - counts)[first], counts[first]
+        starts[counts == 0], counts[counts == 0] = len(rows), len(rows)
+        return np.concatenate((rows[np.argsort(slot, kind="stable")], rows)), starts, counts
 
     def max_annotation_id(self) -> int:
-        return max(self.annotations_by_id, default=0)
+        order = self._id_order
+        return int(self._table.ids[order[-1]]) if len(order) else 0
 
 
 # Checks on decoded JSON go by exact type: a literal true/false, a bool, is
@@ -261,18 +294,15 @@ def _table_out_of_bounds(ds: Dataset) -> list[int] | None:
     """Ids of the annotations whose box sticks out of its image, in record order, read
     off the table; None when a column check fails and the record walk must judge."""
     try:
-        t = ds._table
-        image_ids = np.array([im.id for im in ds.images], dtype=np.int64)
-        sizes = np.array([(im.width, im.height) for im in ds.images], dtype=np.float64).reshape(-1, 2)
-        category_ids = np.array([c.id for c in ds.categories], dtype=np.int64)
-    except _TO_WALK:  # records holding values no table column takes
+        t, (image_ids, sizes), category_ids = ds._table, ds._image_table, ds._category_ids
+        ds._id_order  # raises on a duplicated id
+    except _TO_WALK:  # records holding values no table column takes, or a duplicated id
         return None
-    if not (_all_distinct(t.ids) and _refs_and_sizes_ok(t, image_ids, category_ids)
+    if not (_refs_and_sizes_ok(t, image_ids, category_ids)
             and np.isfinite(t.boxes).all() and np.isfinite(t.areas).all() and (t.areas >= 0).all()
             and (np.abs(sizes) <= 2 ** 53).all()):  # sizes beyond 2**53 would compare inexactly
         return None
-    order = np.argsort(image_ids)
-    w, h = sizes[order[np.searchsorted(image_ids[order], t.images)]].T
+    w, h = sizes[np.searchsorted(image_ids, t.images)].T
     b = t.boxes
     with np.errstate(over="ignore"):
         out = (b[:, 0] < 0) | (b[:, 1] < 0) | (b[:, 0] + b[:, 2] > w) | (b[:, 1] + b[:, 3] > h)
@@ -394,19 +424,23 @@ def parse_dataset(data: bytes | str) -> Dataset:
     if errors:
         raise ValidationError(errors)
 
-    images = [ImageRecord(**v) for _, v in _read_records(doc["images"], _IMAGES, errors)]
+    images, image_columns = _records(doc["images"], _IMAGES, ImageRecord, errors)
     table = _annotation_table(doc["annotations"])
     if table is None:
         annotations = [Annotation(crowd_flag=v.pop("iscrowd"), **v)
                        for _, v in _read_records(doc["annotations"], _ANNOTATIONS, errors)]
-    categories = [Category(**v) for _, v in _read_records(doc["categories"], _CATEGORIES, errors)]
+    categories, _ = _records(doc["categories"], _CATEGORIES, Category, errors)
     if errors:
         raise ValidationError(errors)
 
     if table is None:
         ds = Dataset(images, annotations, categories)
     else:
-        ds = Dataset._of_table(images, table, categories)
+        cached = {}
+        if image_columns is not None:  # the image table, from the pulled columns
+            sizes = np.stack((image_columns["width"], image_columns["height"]), axis=1).astype(np.float64)
+            cached["_image_table"] = _ImageTable.of(image_columns["id"], sizes)
+        ds = Dataset._of_table(images, table, categories, **cached)
     validate_dataset(ds)
     return ds
 
@@ -416,30 +450,23 @@ def serialize_dataset(ds: Dataset) -> bytes:
 
     The output is a pure function of the dataset's value, so two equal
     datasets built in different orders serialize to identical bytes. Floats
-    use Python's shortest round-trip repr; NaN/Inf are rejected.
+    use Python's shortest round-trip repr; NaN/Inf are rejected. Annotations
+    are written from the table, one row string each, as ``json.dumps`` with
+    compact separators would write them.
     """
-    doc = {
-        "images": [
-            {"id": im.id, "width": im.width, "height": im.height, "file_name": im.file_name}
-            for im in sorted(ds.images, key=lambda im: im.id)
-        ],
-        "annotations": [
-            {
-                "id": a.id,
-                "image_id": a.image_id,
-                "category_id": a.category_id,
-                "bbox": [float(v) for v in a.bbox.as_list()],
-                "area": float(a.area),
-                "iscrowd": int(a.crowd_flag),
-            }
-            for a in sorted(ds.annotations, key=lambda a: a.id)
-        ],
-        "categories": [
-            {"id": c.id, "name": c.name}
-            for c in sorted(ds.categories, key=lambda c: c.id)
-        ],
-    }
-    text = json.dumps(doc, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+    t = ds._table
+    if not (np.isfinite(t.boxes).all() and np.isfinite(t.areas).all()):
+        raise ValueError("Out of range float values are not JSON compliant")
+    order = np.argsort(t.ids, kind="stable")
+    columns = (t.ids[order].tolist(), t.images[order].tolist(), t.categories[order].tolist(),
+               *t.boxes[order].T.tolist(), t.areas[order].tolist(), t.crowd[order].astype(np.int64).tolist())
+    rows = [f'{{"id":{i},"image_id":{im},"category_id":{c},"bbox":[{x!r},{y!r},{w!r},{h!r}],"area":{a!r},'
+            f'"iscrowd":{crowd}}}' for i, im, c, x, y, w, h, a, crowd in zip(*columns)]
+    images = [{"id": im.id, "width": im.width, "height": im.height, "file_name": im.file_name}
+              for im in sorted(ds.images, key=lambda im: im.id)]
+    categories = [{"id": c.id, "name": c.name} for c in sorted(ds.categories, key=lambda c: c.id)]
+    dump = partial(json.dumps, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+    text = f'{{"images":{dump(images)},"annotations":[{",".join(rows)}],"categories":{dump(categories)}}}'
     return text.encode("utf-8")
 
 
@@ -458,6 +485,18 @@ def _int_array(values: list) -> np.ndarray:
     if col.size and col.dtype.kind not in "bi":
         raise TypeError("not an integer column")
     return col.astype(np.int64)
+
+
+class _ImageTable(NamedTuple):
+    """A dataset's images in id order (a stable sort): int64 ids and (n, 2) float64 (width, height)."""
+
+    ids: np.ndarray
+    sizes: np.ndarray
+
+    @classmethod
+    def of(cls, ids: np.ndarray, sizes: np.ndarray) -> _ImageTable:
+        order = np.argsort(ids, kind="stable")
+        return cls(ids[order], sizes.reshape(-1, 2)[order])
 
 
 class _AnnotationTable(NamedTuple):
@@ -481,9 +520,16 @@ class _AnnotationTable(NamedTuple):
                    np.array([a.area for a in annotations], dtype=np.float64),
                    np.array([a.crowd_flag for a in annotations], dtype=bool))
 
-    def records(self) -> tuple[Annotation, ...]:
-        return tuple(map(Annotation, self.ids.tolist(), self.images.tolist(), self.categories.tolist(),
-                         map(BoundingBox, *self.boxes.T.tolist()), self.crowd.tolist(), self.areas.tolist()))
+    def records(self, reused: Sequence[Annotation] = (), source: np.ndarray | None = None) -> tuple[Annotation, ...]:
+        """The rows as records; row i is ``reused[source[i]]`` itself where ``source[i] >= 0``."""
+        if source is None:
+            return tuple(map(Annotation, self.ids.tolist(), self.images.tolist(), self.categories.tolist(),
+                             map(BoundingBox, *self.boxes.T.tolist()), self.crowd.tolist(), self.areas.tolist()))
+        records = list(map(reused.__getitem__, source.tolist()))
+        built = np.flatnonzero(source < 0)
+        for i, a in zip(built.tolist(), _AnnotationTable(*(col[built] for col in self)).records()):
+            records[i] = a
+        return tuple(records)
 
     def non_crowd(self) -> tuple[np.ndarray, _Columns]:
         """Ids and columns of the rows scoring reads: every annotation but crowd regions."""
@@ -546,9 +592,18 @@ def _refs_and_sizes_ok(t: _Columns | _AnnotationTable, image_ids: np.ndarray, ca
                 and np.isin(t.categories, category_ids).all())
 
 
-def _all_distinct(values: np.ndarray) -> bool:
-    s = np.sort(values)  # np.unique hashes, several times slower on int64 ids
-    return not (s[1:] == s[:-1]).any()
+def _records(section: list, kind: tuple, record: type, errors: list[str]) -> tuple[list, dict | None]:
+    """An images or categories section as records, with its integer fields as int64 columns
+    by key when the column pull takes it; else the record walk reads it, and words its errors."""
+    types = kind[2]
+    try:
+        columns = dict(zip(types, _pull(section, types)))
+        ints = {key: _int_column(columns[key]) for key, field_type in types.items() if field_type is _INT}
+        if not all(set(map(type, columns[key])) <= {str} for key in columns.keys() - ints.keys()):
+            raise TypeError("not a string column")
+    except _TO_WALK:
+        return [record(**v) for _, v in _read_records(section, kind, errors)], None
+    return list(map(record, *(columns[f.name] for f in fields(record)))), ints
 
 
 def _annotation_table(section: list) -> _AnnotationTable | None:

@@ -8,7 +8,9 @@ injectors would do to the same input at the same seed. Planning runs on one
 thread; the injectors' ``workers`` keyword is accepted for compatibility and
 has no effect.
 
-Stream purposes (second key word, high 6 bits):
+A stream is ``np.random.Generator(np.random.Philox(key=...))`` with the
+128-bit key ``seed | (purpose << 58 | item) << 64``: key word 0 is the seed,
+key word 1 holds the purpose in its high 6 bits and the item below. Purposes:
 
 ===========================  ====
 select targets: category flips  1
@@ -21,29 +23,33 @@ fabricated boxes, per draw      6
 
 Streams are consumed in one of two equivalent ways. Library entry points
 such as :func:`perturb_box` take a ``Generator`` from ``_stream``. The
-planners instead compute the first Philox block of every item's stream in
-one vectorized pass (``_blocks``) and decode the draws from its raw words
-exactly as numpy would; an item those words do not settle (a rejected
-jitter attempt, a possible rejection in a bounded integer draw, a
-fabricated box whose draws run past the first block) is redone in full
-from its own ``_stream``. Either way the bytes are the same; the golden
-digests in the test suite pin them.
+planners instead compute Philox blocks of every item's stream in one
+vectorized pass (``_blocks``) and decode the draws from their raw words
+exactly as numpy would; a fabricated box those words do not settle (a
+possible rejection in a bounded integer draw, draws running past the first
+block) is redone in full from its own ``_stream``. Either way the bytes are
+the same; the golden digests in the test suite pin them, and
+``tests/reference_noise.py`` re-derives every output from this spec.
 
 Corrupted-entity counts use half-up rounding, ``floor(ratio * n + 0.5)``,
 over the eligible (non-crowd) pool of the input dataset.
+
+Injection reads and edits the dataset's annotation table, never its records:
+planners return table rows with their new values, and assembly edits copies
+of the columns. The result builds records only when ``annotations`` is
+read, reusing the input's own records for untouched rows.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .metrics import _pair_iou, iou
-from .model import Annotation, BoundingBox, Dataset, ImageRecord
+from .metrics import _pair_iou
+from .model import Annotation, BoundingBox, Dataset, ImageRecord, _AnnotationTable
 
 _SELECT_PURPOSE = {"categorization": 1, "localization": 2, "missing": 3}
 _EDIT_KINDS = {(True, False): ("categorization",), (False, True): ("localization",),
@@ -96,13 +102,13 @@ def _stream(seed: int, purpose: int, item: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _blocks(seed: int, purpose: int, items: list[int]) -> np.ndarray:
-    """The first output block of ``_stream(seed, purpose, item)`` for every item.
+def _blocks(seed: int, purpose: int, items: list[int], counter: int = 1) -> np.ndarray:
+    """Output block ``counter`` (1 for the first) of ``_stream(seed, purpose, item)`` for every item.
 
-    Returns a (4, n) uint64 array, row j holding the j-th raw word each
-    stream emits first: Philox4x64-10 (Salmon et al., SC'11) at counter
-    (1, 0, 0, 0), bit-equal to numpy's. Keys are range-checked before they
-    are packed.
+    Returns a (4, n) uint64 array, row j holding the j-th raw word of each
+    stream's block: Philox4x64-10 (Salmon et al., SC'11) at counter
+    (counter, 0, 0, 0), bit-equal to numpy's. Keys are range-checked before
+    they are packed.
 
     Each counter word of all items is one Python int holding a 128-bit lane
     per item, so a 64x64-bit product never carries into the next lane and
@@ -117,7 +123,7 @@ def _blocks(seed: int, purpose: int, items: list[int]) -> np.ndarray:
     ones = int.from_bytes(_LANE_ONE * n, "little")
     low = ones * _MASK64
     k0 = seed
-    c0, c1, c2, c3 = ones, 0, 0, 0
+    c0, c1, c2, c3 = counter * ones, 0, 0, 0
     for r in range(_PHILOX_ROUNDS):
         if r:
             k0 = (k0 + _PHILOX_W0) & _MASK64
@@ -249,47 +255,49 @@ class InjectionLog:
 def select_targets(ds: Dataset, ratio: float, seed: int, kind: str) -> frozenset[int]:
     """Choose which non-crowd annotation ids a noise kind will touch.
 
-    Selection is a uniform without-replacement draw over the id-sorted
-    eligible pool from the (seed, kind) stream; it does not depend on input
-    record order, and different kinds select independently.
+    Selection is ``choice(n, k, replace=False)`` on the (seed, kind) stream
+    over the id-sorted eligible pool of ``n`` ids, ``k`` by
+    :func:`exact_count`; it does not depend on input record order, and
+    different kinds select independently.
     """
+    return frozenset(ds._table.ids[_select(ds, ratio, seed, kind)].tolist())
+
+
+def _eligible(ds: Dataset) -> np.ndarray:
+    """Table rows of the non-crowd annotations in id order; raises on a duplicated id."""
+    order = ds._id_order
+    return order[~ds._table.crowd[order]]
+
+
+def _select(ds: Dataset, ratio: float, seed: int, kind: str) -> np.ndarray:
+    """Table rows of :func:`select_targets`' ids, in id order."""
     try:
         purpose = _SELECT_PURPOSE[kind]
     except KeyError:
         raise ValueError(f"unknown selection kind {kind!r}") from None
-    pool = ds._non_crowd_ids
+    pool = _eligible(ds)
     k = exact_count(ratio, len(pool))
     if k == 0:
-        return frozenset()
-    rng = _stream(seed, purpose)
-    picked = rng.choice(len(pool), size=k, replace=False)
-    return frozenset(map(pool.__getitem__, picked.tolist()))
+        return pool[:0]
+    return pool[np.sort(_stream(seed, purpose).choice(len(pool), size=k, replace=False))]
 
 
-def _sorted_category_ids(ds: Dataset) -> list[int]:
-    return sorted(c.id for c in ds.categories)
-
-
-def _plan_categorization(ds: Dataset, ratio: float, seed: int) -> dict[int, int]:
-    """Map selected annotation ids to their new (different) category ids.
+def _plan_categorization(ds: Dataset, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the selected annotations and their new (different) category ids.
 
     For each target the replacement is uniform over the other categories:
     one batched draw in [0, C-1) per target, skipped past the original's
     slot in the sorted category list.
     """
-    cats = _sorted_category_ids(ds)
+    cats = ds._category_ids
     if len(cats) < 2:
         raise ValueError("categorization noise needs at least two categories")
-    targets = sorted(select_targets(ds, ratio, seed, "categorization"))
-    if not targets:
-        return {}
-    slot = {c: i for i, c in enumerate(cats)}
-    draws = _stream(seed, _CATEGORY_DRAWS).integers(0, len(cats) - 1, size=len(targets))
-    flips: dict[int, int] = {}
-    for ann_id, j in zip(targets, draws):
-        orig = slot[ds.annotations_by_id[ann_id].category_id]
-        flips[ann_id] = cats[j if j < orig else j + 1]
-    return flips
+    rows = _select(ds, ratio, seed, "categorization")
+    if not len(rows):
+        return rows, cats[:0]
+    draws = _stream(seed, _CATEGORY_DRAWS).integers(0, len(cats) - 1, size=len(rows))
+    slot = np.searchsorted(cats, ds._table.categories[rows], side="right") - 1
+    return rows, cats[draws + (draws >= slot)]
 
 
 def perturb_box(
@@ -301,42 +309,26 @@ def perturb_box(
 ) -> BoundingBox:
     """Jitter a box: shift its center and rescale each side, then clip.
 
-    Per attempt, four independent draws u ~ U[-1, 1]: the center moves by
-    (u1*delta*w, u2*delta*h) and the sides scale by (1 + u3*delta) and
-    (1 + u4*delta). The clipped candidate is accepted when both sides are
-    at least one pixel and its IoU with the original lies strictly between
-    0 and 1. After ``max_attempts`` rejections the last candidate is forced
-    valid: sides floored to one pixel (capped at the image) and the box
-    clamped inside; that last resort may coincide with the original box.
+    Per attempt, four independent draws ``u = rng.uniform(-1, 1, size=4)``:
+    the center ``(x + w/2, y + h/2)`` moves by ``(u1*delta*w, u2*delta*h)``
+    and the sides become ``w*(1 + u3*delta)`` and ``h*(1 + u4*delta)``. The
+    candidate is clipped to the image (``max(0, lo)``, ``min(side, hi)``) and
+    accepted when both clipped sides are at least one pixel and its IoU with
+    the original lies strictly between 0 and 1. After ``max_attempts``
+    rejections the last unclipped candidate is forced valid: each side
+    ``min(max(side, 1), image side)``, each corner
+    ``min(max(center - side/2, 0), image side - side)``; that last resort may
+    coincide with the original box.
     """
     _check_delta(delta)
-    w_img, h_img = float(image.width), float(image.height)
-    cx0 = box.x + box.w / 2.0
-    cy0 = box.y + box.h / 2.0
-    cand = (cx0, cy0, box.w, box.h)
+    old = np.array(box.as_list(), dtype=np.float64).reshape(4, 1)
+    size = np.array([[image.width], [image.height]], dtype=np.float64)
+    cand = np.concatenate((old[:2] + old[2:] / 2.0, old[2:]))
     for _ in range(max_attempts):
-        u1, u2, u3, u4 = rng.uniform(-1.0, 1.0, size=4)
-        cx = cx0 + u1 * delta * box.w
-        cy = cy0 + u2 * delta * box.h
-        w = box.w * (1.0 + u3 * delta)
-        h = box.h * (1.0 + u4 * delta)
-        cand = (cx, cy, w, h)
-        x1 = max(0.0, cx - w / 2.0)
-        y1 = max(0.0, cy - h / 2.0)
-        x2 = min(w_img, cx + w / 2.0)
-        y2 = min(h_img, cy + h / 2.0)
-        if x2 - x1 < 1.0 or y2 - y1 < 1.0:
-            continue
-        new = BoundingBox(x1, y1, x2 - x1, y2 - y1)
-        overlap = iou(box, new)
-        if 0.0 < overlap < 1.0:
-            return new
-    cx, cy, w, h = cand
-    w = min(max(w, 1.0), w_img)
-    h = min(max(h, 1.0), h_img)
-    x = min(max(cx - w / 2.0, 0.0), w_img - w)
-    y = min(max(cy - h / 2.0, 0.0), h_img - h)
-    return BoundingBox(x, y, w, h)
+        cand, new, accepted = _jitter(old, size, rng.uniform(-1.0, 1.0, size=(4, 1)), delta)
+        if accepted[0]:
+            return BoundingBox(*new[:, 0].tolist())
+    return BoundingBox(*_last_resort(cand, size)[:, 0].tolist())
 
 
 def _jitter(boxes: np.ndarray, sizes: np.ndarray, u: np.ndarray, delta: float):
@@ -345,11 +337,8 @@ def _jitter(boxes: np.ndarray, sizes: np.ndarray, u: np.ndarray, delta: float):
     ``boxes`` is (4, n) rows ``x, y, w, h``, ``sizes`` (2, n) image width
     and height, ``u`` (4, n) uniforms in [-1, 1]. Returns the unclipped
     candidates (4, n: cx, cy, w, h), the clipped boxes (4, n) and whether
-    each is accepted. The float operations are perturb_box's scalar ones,
-    in the same order; ``np.where`` keeps Python's ``max(0.0, v)`` and
-    ``min(side, v)``, signed zeros included. perturb_box keeps its scalar
-    copy: on one box, numpy's per-call cost would make it several times
-    slower.
+    each is accepted. ``np.where`` keeps Python's ``max(0.0, v)`` and
+    ``min(side, v)``, signed zeros included.
     """
     xy, wh = boxes[:2], boxes[2:]
     center = xy + wh / 2.0 + u[:2] * delta * wh
@@ -364,30 +353,43 @@ def _jitter(boxes: np.ndarray, sizes: np.ndarray, u: np.ndarray, delta: float):
     return np.concatenate((center, wh)), new, accepted
 
 
-def _plan_localization(ds: Dataset, ratio: float, delta: float, seed: int) -> dict[int, BoundingBox]:
-    """Map selected annotation ids to their jittered boxes.
+def _last_resort(cand: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """:func:`perturb_box`'s forced box from (4, n) unclipped candidates, as (4, n) boxes."""
+    wh = np.where(1.0 > cand[2:], 1.0, cand[2:])
+    wh = np.where(sizes < wh, sizes, wh)
+    return np.concatenate((_place(cand[:2], wh, sizes), wh))
 
-    The first attempt of every target comes from its stream's first block,
-    all targets at once; a target whose first attempt is rejected is redone
-    in full from its own stream.
+
+def _place(center: np.ndarray, length: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """``min(max(center - length/2, 0), side - length)`` elementwise, as Python's min and max give it."""
+    start = center - length / 2.0
+    start = np.where(0.0 > start, 0.0, start)
+    return np.where(side - length < start, side - length, start)
+
+
+def _plan_localization(ds: Dataset, ratio: float, delta: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the selected annotations and their jittered (n, 4) boxes.
+
+    Attempt a of every target still rejected comes from block a of its
+    stream (one attempt's four uniforms are one block), all targets at once.
     """
     _check_delta(delta)
-    targets = sorted(select_targets(ds, ratio, seed, "localization"))
-    if not targets:
-        return {}
-    anns = [ds.annotations_by_id[i] for i in targets]
-    images = [ds.images_by_id[a.image_id] for a in anns]
-    boxes = np.array([a.bbox.as_list() for a in anns], dtype=np.float64).T
-    sizes = np.array([(im.width, im.height) for im in images], dtype=np.float64).T
-    u = -1.0 + 2.0 * _doubles(_blocks(seed, _LOCALIZATION_ITEM, targets))
-    _, new, accepted = _jitter(boxes, sizes, u, delta)
-    moves: dict[int, BoundingBox] = {}
-    for ann_id, a, image, ok, row in zip(targets, anns, images, accepted.tolist(), new.T.tolist()):
-        if ok:
-            moves[ann_id] = BoundingBox(*row)
-        else:
-            moves[ann_id] = perturb_box(a.bbox, image, delta, _stream(seed, _LOCALIZATION_ITEM, ann_id))
-    return moves
+    rows = _select(ds, ratio, seed, "localization")
+    t, images = ds._table, ds._image_table
+    if not len(rows):
+        return rows, t.boxes[:0]
+    old, new = t.boxes[rows].T, np.empty((4, len(rows)))
+    sizes = images.sizes[np.searchsorted(images.ids, t.images[rows])].T
+    todo = np.arange(len(rows))
+    for attempt in range(1, PERTURB_MAX_ATTEMPTS + 1):
+        u = -1.0 + 2.0 * _doubles(_blocks(seed, _LOCALIZATION_ITEM, t.ids[rows[todo]].tolist(), attempt))
+        cand, moved, accepted = _jitter(old[:, todo], sizes[:, todo], u, delta)
+        new[:, todo[accepted]] = moved[:, accepted]
+        todo, cand = todo[~accepted], cand[:, ~accepted]
+        if not len(todo):
+            return rows, new.T
+    new[:, todo] = _last_resort(cand, sizes[:, todo])
+    return rows, new.T
 
 
 def make_bogus_box(
@@ -399,51 +401,50 @@ def make_bogus_box(
 ) -> Annotation:
     """Fabricate one annotation on ``image``: random class, random position.
 
-    Draw order on ``rng`` is fixed (category, center x, center y, size).
-    Size policy ``sample_existing`` copies (w, h) from a uniformly chosen
-    non-crowd annotation of the same image, falling back to the whole
-    dataset and then to ``uniform_fraction`` (each side uniform in 5..50%
-    of the image side). The box is clipped to the image with a one-pixel
-    minimum per side.
+    Draws on ``rng``, in order: the category, ``integers(0, C)`` over the
+    sorted category ids; the center, ``uniform(0, W)`` then
+    ``uniform(0, H)``; the size. Size policy ``sample_existing`` copies
+    (w, h) from the ``integers(0, n)``-th of the image's ``n`` non-crowd
+    annotations in record order, falling back to every non-crowd annotation
+    of the dataset in record order and then to ``uniform_fraction``:
+    ``uniform(0.05, 0.5) * W``, then the same times ``H``. Along each axis
+    the span is clipped to the image; a span the image does not cut keeps
+    the sampled size bit-exact, and one left under a pixel becomes
+    ``min(1, side)`` long at ``min(max(center - length/2, 0), side - length)``.
     """
     policy = BogusSizePolicy(policy)
-    cats = _sorted_category_ids(ds)
-    if not cats:
+    cats = ds._category_ids
+    if not len(cats):
         raise ValueError("bogus noise needs at least one category")
     if new_id is None:
         new_id = ds.max_annotation_id() + 1
-    w_img, h_img = float(image.width), float(image.height)
-    cat = cats[int(rng.integers(0, len(cats)))]
+    side = [float(image.width), float(image.height)]
+    ids = ds._image_table.ids
+    j = int(np.searchsorted(ids, image.id))
+    if ids[j:j + 1].tolist() != [image.id]:  # an image of another dataset
+        j = len(ids)
+    c, *center_and_size = _bogus_draws(rng, ds, j, side, policy)
+    center, size = np.reshape(center_and_size, (2, 2))
+    (x, y), (w, h) = (v.tolist() for v in _clip_span(center, size, np.array(side)))
+    return Annotation(new_id, image.id, int(cats[c]), BoundingBox(x, y, w, h))
+
+
+def _bogus_draws(rng: np.random.Generator, ds: Dataset, j: int, side: list[float],
+                 policy: BogusSizePolicy) -> tuple[int, float, float, float, float]:
+    """:func:`make_bogus_box`'s draws on row j of the image table, of size ``side``:
+    category index, center x and y, then width and height."""
+    w_img, h_img = side
+    c = int(rng.integers(0, len(ds._category_ids)))
     cx = rng.uniform(0.0, w_img)
     cy = rng.uniform(0.0, h_img)
-    pool = _size_pool(ds, image) if policy is BogusSizePolicy.SAMPLE_EXISTING else ()
-    if pool:
-        src = pool[int(rng.integers(0, len(pool)))]
-        w, h = src.bbox.w, src.bbox.h
+    rows, starts, counts = ds._size_sources
+    pool = rows[starts[j]:starts[j] + counts[j]] if policy is BogusSizePolicy.SAMPLE_EXISTING else ()
+    if len(pool):
+        w, h = ds._table.boxes[pool[int(rng.integers(0, len(pool)))], 2:].tolist()
     else:
         w = rng.uniform(0.05, 0.5) * w_img
         h = rng.uniform(0.05, 0.5) * h_img
-
-    rx1, ry1 = cx - w / 2.0, cy - h / 2.0
-    rx2, ry2 = rx1 + w, ry1 + h
-    x1, y1 = max(0.0, rx1), max(0.0, ry1)
-    # keep the sampled size bit-exact when the box is not cut by an edge
-    bw = w if rx1 >= 0.0 and rx2 <= w_img else min(w_img, rx2) - x1
-    bh = h if ry1 >= 0.0 and ry2 <= h_img else min(h_img, ry2) - y1
-    if bw < 1.0:
-        bw = min(1.0, w_img)
-        x1 = min(max(cx - bw / 2.0, 0.0), w_img - bw)
-    if bh < 1.0:
-        bh = min(1.0, h_img)
-        y1 = min(max(cy - bh / 2.0, 0.0), h_img - bh)
-    return Annotation(id=new_id, image_id=image.id, category_id=cat,
-                      bbox=BoundingBox(x1, y1, bw, bh))
-
-
-def _size_pool(ds: Dataset, image: ImageRecord) -> Sequence[Annotation]:
-    """Where ``sample_existing`` copies sizes from: the image's non-crowd
-    annotations, or every non-crowd annotation when it has none."""
-    return [a for a in ds.annotations_by_image.get(image.id, ()) if not a.crowd_flag] or ds.non_crowd
+    return c, cx, cy, w, h
 
 
 def _clip_span(center: np.ndarray, size: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -460,106 +461,109 @@ def _clip_span(center: np.ndarray, size: np.ndarray, side: np.ndarray) -> tuple[
     start = np.where(r1 > 0.0, r1, 0.0)
     length = np.where((r1 >= 0.0) & (r2 <= side), size, np.where(r2 < side, r2, side) - start)
     one = np.where(side < 1.0, side, 1.0)
-    moved = center - one / 2.0
-    moved = np.where(0.0 > moved, 0.0, moved)
-    moved = np.where(side - one < moved, side - one, moved)
     thin = length < 1.0
-    return np.where(thin, moved, start), np.where(thin, one, length)
+    return np.where(thin, _place(center, one, side), start), np.where(thin, one, length)
 
 
-def _plan_bogus(ds: Dataset, ratio: float, seed: int, policy: BogusSizePolicy) -> list[Annotation]:
-    """Fabricate ``exact_count`` annotations with fresh sequential ids.
+def _plan_bogus(ds: Dataset, ratio: float, seed: int, policy: BogusSizePolicy) -> _AnnotationTable:
+    """Fabricate ``exact_count`` annotations with fresh sequential ids, as table rows.
 
-    Draw i comes from stream (seed, 6, i): an image index, then
-    :func:`make_bogus_box`'s draws. Under ``sample_existing`` with at least
-    two images and two categories, those draws fit in the stream's first
-    block, computed for all draws at once: image and category from the low
-    and high half of word 0, the center from words 1 and 2, the size
-    source from the low half of word 3. A draw those words do not settle (a
-    possible Lemire rejection) is redone in full from its own stream, and
-    so is every draw under ``uniform_fraction`` (its sizes run into the
-    next block) or with a range of one (numpy draws nothing for it, so the
-    later draws shift).
+    Draw i comes from stream (seed, 6, i): an image index, ``integers(0, I)``
+    over the images sorted by id, then :func:`make_bogus_box`'s draws. Under
+    ``sample_existing`` with at least two images and two categories, those
+    draws fit in the stream's first block, computed for all draws at once:
+    image and category from the low and high half of word 0, the center from
+    words 1 and 2, the size source from the low half of word 3. A draw those
+    words do not settle (a possible Lemire rejection) is redone in full from
+    its own stream, and so is every draw under ``uniform_fraction`` (its
+    sizes run into the next block) or with a range of one (numpy draws
+    nothing for it, so the later draws shift). Every box is then clipped at
+    once.
     """
-    k = exact_count(ratio, len(ds.non_crowd))
+    t = ds._table
+    k = exact_count(ratio, len(_eligible(ds)))
     if k == 0:
-        return []
-    images = sorted(ds.images, key=lambda im: im.id)
-    if not images:
+        return _AnnotationTable(*(col[:0] for col in t))
+    images = ds._image_table
+    if not len(images.ids):
         raise ValueError("bogus noise needs at least one image")
-    cats = _sorted_category_ids(ds)
-    if not cats:
+    cats = ds._category_ids
+    if not len(cats):
         raise ValueError("bogus noise needs at least one category")
     base = ds.max_annotation_id()
-
-    def one(i: int) -> Annotation:
+    if policy is BogusSizePolicy.SAMPLE_EXISTING and len(images.ids) > 1 and len(cats) > 1:
+        rows, starts, counts = ds._size_sources
+        block = _blocks(seed, _BOGUS_ITEM, list(range(k)))
+        img_idx, settled = _bounded(block[0] & _LOW32, len(images.ids))
+        cat_idx, cat_settled = _bounded(block[0] >> _SHIFT32, len(cats))
+        src_idx, src_settled = _bounded(block[3] & _LOW32, counts[img_idx])
+        redo = np.flatnonzero(~(settled & cat_settled & src_settled)).tolist()
+        # numpy's uniform(lo, hi) is lo + (hi - lo) * random(): rows are x, y
+        center = 0.0 + images.sizes[img_idx].T * _doubles(block[1:3])
+        size = t.boxes[rows[starts[img_idx] + src_idx], 2:].T
+    else:
+        img_idx, cat_idx, center, size = (np.zeros(k, np.intp), np.zeros(k, np.intp),
+                                          np.empty((2, k)), np.empty((2, k)))
+        redo = range(k)
+    for i in redo:
         rng = _stream(seed, _BOGUS_ITEM, i)
-        image = images[int(rng.integers(0, len(images)))]
-        return make_bogus_box(image, ds, policy, rng, new_id=base + 1 + i)
-
-    if policy is not BogusSizePolicy.SAMPLE_EXISTING or len(images) == 1 or len(cats) == 1:
-        return [one(i) for i in range(k)]
-    block = _blocks(seed, _BOGUS_ITEM, list(range(k)))
-    img_idx, settled = _bounded(block[0] & _LOW32, len(images))
-    cat_idx, cat_settled = _bounded(block[0] >> _SHIFT32, len(cats))
-    pools = [_size_pool(ds, im) for im in images]
-    src_idx, src_settled = _bounded(block[3] & _LOW32, np.array([len(p) for p in pools])[img_idx])
-    settled &= cat_settled & src_settled
-    sides = np.array([(im.width, im.height) for im in images], dtype=np.float64)[img_idx].T
-    # numpy's uniform(lo, hi) is lo + (hi - lo) * random(): rows are x, y
-    center = 0.0 + sides * _doubles(block[1:3])
-    src = [pools[j][i].bbox for j, i in zip(img_idx.tolist(), src_idx.tolist())]
-    size = np.array([[b.w for b in src], [b.h for b in src]], dtype=np.float64)
+        j = img_idx[i] = int(rng.integers(0, len(images.ids)))
+        cat_idx[i], *draws = _bogus_draws(rng, ds, j, images.sizes[j].tolist(), policy)
+        center[:, i], size[:, i] = draws[:2], draws[2:]
+    sides = images.sizes[img_idx].T
     start, length = _clip_span(center, size, sides)
-
-    bogus: list[Annotation] = []
-    rows = zip(settled.tolist(), img_idx.tolist(), cat_idx.tolist(), *start.tolist(), *length.tolist())
-    for i, (ok, j, c, *box) in enumerate(rows):
-        if ok:
-            bbox = BoundingBox(*box)
-            bogus.append(Annotation(base + 1 + i, images[j].id, cats[c], bbox, False, bbox.area))
-        else:
-            bogus.append(one(i))
-    return bogus
+    boxes = np.concatenate((start, length)).T
+    return _AnnotationTable(np.arange(base + 1, base + 1 + k, dtype=np.int64), images.ids[img_idx],
+                            cats[cat_idx], boxes, length[0] * length[1], np.zeros(k, dtype=bool))
 
 
 def _assemble(
     ds: Dataset,
     config: NoiseConfig,
-    flips: dict[int, int],
-    moves: dict[int, BoundingBox],
-    removed: frozenset[int],
-    bogus: list[Annotation],
+    flips: tuple[np.ndarray, np.ndarray],
+    moves: tuple[np.ndarray, np.ndarray],
+    removed: np.ndarray,
+    bogus: _AnnotationTable,
 ) -> tuple[Dataset, InjectionLog]:
-    """Apply planned edits in one pass, preserving input annotation order.
+    """Apply the planned edits to copies of the table's columns; no record is built.
 
-    Only the edited records are rebuilt; fabricated annotations are
-    appended after the survivors. Crowd annotations are never planned
-    against, so they pass through untouched.
+    ``flips`` and ``moves`` are table rows with their new categories and
+    boxes, ``removed`` the rows to drop, all in id order. Survivors keep
+    input order, moved boxes get their areas recomputed, and fabricated rows
+    follow. Crowd annotations are never planned against. When ``ds`` holds
+    records, the output's untouched records will be those same objects.
     """
-    changed = flips.keys() | moves.keys()
-    entries: list[CorruptionEntry] = []
-    anns: list[Annotation] = []
-    for a in ds.annotations:
-        if a.id in changed:
-            flipped, moved = a.id in flips, a.id in moves
-            entries.append(CorruptionEntry(a.id, _EDIT_KINDS[flipped, moved],
-                                           a.category_id if flipped else None, a.bbox if moved else None))
-            box = moves[a.id] if moved else a.bbox
-            b = Annotation(a.id, a.image_id, flips.get(a.id, a.category_id), box,
-                           a.crowd_flag, box.area if moved else a.area)
-        else:
-            b = a
-        if a.id not in removed:
-            anns.append(b)
-    anns.extend(bogus)
-    log = InjectionLog(
-        config=config,
-        corrupted=tuple(sorted(entries, key=lambda e: e.id)),
-        removed=tuple(sorted(removed)),
-        added=tuple(a.id for a in bogus),
-    )
-    return replace(ds, annotations=tuple(anns)), log
+    t = ds._table
+    (flip_rows, new_categories), (move_rows, new_boxes) = flips, moves
+    cached = {"_image_table": ds._image_table, "_category_ids": ds._category_ids}
+    if not (len(flip_rows) or len(move_rows) or len(removed) or len(bogus.ids)):  # nothing planned
+        if "annotations" in vars(ds):
+            cached["annotations"] = ds.annotations
+        return Dataset._of_table(ds.images, t, ds.categories, **cached), InjectionLog(config, (), (), ())
+    categories, boxes, areas = t.categories.copy(), t.boxes.copy(), t.areas.copy()
+    categories[flip_rows] = new_categories
+    boxes[move_rows] = new_boxes
+    areas[move_rows] = new_boxes[:, 2] * new_boxes[:, 3]
+    n = len(t.ids)
+    keep, flipped, moved = np.ones(n, dtype=bool), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    keep[removed], flipped[flip_rows], moved[move_rows] = False, True, True
+    edited = (t.ids, t.images, categories, boxes, areas, t.crowd)
+    table = _AnnotationTable(*(np.concatenate((col[keep], extra)) for col, extra in zip(edited, bogus)))
+
+    changed = np.flatnonzero(flipped | moved)
+    changed = changed[np.argsort(t.ids[changed], kind="stable")]
+    flipped, moved = flipped[changed].tolist(), moved[changed].tolist()
+    old_categories = [c if f else None for c, f in zip(t.categories[changed].tolist(), flipped)]
+    old_boxes = [BoundingBox(*b) if m else None for b, m in zip(t.boxes[changed].tolist(), moved)]
+    entries = tuple(map(CorruptionEntry, t.ids[changed].tolist(), map(_EDIT_KINDS.__getitem__, zip(flipped, moved)),
+                        old_categories, old_boxes))
+    log = InjectionLog(config=config, corrupted=entries, removed=tuple(t.ids[removed].tolist()),
+                       added=tuple(bogus.ids.tolist()))
+    if "annotations" in vars(ds):  # untouched rows will be the input's own records
+        source = np.arange(n)
+        source[changed] = -1
+        cached["_reused"] = ds.annotations, np.concatenate((source[keep], np.full(len(bogus.ids), -1)))
+    return Dataset._of_table(ds.images, table, ds.categories, **cached), log
 
 
 def inject_categorization(ds: Dataset, ratio: float, seed: int = 0) -> tuple[Dataset, InjectionLog]:
@@ -624,8 +628,11 @@ def inject(ds: Dataset, config: NoiseConfig, *, workers: int = 1) -> tuple[Datas
         config = NoiseConfig(t, ratio, seed,
                              config.loc_delta if t is NoiseType.LOCALIZATION else DEFAULT_LOC_DELTA,
                              config.bogus_size_policy if t is NoiseType.BOGUS else BogusSizePolicy.SAMPLE_EXISTING)
-    flips = _plan_categorization(ds, ratio, seed) if una or t is NoiseType.CATEGORIZATION else {}
-    moves = _plan_localization(ds, ratio, config.loc_delta, seed) if una or t is NoiseType.LOCALIZATION else {}
-    removed = select_targets(ds, ratio, seed, "missing") if una or t is NoiseType.MISSING else frozenset()
-    bogus = _plan_bogus(ds, ratio, seed, config.bogus_size_policy) if una or t is NoiseType.BOGUS else []
+    none = np.zeros(0, dtype=np.intp)
+    flips = _plan_categorization(ds, ratio, seed) if una or t is NoiseType.CATEGORIZATION else (none, none)
+    moves = (_plan_localization(ds, ratio, config.loc_delta, seed) if una or t is NoiseType.LOCALIZATION
+             else (none, ds._table.boxes[:0]))
+    removed = _select(ds, ratio, seed, "missing") if una or t is NoiseType.MISSING else none
+    bogus = (_plan_bogus(ds, ratio, seed, config.bogus_size_policy) if una or t is NoiseType.BOGUS
+             else _AnnotationTable(*(col[:0] for col in ds._table)))
     return _assemble(ds, config, flips, moves, removed, bogus)

@@ -164,7 +164,7 @@ def capped_tie_instance() -> tuple[Dataset, list[Detection]]:
             dets.append(Detection(a.image_id, cat, near(a, 0.15), int(rng.integers(1, 4)) / 3))
     dets += [background(int(rng.integers(1, 5))) for _ in range(12)]
     dets += [background(1) for _ in range(100)]
-    for a in ds.annotations_by_image.get(1, ()):
+    for a in [a for a in ds.annotations if a.image_id == 1]:
         dets.append(Detection(1, 1 + a.category_id % n_cat, a.bbox, 1 / 3))
         dets.append(Detection(1, a.category_id, near(a, 0.4), 1 / 3))
     return ds, dets

@@ -2,18 +2,20 @@
 subprocess smoke checks."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from unabench import (Annotation, BogusSizePolicy, Detection, NoiseConfig, NoiseType, inject, parse_dataset,
-                      serialize_dataset)
-from unabench.cli import dataset_stats, diff_datasets, main
+from unabench import (Annotation, BogusSizePolicy, BoundingBox, CorruptionEntry, Detection, InjectionLog,
+                      NoiseConfig, NoiseType, inject, parse_dataset, serialize_dataset)
+from unabench.cli import dataset_stats, diff_datasets, main, sidecar_json
 
-from conftest import build_dataset
+from conftest import build_dataset, noise_golden_cases
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -142,6 +144,29 @@ def test_inject_bogus_uniform_fraction_matches_the_library(tmp_path, gt_path):
     assert out.read_bytes() == serialize_dataset(noisy)
 
 
+def test_sidecar_writer_equals_json_dumps():
+    for name, ds, config in noise_golden_cases():
+        _, log = inject(ds, config)
+        assert sidecar_json(log) == json.dumps(log.to_dict(), indent=2, allow_nan=False), name
+    empty = InjectionLog(NoiseConfig("missing", 0.0), (), (), ())
+    assert sidecar_json(empty) == json.dumps(empty.to_dict(), indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_sidecar_writer_and_serializer_reject_non_finite_values(value):
+    entry = CorruptionEntry(3, ("localization",), old_bbox=BoundingBox(1.0, value, 2.0, 2.0))
+    log = InjectionLog(NoiseConfig("localization", 1.0), (entry,), (), ())
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        json.dumps(log.to_dict(), indent=2, allow_nan=False)
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        sidecar_json(log)
+    ds = build_dataset(n_annotations=3)
+    for bad in (replace(ds.annotations[1], bbox=BoundingBox(1.0, 1.0, value, 2.0)),
+                replace(ds.annotations[1], area=value)):
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            serialize_dataset(replace(ds, annotations=(ds.annotations[0], bad)))
+
+
 def test_inject_failed_sidecar_leaves_no_dataset_and_no_temp_file(tmp_path, gt_path, capsys):
     out = tmp_path / "noisy.json"
     (tmp_path / "noisy.json.log.json").mkdir()
@@ -259,16 +284,25 @@ def test_eval_and_tide_build_no_detection_records(monkeypatch, capsys):
 
 
 def test_ground_truth_commands_build_no_annotation_records(tmp_path, monkeypatch, capsys):
-    """diff, eval, tide and stats read the ground truth as columns, never as records."""
+    """inject, diff, eval, tide and stats read the ground truth as columns, never as records;
+    inject also plans, assembles and writes its output from them."""
     noisy = tmp_path / "noisy.json"
     assert main(["inject", "--ann", MICRO_GT, "--out", str(noisy), "--type", "una", "--ratio", "0.3"]) == 0
-    runs = [["diff", MICRO_GT, str(noisy)], ["eval", "--gt", MICRO_GT, "--dt", MICRO_DT],
-            ["tide", "--gt", MICRO_GT, "--dt", MICRO_DT], ["stats", "--ann", MICRO_GT]]
+    injected = [tmp_path / f"{t.value}-{p.value}.json" for t in NoiseType for p in BogusSizePolicy]
+    runs = [["inject", "--ann", MICRO_GT, "--out", str(out), "--type", out.stem.split("-")[0], "--ratio", "0.5",
+             "--seed", "7", "--bogus-size-policy", out.stem.split("-")[1]] for out in injected]
+    runs += [["diff", MICRO_GT, str(noisy)], ["eval", "--gt", MICRO_GT, "--dt", MICRO_DT],
+             ["tide", "--gt", MICRO_GT, "--dt", MICRO_DT], ["stats", "--ann", MICRO_GT]]
+
+    def outputs():
+        return [(out.read_bytes(), Path(f"{out}.log.json").read_bytes()) for out in injected]
+
     capsys.readouterr()
     before = []
     for args in runs:
         assert main(args) == 0
         before.append(capsys.readouterr().out)
+    written = outputs()
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("an Annotation record was built")
@@ -277,6 +311,7 @@ def test_ground_truth_commands_build_no_annotation_records(tmp_path, monkeypatch
     for args, out in zip(runs, before):
         assert main(args) == 0
         assert capsys.readouterr().out == out
+    assert outputs() == written
 
 
 # --- tide --------------------------------------------------------------------

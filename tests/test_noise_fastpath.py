@@ -150,13 +150,14 @@ def test_localization_plan_equals_per_item_perturb_box(seed):
     fallbacks = 0
     for ds in (edge_noise_dataset(), build_dataset(n_images=3, n_annotations=40, seed=3,
                                                   crowd_every=6)):
-        moves = _plan_localization(ds, 1.0, 0.4, seed)
-        assert sorted(moves) == sorted(select_targets(ds, 1.0, seed, "localization"))
-        for ann_id, box in moves.items():
+        rows, boxes = _plan_localization(ds, 1.0, 0.4, seed)
+        ids = ds._table.ids[rows].tolist()
+        assert ids == sorted(select_targets(ds, 1.0, seed, "localization"))
+        for ann_id, box in zip(ids, boxes.tolist()):
             a = ds.annotations_by_id[ann_id]
             rng = _stream(seed, _LOCALIZATION_ITEM, ann_id)
             want = perturb_box(a.bbox, ds.images_by_id[a.image_id], 0.4, rng)
-            assert _bits(box.as_list()) == _bits(want.as_list())
+            assert _bits(box) == _bits(want.as_list())
             fallbacks += rng.bit_generator.state["state"]["counter"][0] > 1
     assert fallbacks > 0
 
@@ -179,7 +180,7 @@ def test_bogus_plan_equals_per_item_make_bogus_box(seed, policy):
                build_dataset(n_images=6, n_annotations=50, seed=4, crowd_every=7)):
         images = sorted(ds.images, key=lambda im: im.id)
         base = ds.max_annotation_id()
-        planned = _plan_bogus(ds, 1.0, seed, policy)
+        planned = _plan_bogus(ds, 1.0, seed, policy).records()
         assert len(planned) == len(ds.non_crowd)
         for i, got in enumerate(planned):
             rng = _stream(seed, _BOGUS_ITEM, i)
