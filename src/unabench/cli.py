@@ -12,6 +12,7 @@ and synced.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import secrets
 import sys
 from collections import Counter
 from enum import Enum
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .metrics import EvalSummary, evaluate
 from .model import (Dataset, ValidationError, _Columns, _detection_table, parse_dataset,
                     serialize_dataset)
-from .noise import DEFAULT_LOC_DELTA, BogusSizePolicy, CorruptionEntry, InjectionLog, NoiseConfig, NoiseType, inject
+from .noise import _EDIT_KINDS, DEFAULT_LOC_DELTA, BogusSizePolicy, InjectionLog, NoiseConfig, NoiseType, inject
 from .tide import DEFAULT_TB, DEFAULT_TF, ERROR_ORDER, ErrorKind, TideReport, tide_report
 
 EXIT_OK = 0
@@ -258,27 +259,36 @@ def _json_float(v: float) -> str:
     return repr(float(v))
 
 
-@lru_cache(maxsize=8)
-def _kinds_json(kinds: tuple[str, ...]) -> str:
-    return _json_array(list(map(json.dumps, kinds)), "      ")
+_KINDS_JSON = {marks: _json_array(list(map(json.dumps, kinds)), "      ") for marks, kinds in _EDIT_KINDS.items()}
 
 
-def _entry_json(e: CorruptionEntry) -> str:
-    fields = [f'"id": {e.id}', '"kinds": ' + _kinds_json(e.kinds)]
-    if e.old_category_id is not None:
-        fields.append(f'"old_category_id": {e.old_category_id}')
-    if e.old_bbox is not None:
-        fields.append('"old_bbox": ' + _json_array(list(map(_json_float, e.old_bbox.as_list())), "      "))
-    return "{\n      " + ",\n      ".join(fields) + "\n    }"
+def _edit_rows(log: InjectionLog) -> list[str]:
+    """The ``corrupted`` array's encoded entries, from the log's edits table."""
+    ids, flipped, moved, old_categories, old_boxes = log._edits
+    boxes = old_boxes[moved]
+    bad = boxes[~np.isfinite(boxes)]
+    if len(bad):
+        _json_float(bad[0].item())  # raises on the first, as json.dumps does
+    box_rows = iter([_json_array(list(map(repr, b)), "      ") for b in boxes.tolist()])
+    rows = []
+    for i, f, m, c in zip(ids.tolist(), flipped.tolist(), moved.tolist(), old_categories.tolist()):
+        row = f'{{\n      "id": {i},\n      "kinds": {_KINDS_JSON[f, m]}'
+        if f:
+            row += f',\n      "old_category_id": {c}'
+        if m:
+            row += ',\n      "old_bbox": ' + next(box_rows)
+        rows.append(row + "\n    }")
+    return rows
 
 
 def sidecar_json(log: InjectionLog) -> str:
     """The sidecar log, exactly ``json.dumps(log.to_dict(), indent=2, allow_nan=False)``, written
-    a row at a time: the standard encoder does indented output in pure Python."""
+    a row at a time from the log's edits table: the standard encoder does indented output in pure
+    Python."""
     head = {"config": log.config.to_dict(), "counts": log.counts()}
     fields = [f'"{key}": ' + json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
               for key, value in head.items()]
-    fields.append('"corrupted": ' + _json_array(list(map(_entry_json, log.corrupted)), "  "))
+    fields.append('"corrupted": ' + _json_array(_edit_rows(log), "  "))
     fields += [f'"{key}": ' + _json_array(list(map(str, ids)), "  ")
                for key, ids in (("removed", log.removed), ("added", log.added))]
     return "{\n  " + ",\n  ".join(fields) + "\n}"
@@ -535,6 +545,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    """The console script. A command's data holds no reference cycles and its process is
+    short-lived, so cyclic GC, which rescans every live container as the heap grows, is off
+    for the whole run; :func:`main` leaves the interpreter's default to tests and library callers."""
+    gc.disable()
     sys.exit(main())
 
 

@@ -25,11 +25,13 @@ Streams are consumed in one of two equivalent ways. Library entry points
 such as :func:`perturb_box` take a ``Generator`` from ``_stream``. The
 planners instead compute Philox blocks of every item's stream in one
 vectorized pass (``_blocks``) and decode the draws from their raw words
-exactly as numpy would; a fabricated box those words do not settle (a
-possible rejection in a bounded integer draw, draws running past the first
-block) is redone in full from its own ``_stream``. Either way the bytes are
-the same; the golden digests in the test suite pin them, and
-``tests/reference_noise.py`` re-derives every output from this spec.
+exactly as numpy would, reading later blocks of the same streams where the
+draws run past the first (jitter retries, ``uniform_fraction`` heights). A
+fabricated box those words do not settle (a possible rejection in a bounded
+integer draw, or a range of one, for which numpy draws nothing) is redone in
+full from its own ``_stream``. Either way the bytes are the same; the golden
+digests in the test suite pin them, and ``tests/reference_noise.py``
+re-derives every output from this spec.
 
 Corrupted-entity counts use half-up rounding, ``floor(ratio * n + 0.5)``,
 over the eligible (non-crowd) pool of the input dataset.
@@ -37,7 +39,9 @@ over the eligible (non-crowd) pool of the input dataset.
 Injection reads and edits the dataset's annotation table, never its records:
 planners return table rows with their new values, and assembly edits copies
 of the columns. The result builds records only when ``annotations`` is
-read, reusing the input's own records for untouched rows.
+read, reusing the input's own records for untouched rows. Likewise the log
+holds its edits as arrays and builds its ``CorruptionEntry`` records only
+when ``corrupted`` is read.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -219,6 +225,41 @@ class CorruptionEntry:
         return d
 
 
+class _EditTable(NamedTuple):
+    """A log's in-place edits as arrays, row i for the i-th edited id in id order:
+    ids, flipped and moved masks, old category ids and (n, 4) float64 old boxes; an
+    old value is meaningful only where its mask is set. Ids and old category ids
+    are int64, or the records' own values (an object array) in a log built from
+    records."""
+
+    ids: np.ndarray
+    flipped: np.ndarray
+    moved: np.ndarray
+    old_categories: np.ndarray
+    old_boxes: np.ndarray
+
+    @classmethod
+    def of(cls, entries: tuple[CorruptionEntry, ...]) -> _EditTable:
+        """The table of records. Raises ``ValueError`` on an entry unlike :func:`inject`'s
+        (kinds in order, each with its old value and no other), which it cannot hold."""
+        flipped = [e.old_category_id is not None for e in entries]
+        moved = [e.old_bbox is not None for e in entries]
+        for e, marks in zip(entries, zip(flipped, moved)):
+            if _EDIT_KINDS.get(marks) != tuple(e.kinds):
+                raise ValueError(f"corrupted entry {e.id}: kinds {tuple(e.kinds)} do not match its old values")
+        return cls(np.array([e.id for e in entries], dtype=object), np.array(flipped, dtype=bool),
+                   np.array(moved, dtype=bool), np.array([e.old_category_id for e in entries], dtype=object),
+                   np.array([(0.0,) * 4 if e.old_bbox is None else e.old_bbox.as_list() for e in entries],
+                            dtype=np.float64).reshape(-1, 4))
+
+    def entries(self) -> tuple[CorruptionEntry, ...]:
+        flipped, moved = self.flipped.tolist(), self.moved.tolist()
+        old_categories = [c if f else None for c, f in zip(self.old_categories.tolist(), flipped)]
+        old_boxes = [BoundingBox(*b) if m else None for b, m in zip(self.old_boxes.tolist(), moved)]
+        return tuple(map(CorruptionEntry, self.ids.tolist(), map(_EDIT_KINDS.__getitem__, zip(flipped, moved)),
+                         old_categories, old_boxes))
+
+
 @dataclass(frozen=True)
 class InjectionLog:
     """Complete record of one injection: every touched id and its old values.
@@ -227,6 +268,13 @@ class InjectionLog:
     ``removed`` and ``added`` are sorted id lists. An id can appear in both
     ``corrupted`` and ``removed`` under composite noise; the edit happened,
     then the annotation was dropped.
+
+    A log from :func:`inject` holds its edits as a table and builds the
+    ``corrupted`` records on first read; one built from records makes its
+    table on first use, and refuses an entry whose kinds do not name, in
+    :func:`inject`'s order, exactly the old values it holds. Either way its
+    value, hash, repr and pickle are those of its records. :meth:`counts`
+    and the CLI's sidecar writer read the table.
     """
 
     config: NoiseConfig
@@ -234,10 +282,31 @@ class InjectionLog:
     removed: tuple[int, ...]
     added: tuple[int, ...]
 
+    @classmethod
+    def _of_table(cls, config: NoiseConfig, edits: _EditTable, removed, added) -> InjectionLog:
+        """A log whose ``corrupted`` records are built from ``edits`` when first read."""
+        log = object.__new__(cls)
+        vars(log).update(config=config, _edits=edits, removed=tuple(removed), added=tuple(added))
+        return log
+
+    def __getattr__(self, name: str):
+        # reached only while a log made by _of_table has no corrupted records yet
+        edits = self.__dict__.get("_edits")
+        if name != "corrupted" or edits is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        entries = edits.entries()
+        object.__setattr__(self, "corrupted", entries)
+        return entries
+
+    @cached_property
+    def _edits(self) -> _EditTable:
+        return _EditTable.of(self.corrupted)
+
     def counts(self) -> dict[str, int]:
+        edits = self._edits
         return {
-            "categorization": sum(1 for e in self.corrupted if "categorization" in e.kinds),
-            "localization": sum(1 for e in self.corrupted if "localization" in e.kinds),
+            "categorization": int(np.count_nonzero(edits.flipped)),
+            "localization": int(np.count_nonzero(edits.moved)),
             "missing": len(self.removed),
             "bogus": len(self.added),
         }
@@ -469,16 +538,16 @@ def _plan_bogus(ds: Dataset, ratio: float, seed: int, policy: BogusSizePolicy) -
     """Fabricate ``exact_count`` annotations with fresh sequential ids, as table rows.
 
     Draw i comes from stream (seed, 6, i): an image index, ``integers(0, I)``
-    over the images sorted by id, then :func:`make_bogus_box`'s draws. Under
-    ``sample_existing`` with at least two images and two categories, those
-    draws fit in the stream's first block, computed for all draws at once:
-    image and category from the low and high half of word 0, the center from
-    words 1 and 2, the size source from the low half of word 3. A draw those
-    words do not settle (a possible Lemire rejection) is redone in full from
-    its own stream, and so is every draw under ``uniform_fraction`` (its
-    sizes run into the next block) or with a range of one (numpy draws
-    nothing for it, so the later draws shift). Every box is then clipped at
-    once.
+    over the images sorted by id, then :func:`make_bogus_box`'s draws. With
+    at least two images and two categories, those draws are decoded from
+    the stream's words, computed for all draws at once: image and category
+    from the low and high half of word 0 of the first block, the center from
+    words 1 and 2. The size source under ``sample_existing`` is the low half
+    of word 3; under ``uniform_fraction`` the width comes from word 3 and
+    the height from word 0 of the second block. A draw those words do not
+    settle (a possible Lemire rejection) is redone in full from its own
+    stream, and so is every draw with a range of one (numpy draws nothing
+    for it, so the later draws shift). Every box is then clipped at once.
     """
     t = ds._table
     k = exact_count(ratio, len(_eligible(ds)))
@@ -491,16 +560,23 @@ def _plan_bogus(ds: Dataset, ratio: float, seed: int, policy: BogusSizePolicy) -
     if not len(cats):
         raise ValueError("bogus noise needs at least one category")
     base = ds.max_annotation_id()
-    if policy is BogusSizePolicy.SAMPLE_EXISTING and len(images.ids) > 1 and len(cats) > 1:
-        rows, starts, counts = ds._size_sources
+    if len(images.ids) > 1 and len(cats) > 1:
         block = _blocks(seed, _BOGUS_ITEM, list(range(k)))
         img_idx, settled = _bounded(block[0] & _LOW32, len(images.ids))
         cat_idx, cat_settled = _bounded(block[0] >> _SHIFT32, len(cats))
-        src_idx, src_settled = _bounded(block[3] & _LOW32, counts[img_idx])
-        redo = np.flatnonzero(~(settled & cat_settled & src_settled)).tolist()
+        settled &= cat_settled
         # numpy's uniform(lo, hi) is lo + (hi - lo) * random(): rows are x, y
-        center = 0.0 + images.sizes[img_idx].T * _doubles(block[1:3])
-        size = t.boxes[rows[starts[img_idx] + src_idx], 2:].T
+        sides = images.sizes[img_idx].T
+        center = 0.0 + sides * _doubles(block[1:3])
+        if policy is BogusSizePolicy.SAMPLE_EXISTING:
+            rows, starts, counts = ds._size_sources
+            src_idx, src_settled = _bounded(block[3] & _LOW32, counts[img_idx])
+            settled &= src_settled
+            size = t.boxes[rows[starts[img_idx] + src_idx], 2:].T
+        else:
+            words = np.stack((block[3], _blocks(seed, _BOGUS_ITEM, list(range(k)), 2)[0]))
+            size = (0.05 + (0.5 - 0.05) * _doubles(words)) * sides
+        redo = np.flatnonzero(~settled).tolist()
     else:
         img_idx, cat_idx, center, size = (np.zeros(k, np.intp), np.zeros(k, np.intp),
                                           np.empty((2, k)), np.empty((2, k)))
@@ -531,7 +607,8 @@ def _assemble(
     boxes, ``removed`` the rows to drop, all in id order. Survivors keep
     input order, moved boxes get their areas recomputed, and fabricated rows
     follow. Crowd annotations are never planned against. When ``ds`` holds
-    records, the output's untouched records will be those same objects.
+    records, the output's untouched records will be those same objects. The
+    log holds the edits as a table too.
     """
     t = ds._table
     (flip_rows, new_categories), (move_rows, new_boxes) = flips, moves
@@ -539,7 +616,8 @@ def _assemble(
     if not (len(flip_rows) or len(move_rows) or len(removed) or len(bogus.ids)):  # nothing planned
         if "annotations" in vars(ds):
             cached["annotations"] = ds.annotations
-        return Dataset._of_table(ds.images, t, ds.categories, **cached), InjectionLog(config, (), (), ())
+        log = InjectionLog._of_table(config, _EditTable.of(()), (), ())
+        return Dataset._of_table(ds.images, t, ds.categories, **cached), log
     categories, boxes, areas = t.categories.copy(), t.boxes.copy(), t.areas.copy()
     categories[flip_rows] = new_categories
     boxes[move_rows] = new_boxes
@@ -552,13 +630,8 @@ def _assemble(
 
     changed = np.flatnonzero(flipped | moved)
     changed = changed[np.argsort(t.ids[changed], kind="stable")]
-    flipped, moved = flipped[changed].tolist(), moved[changed].tolist()
-    old_categories = [c if f else None for c, f in zip(t.categories[changed].tolist(), flipped)]
-    old_boxes = [BoundingBox(*b) if m else None for b, m in zip(t.boxes[changed].tolist(), moved)]
-    entries = tuple(map(CorruptionEntry, t.ids[changed].tolist(), map(_EDIT_KINDS.__getitem__, zip(flipped, moved)),
-                        old_categories, old_boxes))
-    log = InjectionLog(config=config, corrupted=entries, removed=tuple(t.ids[removed].tolist()),
-                       added=tuple(bogus.ids.tolist()))
+    edits = _EditTable(t.ids[changed], flipped[changed], moved[changed], t.categories[changed], t.boxes[changed])
+    log = InjectionLog._of_table(config, edits, t.ids[removed].tolist(), bogus.ids.tolist())
     if "annotations" in vars(ds):  # untouched rows will be the input's own records
         source = np.arange(n)
         source[changed] = -1

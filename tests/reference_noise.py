@@ -188,8 +188,8 @@ def inject_ref(ds: Dataset, config: NoiseConfig) -> tuple[Dataset, InjectionLog]
     return Dataset(ds.images, records, ds.categories), log
 
 
-def outputs_ref(ds: Dataset, config: NoiseConfig) -> tuple[tuple[Annotation, ...], bytes, bytes]:
-    """The injected records, the dataset bytes and the sidecar bytes."""
+def outputs_ref(ds: Dataset, config: NoiseConfig) -> tuple[tuple[Annotation, ...], bytes, bytes, InjectionLog]:
+    """The injected records, the dataset bytes, the sidecar bytes and the log."""
     noisy, log = inject_ref(ds, config)
     sidecar = json.dumps(log.to_dict(), indent=2, allow_nan=False).encode("utf-8")
-    return noisy.annotations, serialize_dataset(noisy), sidecar
+    return noisy.annotations, serialize_dataset(noisy), sidecar, log

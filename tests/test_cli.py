@@ -1,6 +1,7 @@
 """End-to-end command tests driven through main() with a couple of real
 subprocess smoke checks."""
 
+import gc
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from unabench import (Annotation, BogusSizePolicy, BoundingBox, CorruptionEntry, Detection, InjectionLog,
                       NoiseConfig, NoiseType, inject, parse_dataset, serialize_dataset)
-from unabench.cli import dataset_stats, diff_datasets, main, sidecar_json
+from unabench.cli import dataset_stats, diff_datasets, entry, main, sidecar_json
 
 from conftest import build_dataset, noise_golden_cases
 
@@ -150,6 +151,44 @@ def test_sidecar_writer_equals_json_dumps():
         assert sidecar_json(log) == json.dumps(log.to_dict(), indent=2, allow_nan=False), name
     empty = InjectionLog(NoiseConfig("missing", 0.0), (), (), ())
     assert sidecar_json(empty) == json.dumps(empty.to_dict(), indent=2, allow_nan=False)
+    # a log built from records may hold ids no int64 holds
+    huge = InjectionLog(NoiseConfig("categorization", 1.0), (CorruptionEntry(2**64, ("categorization",), 2**70),),
+                        (), ())
+    assert sidecar_json(huge) == json.dumps(huge.to_dict(), indent=2, allow_nan=False)
+
+
+def test_counts_and_sidecar_writer_leave_the_log_records_unbuilt():
+    ds = build_dataset(n_images=5, n_categories=3, n_annotations=40, seed=9)
+    for noise_type in NoiseType:
+        _, log = inject(ds, NoiseConfig(noise_type, 0.5, 7))
+        log.counts()
+        sidecar_json(log)
+        assert "corrupted" not in vars(log), noise_type
+
+
+@pytest.mark.parametrize("bad", [CorruptionEntry(3, ("categorization",)),
+                                 CorruptionEntry(3, ("localization",), 2, BoundingBox(1.0, 1.0, 2.0, 2.0)),
+                                 CorruptionEntry(3, ("localization", "categorization"), 2,
+                                                 BoundingBox(1.0, 1.0, 2.0, 2.0)),
+                                 CorruptionEntry(3, ())])
+def test_log_entries_unlike_injections_are_refused(bad):
+    log = InjectionLog(NoiseConfig("una", 1.0), (bad,), (), ())
+    for read in (log.counts, lambda: sidecar_json(log)):
+        with pytest.raises(ValueError, match="^corrupted entry 3: kinds .* do not match its old values$"):
+            read()
+
+
+def test_only_the_console_script_turns_off_cyclic_gc(monkeypatch):
+    assert gc.isenabled()
+    assert main(["stats", "--ann", MICRO_GT]) == 0
+    assert gc.isenabled()
+    monkeypatch.setattr(sys, "argv", ["unabench", "stats", "--ann", MICRO_GT])
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            entry()
+        assert exit_info.value.code == 0 and not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -285,7 +324,8 @@ def test_eval_and_tide_build_no_detection_records(monkeypatch, capsys):
 
 def test_ground_truth_commands_build_no_annotation_records(tmp_path, monkeypatch, capsys):
     """inject, diff, eval, tide and stats read the ground truth as columns, never as records;
-    inject also plans, assembles and writes its output from them."""
+    inject also plans, assembles and writes its output from them, and its log from the
+    log's edits table."""
     noisy = tmp_path / "noisy.json"
     assert main(["inject", "--ann", MICRO_GT, "--out", str(noisy), "--type", "una", "--ratio", "0.3"]) == 0
     injected = [tmp_path / f"{t.value}-{p.value}.json" for t in NoiseType for p in BogusSizePolicy]
@@ -305,9 +345,10 @@ def test_ground_truth_commands_build_no_annotation_records(tmp_path, monkeypatch
     written = outputs()
 
     def refuse(self, *args, **kwargs):
-        raise AssertionError("an Annotation record was built")
+        raise AssertionError(f"a {type(self).__name__} record was built")
 
     monkeypatch.setattr(Annotation, "__init__", refuse)
+    monkeypatch.setattr(CorruptionEntry, "__init__", refuse)
     for args, out in zip(runs, before):
         assert main(args) == 0
         assert capsys.readouterr().out == out

@@ -7,11 +7,13 @@ a noise type, ratio, seed, jitter strength and bogus size policy. Each
 instance compares the injected records (order and field types included:
 serialization sorts by id, so no byte digest can see record order), the
 dataset bytes and the sidecar bytes, the latter written by the CLI's own
-writer. A third of the instances are also run on the dataset parsed back from
+writer, and the log's value, hash and repr, also after a pickle round trip
+made before its records were read. A third of the instances are also run on the dataset parsed back from
 a document written in the same record order.
 """
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -91,11 +93,6 @@ def _document(ds: Dataset) -> str:
     })
 
 
-def _outputs(ds: Dataset, config: NoiseConfig):
-    noisy, log = inject(ds, config)
-    return noisy.annotations, serialize_dataset(noisy), sidecar_json(log).encode("utf-8")
-
-
 def _check(ds: Dataset, config: NoiseConfig) -> None:
     try:
         want = outputs_ref(ds, config)
@@ -103,9 +100,15 @@ def _check(ds: Dataset, config: NoiseConfig) -> None:
         with pytest.raises(ValueError, match=str(e)):
             inject(ds, config)
         return
-    got = _outputs(ds, config)
+    noisy, log = inject(ds, config)
+    unread = pickle.loads(pickle.dumps(log))
+    got = noisy.annotations, serialize_dataset(noisy), sidecar_json(log).encode("utf-8")
     assert repr(got[0]) == repr(want[0])
-    assert got[1:] == want[1:]
+    assert got[1:] == want[1:3]
+    want_log = want[3]
+    assert "corrupted" not in vars(unread)
+    assert unread == want_log
+    assert log == want_log and hash(log) == hash(want_log) and repr(log) == repr(want_log)
 
 
 def test_inject_matches_the_reference_on_fuzzed_instances():
