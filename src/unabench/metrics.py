@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Annotation, BoundingBox, Dataset, Detection, _Columns, _columns
+from .model import Annotation, BoundingBox, Dataset, Detection, _boxes, _Columns, _columns
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 RECALL_GRID: tuple[float, ...] = tuple(round(0.01 * i, 2) for i in range(101))
@@ -162,7 +162,7 @@ def match_greedy(dets: Sequence[Detection], gts: Sequence[Annotation], threshold
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    rows = _greedy(_columns(dets).boxes, _columns(gts).boxes, np.arange(len(dets)), np.arange(len(gts)),
+    rows = _greedy(_boxes(dets), _boxes(gts), np.arange(len(dets)), np.arange(len(gts)),
                    np.array([len(dets)]), np.array([len(gts)]), (threshold,))[0].tolist()
     gt_matched: list[int | None] = [None] * len(gts)
     for d, g in enumerate(rows):

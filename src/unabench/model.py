@@ -16,7 +16,7 @@ annotation or detection record. Where a column check fails, the record walk
 judges the input: it alone words errors and decides what is rejected. A
 parsed dataset builds its annotation records from its table on first access
 of ``annotations``; :func:`serialize_dataset` writes from the table; records
-become arrays in :func:`_columns` and :meth:`_AnnotationTable.of`.
+become arrays in :func:`_columns` (detections) and :meth:`_AnnotationTable.of`.
 """
 
 from __future__ import annotations
@@ -537,19 +537,23 @@ class _AnnotationTable(NamedTuple):
         return self.ids[keep], _Columns(self.images[keep], self.categories[keep], self.boxes[keep], None)
 
 
-def _columns(records: Sequence[Annotation | Detection] | _Columns) -> _Columns:
-    """Records as arrays, boxes as (n, 4) (x, y, w, h) rows; a table passes as is. (A dataset's
-    own annotations become arrays in :meth:`_AnnotationTable.of`.)"""
-    if isinstance(records, _Columns):
-        return records
+def _boxes(records: Sequence[Annotation | Detection]) -> np.ndarray:
+    """The records' boxes as (n, 4) float64 (x, y, w, h) rows."""
     bb = [r.bbox for r in records]
-    scored = not records or isinstance(records[0], Detection)
+    return np.array([[b.x for b in bb], [b.y for b in bb], [b.w for b in bb], [b.h for b in bb]],
+                    dtype=np.float64).T
+
+
+def _columns(detections: Sequence[Detection] | _Columns) -> _Columns:
+    """Detection records as arrays; a table passes as is. (A dataset's own annotations
+    become arrays in :meth:`_AnnotationTable.of`.)"""
+    if isinstance(detections, _Columns):
+        return detections
     return _Columns(
-        np.array([r.image_id for r in records], dtype=np.int64),
-        np.array([r.category_id for r in records], dtype=np.int64),
-        np.array([[b.x for b in bb], [b.y for b in bb], [b.w for b in bb], [b.h for b in bb]],
-                 dtype=np.float64).T,
-        np.array([r.score for r in records], dtype=np.float64) if scored else None,
+        np.array([d.image_id for d in detections], dtype=np.int64),
+        np.array([d.category_id for d in detections], dtype=np.int64),
+        _boxes(detections),
+        np.array([d.score for d in detections], dtype=np.float64),
     )
 
 

@@ -5,8 +5,8 @@ keyed by ``(seed, purpose, item)``, so a given annotation is corrupted the
 same way no matter what else runs or in what order. The composite
 injector therefore produces exactly the union of what the four standalone
 injectors would do to the same input at the same seed. Planning runs on one
-thread; the injectors' ``workers`` keyword is accepted for compatibility and
-has no effect.
+thread; :func:`inject`'s ``workers`` keyword is accepted for compatibility
+and has no effect.
 
 A stream is ``np.random.Generator(np.random.Philox(key=...))`` with the
 128-bit key ``seed | (purpose << 58 | item) << 64``: key word 0 is the seed,
@@ -26,10 +26,12 @@ such as :func:`perturb_box` take a ``Generator`` from ``_stream``. The
 planners instead compute Philox blocks of every item's stream in one
 vectorized pass (``_blocks``) and decode the draws from their raw words
 exactly as numpy would, reading later blocks of the same streams where the
-draws run past the first (jitter retries, ``uniform_fraction`` heights). A
-fabricated box those words do not settle (a possible rejection in a bounded
-integer draw, or a range of one, for which numpy draws nothing) is redone in
-full from its own ``_stream``. Either way the bytes are the same; the golden
+draws run past the first (jitter retries, ``uniform_fraction`` heights).
+Jitter runs one attempt loop (``_perturb``) for both. A fabricated box whose
+bounded integer draw numpy would not settle from its word (a rejected word,
+or a range of one, for which numpy reads no word: so every box on a
+one-image or one-category dataset) is redone in full from its own
+``_stream``. Either way the bytes are the same; the golden
 digests in the test suite pin them, and ``tests/reference_noise.py``
 re-derives every output from this spec.
 
@@ -151,14 +153,14 @@ def _bounded(words: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
     """numpy's ``integers(0, n)`` from 32-bit words, by Lemire's method.
 
     ``n`` (a scalar or one per word) is a list length, so below 2**32.
-    Returns the draws and a mask of the settled ones: where the low half of
-    the product is below ``n`` numpy may reject the word and draw again, so
-    those draws are left unsettled. For ``n == 1`` numpy draws nothing;
-    the value, 0, is still right, but the word is not consumed.
+    Returns the draws and a mask of the settled ones, where numpy takes the
+    word and returns the draw: the low half of the product is at least
+    ``2**32 mod n`` (numpy rejects the word below that and reads another)
+    and ``n > 1`` (for ``n == 1`` numpy reads no word, so later draws move).
     """
     n = np.asarray(n, dtype=np.uint64)
     m = words * n
-    return (m >> _SHIFT32).astype(np.intp), (m & _LOW32) >= n
+    return (m >> _SHIFT32).astype(np.intp), (n > 1) & ((m & _LOW32) >= np.uint64(1 << 32) % n)
 
 
 def exact_count(ratio: float, n: int) -> int:
@@ -392,12 +394,28 @@ def perturb_box(
     _check_delta(delta)
     old = np.array(box.as_list(), dtype=np.float64).reshape(4, 1)
     size = np.array([[image.width], [image.height]], dtype=np.float64)
+    new = _perturb(old, size, delta, lambda attempt, todo: rng.uniform(-1.0, 1.0, size=(4, len(todo))), max_attempts)
+    return BoundingBox(*new[:, 0].tolist())
+
+
+def _perturb(old: np.ndarray, sizes: np.ndarray, delta: float, draw, max_attempts: int) -> np.ndarray:
+    """:func:`perturb_box` on every column of (4, n) boxes ``old`` within (2, n) ``sizes``.
+
+    ``draw(a, todo)`` gives attempt a's (4, len(todo)) uniforms in [-1, 1]
+    for the columns ``todo`` still rejected, a counting from 1. With no
+    attempt the last resort starts from the unjittered box. Returns the
+    (4, n) new boxes.
+    """
+    new, todo = np.empty_like(old), np.arange(old.shape[1])
     cand = np.concatenate((old[:2] + old[2:] / 2.0, old[2:]))
-    for _ in range(max_attempts):
-        cand, new, accepted = _jitter(old, size, rng.uniform(-1.0, 1.0, size=(4, 1)), delta)
-        if accepted[0]:
-            return BoundingBox(*new[:, 0].tolist())
-    return BoundingBox(*_last_resort(cand, size)[:, 0].tolist())
+    for attempt in range(1, max_attempts + 1):
+        cand, moved, accepted = _jitter(old[:, todo], sizes[:, todo], draw(attempt, todo), delta)
+        new[:, todo[accepted]] = moved[:, accepted]
+        todo, cand = todo[~accepted], cand[:, ~accepted]
+        if not len(todo):
+            return new
+    new[:, todo] = _last_resort(cand, sizes[:, todo])
+    return new
 
 
 def _jitter(boxes: np.ndarray, sizes: np.ndarray, u: np.ndarray, delta: float):
@@ -447,18 +465,12 @@ def _plan_localization(ds: Dataset, ratio: float, delta: float, seed: int) -> tu
     t, images = ds._table, ds._image_table
     if not len(rows):
         return rows, t.boxes[:0]
-    old, new = t.boxes[rows].T, np.empty((4, len(rows)))
-    sizes = images.sizes[np.searchsorted(images.ids, t.images[rows])].T
-    todo = np.arange(len(rows))
-    for attempt in range(1, PERTURB_MAX_ATTEMPTS + 1):
-        u = -1.0 + 2.0 * _doubles(_blocks(seed, _LOCALIZATION_ITEM, t.ids[rows[todo]].tolist(), attempt))
-        cand, moved, accepted = _jitter(old[:, todo], sizes[:, todo], u, delta)
-        new[:, todo[accepted]] = moved[:, accepted]
-        todo, cand = todo[~accepted], cand[:, ~accepted]
-        if not len(todo):
-            return rows, new.T
-    new[:, todo] = _last_resort(cand, sizes[:, todo])
-    return rows, new.T
+    ids, sizes = t.ids[rows], images.sizes[np.searchsorted(images.ids, t.images[rows])].T
+
+    def draw(attempt: int, todo: np.ndarray) -> np.ndarray:
+        return -1.0 + 2.0 * _doubles(_blocks(seed, _LOCALIZATION_ITEM, ids[todo].tolist(), attempt))
+
+    return rows, _perturb(t.boxes[rows].T, sizes, delta, draw, PERTURB_MAX_ATTEMPTS).T
 
 
 def make_bogus_box(
@@ -538,16 +550,17 @@ def _plan_bogus(ds: Dataset, ratio: float, seed: int, policy: BogusSizePolicy) -
     """Fabricate ``exact_count`` annotations with fresh sequential ids, as table rows.
 
     Draw i comes from stream (seed, 6, i): an image index, ``integers(0, I)``
-    over the images sorted by id, then :func:`make_bogus_box`'s draws. With
-    at least two images and two categories, those draws are decoded from
-    the stream's words, computed for all draws at once: image and category
-    from the low and high half of word 0 of the first block, the center from
-    words 1 and 2. The size source under ``sample_existing`` is the low half
-    of word 3; under ``uniform_fraction`` the width comes from word 3 and
-    the height from word 0 of the second block. A draw those words do not
-    settle (a possible Lemire rejection) is redone in full from its own
-    stream, and so is every draw with a range of one (numpy draws nothing
-    for it, so the later draws shift). Every box is then clipped at once.
+    over the images sorted by id, then :func:`make_bogus_box`'s draws. They
+    are decoded from the stream's words, computed for all draws at once:
+    image and category from the low and high half of word 0 of the first
+    block, the center from words 1 and 2. The size source under
+    ``sample_existing`` is the low half of word 3; under ``uniform_fraction``
+    the width comes from word 3 and the height from word 0 of the second
+    block. A draw with a bounded integer that :func:`_bounded` leaves
+    unsettled is redone in full from its own stream: where numpy rejects the
+    word, or where the range is one (numpy reads no word for it, so the
+    later draws shift; every draw on a one-image or one-category dataset).
+    Every box is then clipped at once.
     """
     t = ds._table
     k = exact_count(ratio, len(_eligible(ds)))
@@ -560,28 +573,22 @@ def _plan_bogus(ds: Dataset, ratio: float, seed: int, policy: BogusSizePolicy) -
     if not len(cats):
         raise ValueError("bogus noise needs at least one category")
     base = ds.max_annotation_id()
-    if len(images.ids) > 1 and len(cats) > 1:
-        block = _blocks(seed, _BOGUS_ITEM, list(range(k)))
-        img_idx, settled = _bounded(block[0] & _LOW32, len(images.ids))
-        cat_idx, cat_settled = _bounded(block[0] >> _SHIFT32, len(cats))
-        settled &= cat_settled
-        # numpy's uniform(lo, hi) is lo + (hi - lo) * random(): rows are x, y
-        sides = images.sizes[img_idx].T
-        center = 0.0 + sides * _doubles(block[1:3])
-        if policy is BogusSizePolicy.SAMPLE_EXISTING:
-            rows, starts, counts = ds._size_sources
-            src_idx, src_settled = _bounded(block[3] & _LOW32, counts[img_idx])
-            settled &= src_settled
-            size = t.boxes[rows[starts[img_idx] + src_idx], 2:].T
-        else:
-            words = np.stack((block[3], _blocks(seed, _BOGUS_ITEM, list(range(k)), 2)[0]))
-            size = (0.05 + (0.5 - 0.05) * _doubles(words)) * sides
-        redo = np.flatnonzero(~settled).tolist()
+    block = _blocks(seed, _BOGUS_ITEM, list(range(k)))
+    img_idx, settled = _bounded(block[0] & _LOW32, len(images.ids))
+    cat_idx, cat_settled = _bounded(block[0] >> _SHIFT32, len(cats))
+    settled &= cat_settled
+    # numpy's uniform(lo, hi) is lo + (hi - lo) * random(): rows are x, y
+    sides = images.sizes[img_idx].T
+    center = 0.0 + sides * _doubles(block[1:3])
+    if policy is BogusSizePolicy.SAMPLE_EXISTING:
+        rows, starts, counts = ds._size_sources
+        src_idx, src_settled = _bounded(block[3] & _LOW32, counts[img_idx])
+        settled &= src_settled
+        size = t.boxes[rows[starts[img_idx] + src_idx], 2:].T
     else:
-        img_idx, cat_idx, center, size = (np.zeros(k, np.intp), np.zeros(k, np.intp),
-                                          np.empty((2, k)), np.empty((2, k)))
-        redo = range(k)
-    for i in redo:
+        words = np.stack((block[3], _blocks(seed, _BOGUS_ITEM, list(range(k)), 2)[0]))
+        size = (0.05 + (0.5 - 0.05) * _doubles(words)) * sides
+    for i in np.flatnonzero(~settled).tolist():
         rng = _stream(seed, _BOGUS_ITEM, i)
         j = img_idx[i] = int(rng.integers(0, len(images.ids)))
         cat_idx[i], *draws = _bogus_draws(rng, ds, j, images.sizes[j].tolist(), policy)
@@ -645,7 +652,7 @@ def inject_categorization(ds: Dataset, ratio: float, seed: int = 0) -> tuple[Dat
 
 
 def inject_localization(
-    ds: Dataset, ratio: float, delta: float = DEFAULT_LOC_DELTA, seed: int = 0, *, workers: int = 1,
+    ds: Dataset, ratio: float, delta: float = DEFAULT_LOC_DELTA, seed: int = 0,
 ) -> tuple[Dataset, InjectionLog]:
     """Jitter the boxes of an exact-count subset; areas are recomputed."""
     return inject(ds, NoiseConfig(NoiseType.LOCALIZATION, ratio, seed, loc_delta=delta))
@@ -661,8 +668,6 @@ def inject_bogus(
     ratio: float,
     seed: int = 0,
     policy: BogusSizePolicy = BogusSizePolicy.SAMPLE_EXISTING,
-    *,
-    workers: int = 1,
 ) -> tuple[Dataset, InjectionLog]:
     """Add an exact-count batch of fabricated annotations on random images."""
     return inject(ds, NoiseConfig(NoiseType.BOGUS, ratio, seed, bogus_size_policy=policy))
@@ -674,8 +679,6 @@ def inject_una(
     delta: float = DEFAULT_LOC_DELTA,
     seed: int = 0,
     policy: BogusSizePolicy = BogusSizePolicy.SAMPLE_EXISTING,
-    *,
-    workers: int = 1,
 ) -> tuple[Dataset, InjectionLog]:
     """Apply all four noise kinds at the same ratio in one pass.
 

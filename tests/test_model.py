@@ -3,8 +3,10 @@
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from unabench import (
@@ -568,6 +570,74 @@ def test_parsed_dataset_is_the_value_of_its_records():
     assert ds.annotations == rebuilt.annotations and ds.annotations[2].area == float(2 ** 60 + 1) * 7.25
     with pytest.raises(AttributeError, match="'Dataset' object has no attribute 'nope'"):
         ds.nope
+
+
+# --- whole documents: the column pull against the record walk --------------------
+
+_ODD_VALUES = (None, True, False, "1", 2 ** 63, -2 ** 63 - 1, 10 ** 399, 1.5, 0, -1, 2, [1], {})
+_ODD_BOXES = ([1, 1, 4], [1, 1, 4, 4, 4], [1, 1, 2 ** 63, 4], [1, 1, 10 ** 399, 4], [1, True, 4, 4], [1, 1, 0, 4])
+_NON_OBJECTS = ([1], "x", None, 3)
+
+
+def _fuzzed_document(rng: np.random.Generator) -> str:
+    """A small valid document with up to three records or fields mutated, and whether any is."""
+    n_img, n_cat = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    doc = {
+        "images": [{"id": i, "width": int(rng.integers(20, 90)), "height": int(rng.integers(20, 90)),
+                    "file_name": f"{i}.jpg"} for i in range(1, n_img + 1)],
+        "annotations": [{"id": i, "image_id": int(rng.integers(1, n_img + 1)),
+                         "category_id": int(rng.integers(1, n_cat + 1)),
+                         "bbox": [int(rng.integers(0, 10)), float(rng.uniform(0, 10)), 5, float(rng.uniform(1, 9))],
+                         "area": 25.0, "iscrowd": int(rng.random() < 0.3)} for i in range(1, int(rng.integers(1, 6)))],
+        "categories": [{"id": c, "name": f"c{c}"} for c in range(1, n_cat + 1)],
+    }
+    mutations = int(rng.integers(0, 4))
+    for _ in range(mutations):
+        section = doc[("images", "annotations", "categories")[int(rng.integers(0, 3))]]
+        if not section:
+            continue
+        i = int(rng.integers(0, len(section)))
+        if rng.random() < 0.1:
+            section[i] = _NON_OBJECTS[int(rng.integers(0, len(_NON_OBJECTS)))]
+            continue
+        if not isinstance(section[i], dict):
+            continue
+        key = list(section[i])[int(rng.integers(0, len(section[i])))]
+        roll = rng.random()
+        if roll < 0.15:
+            del section[i][key]
+        elif key == "bbox" and roll < 0.6:
+            section[i][key] = list(_ODD_BOXES[int(rng.integers(0, len(_ODD_BOXES)))])
+        else:
+            section[i][key] = _ODD_VALUES[int(rng.integers(0, len(_ODD_VALUES)))]
+    return json.dumps(doc), mutations > 0
+
+
+def _parse_without_the_pull(data: str):
+    def refuse(section, keys):
+        raise TypeError("column pull refused")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(model, "_pull", refuse)
+        return parse_dataset(data)
+
+
+def test_whole_documents_parse_alike_with_and_without_the_column_pull(caplog):
+    """Seeded documents with several fields mutated at once: the parse with the column
+    pull and the record walk alone give the same errors, warnings and accepted bytes."""
+    rng = np.random.default_rng(7007)
+    accepted = Counter()
+    for _ in range(3000):
+        data, mutated = _fuzzed_document(rng)
+        walk, walk_warnings = _warnings_of(caplog, _parse_without_the_pull, data)
+        got, warnings = _warnings_of(caplog, parse_dataset, data)
+        assert warnings == walk_warnings, data
+        if isinstance(walk, ValidationError):
+            assert isinstance(got, ValidationError) and got.errors == walk.errors, data
+        else:
+            assert isinstance(got, Dataset) and serialize_dataset(got) == serialize_dataset(walk), data
+            accepted[mutated] += 1
+    assert accepted[True] >= 100 and accepted[False] >= 600
 
 
 @requires_val2017

@@ -60,6 +60,23 @@ def _scalar_attempt(box, u, delta, w_img, h_img):
     return (cx, cy, w, h), (new if 0.0 < overlap < 1.0 else None)
 
 
+def _scalar_last_resort(cand, w_img, h_img):
+    cx, cy, w, h = cand
+    w = min(max(w, 1.0), w_img)
+    h = min(max(h, 1.0), h_img)
+    return BoundingBox(min(max(cx - w / 2.0, 0.0), w_img - w), min(max(cy - h / 2.0, 0.0), h_img - h), w, h)
+
+
+def _scalar_perturb(box, w_img, h_img, delta, rng, max_attempts):
+    """The jittered box and whether it is the last resort."""
+    cand = (box.x + box.w / 2.0, box.y + box.h / 2.0, box.w, box.h)
+    for _ in range(max_attempts):
+        cand, new = _scalar_attempt(box, rng.uniform(-1.0, 1.0, size=4).tolist(), delta, w_img, h_img)
+        if new is not None:
+            return new, False
+    return _scalar_last_resort(cand, w_img, h_img), True
+
+
 def _scalar_span(c, s, side):
     r1 = c - s / 2.0
     r2 = r1 + s
@@ -92,18 +109,28 @@ def test_blocks_check_key_ranges_before_packing():
         _blocks(1 << 64, _LOCALIZATION_ITEM, [3])
 
 
-@pytest.mark.parametrize("n", [2, 3, 80, 5000, 3 << 30])
+@pytest.mark.parametrize("n", [1, 2, 3, 80, 5000, 59_722, 3 << 30])
 def test_bounded_matches_numpy_integers_where_settled(n):
-    # at n = 3 * 2**30 numpy rejects about a quarter of the words
-    items = list(range(400))
+    # settled exactly where numpy takes the word, and then with numpy's value:
+    # a fresh stream's integers(0, n) reads the low half of its first word
+    # and, after a rejection, another: one half read leaves the high half
+    # buffered (has_uint32) and block 1 in use (buffer_pos). At n = 3 * 2**30
+    # numpy rejects a quarter of the words, and accepts twice as many whose
+    # low product half is below n; at n = 1 it reads no word.
+    items = list(range(1000))
     words = _blocks(9, _BOGUS_ITEM, items)[0]
     got, settled = _bounded(words & np.uint64(0xFFFFFFFF), n)
-    want = [int(_stream(9, _BOGUS_ITEM, i).integers(0, n)) for i in items]
-    assert settled.any()
-    assert all(g == w for g, w, ok in zip(got.tolist(), want, settled.tolist()) if ok)
+    one_half = []
+    for i, g, ok in zip(items, got.tolist(), settled.tolist()):
+        rng = _stream(9, _BOGUS_ITEM, i)
+        value = int(rng.integers(0, n))
+        state = rng.bit_generator.state
+        one_half.append(state["has_uint32"] == 1 and state["buffer_pos"] == 1)
+        assert not ok or g == value
+    assert settled.tolist() == one_half
+    assert settled.any() == (n > 1)
     if n == 3 << 30:
         assert not settled.all()
-        assert any(g != w for g, w in zip(got.tolist(), want))
 
 
 # --- array geometry against the scalar rules ----------------------------------
@@ -142,6 +169,26 @@ def test_clip_span_equals_scalar_rule():
         assert _bits((start[i], length[i])) == _bits(_scalar_span(c, s, side))
 
 
+@pytest.mark.parametrize("max_attempts", [0, 1, 2])
+def test_perturb_box_equals_scalar_rule_with_few_attempts(max_attempts):
+    # thin boxes at image edges are often rejected, so one and two attempts
+    # end both ways; with none the last resort starts from the unjittered box
+    rng = np.random.default_rng(31 + max_attempts)
+    forced = set()
+    for i in range(600):
+        w_img, h_img = int(rng.integers(2, 60)), int(rng.integers(2, 60))
+        w, h = float(rng.choice([0.6, 1.2, rng.uniform(0.5, w_img)])), float(rng.choice([0.7, 1.5, 3.0]))
+        x, y = float(rng.choice([0.0, max(0.0, w_img - w)])), float(rng.uniform(0.0, max(0.0, h_img - h)))
+        box, delta = BoundingBox(x, y, w, h), (0.4, 0.9)[i % 2]
+        got = perturb_box(box, ImageRecord(1, w_img, h_img, "a.jpg"), delta, _stream(i, _LOCALIZATION_ITEM, 7),
+                          max_attempts=max_attempts)
+        want, last_resort = _scalar_perturb(box, float(w_img), float(h_img), delta,
+                                            _stream(i, _LOCALIZATION_ITEM, 7), max_attempts)
+        assert _bits(got.as_list()) == _bits(want.as_list())
+        forced.add(last_resort)
+    assert forced == ({True} if max_attempts == 0 else {True, False})
+
+
 # --- planners item by item, fallbacks forced ---------------------------------
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -173,9 +220,9 @@ def _one_image_dataset() -> Dataset:
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("policy", list(BogusSizePolicy))
 def test_bogus_plan_equals_per_item_make_bogus_box(seed, policy):
-    # one image: numpy draws nothing for the image index, so every draw
-    # falls back, as every draw does under uniform_fraction; the
-    # multi-image inputs take the vectorized path under sample_existing
+    # one image: numpy draws nothing for the image index, so no draw is
+    # settled and every one is redone from its stream; the other inputs
+    # decode their draws from the streams' words
     for ds in (_one_image_dataset(), edge_noise_dataset(),
                build_dataset(n_images=6, n_annotations=50, seed=4, crowd_every=7)):
         images = sorted(ds.images, key=lambda im: im.id)

@@ -123,16 +123,41 @@ def test_inject_matches_the_reference_on_fuzzed_instances():
     assert len(kinds) == 5 * 2 * 2 * 2
 
 
+def _rejected(seed: int, word: int, half: int, n: int) -> bool:
+    """Whether numpy rejects the low (0) or high (1) half of word ``word`` of the first
+    fabricated box's stream as a draw in [0, n): Lemire's method rejects a product whose
+    low half is below 2**32 mod n."""
+    value = int(np.random.Philox(key=seed | (6 << 58) << 64).random_raw(4)[word]) >> 32 * half & 0xFFFFFFFF
+    return (value * n) % (1 << 32) < (1 << 32) % n
+
+
 def test_inject_matches_the_reference_where_numpy_rejects_a_bounded_draw():
-    # 59,722 categories: 2**32 % n = 59,666, so Lemire's method rejects a
-    # category draw with probability 1.4e-5; at seed 3402 it rejects the
-    # first fabricated box's, which the fuzz above would practically never meet
+    # Each bounded draw of a fabricated box, planted where Lemire's method
+    # rejects the first box's word, which the fuzz above would practically
+    # never meet. 59,722 categories (2**32 % n = 59,666, rejection
+    # probability 1.4e-5): at seed 3402 the category draw, the high half of
+    # word 0. 44,375 images or size sources (2**32 % n = 44,171): at seed
+    # 44680 the image draw, the low half of word 0; at seed 44586 the size
+    # source, the low half of word 3, which two images and two categories
+    # always settle before it.
     n_cat, seed = 59_722, 3402
-    word = int(np.random.Philox(key=seed | (6 << 58) << 64).random_raw())
-    assert ((word >> 32) * n_cat) % (1 << 32) < (1 << 32) % n_cat
+    assert _rejected(seed, 0, 1, n_cat)
     images = (ImageRecord(1, 60, 40, "a.jpg"), ImageRecord(2, 30, 50, "b.jpg"))
     annotations = [Annotation(i, 1 + i % 2, 1 + i, BoundingBox(float(i), 2.0, 9.0, 7.0), crowd_flag=i == 3)
                    for i in range(1, 7)]
     ds = Dataset(images, annotations, [Category(c, f"c{c}") for c in range(1, n_cat + 1)])
     for noise_type, policy in (("bogus", "sample_existing"), ("una", "sample_existing"), ("bogus", "uniform_fraction")):
         _check(ds, NoiseConfig(noise_type, 1.0, seed, bogus_size_policy=policy))
+
+    n, seed = 44_375, 44680
+    assert _rejected(seed, 0, 0, n)
+    many_images = [ImageRecord(i, 40 + i % 30, 30 + i % 20, f"{i}.jpg") for i in range(1, n + 1)]
+    two_categories = [Category(1, "a"), Category(2, "b")]
+    few = [Annotation(i, i, 1 + i % 2, BoundingBox(float(i), 2.0, 9.0, 7.0)) for i in range(1, 5)]
+    _check(Dataset(many_images, few, two_categories), NoiseConfig("bogus", 1.0, seed))
+
+    seed = 44586
+    assert _rejected(seed, 3, 0, n)
+    on_one_image = [Annotation(i, 1, 1 + i % 2, BoundingBox(float(i % 50), float(i % 37), 1.0 + i % 9, 2.0 + i % 7))
+               for i in range(1, n + 1)]
+    _check(Dataset(images, on_one_image, two_categories), NoiseConfig("bogus", 1.0 / n, seed))
