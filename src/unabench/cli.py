@@ -7,6 +7,12 @@ the default seed only. Exit codes: 0 success, 1 validation or domain error,
 2 I/O error. Nothing is written on a validation failure, and ``inject``
 moves its dataset and sidecar log into place only once both are written
 and synced.
+
+``diff``, ``eval`` and ``tide`` read two files. On POSIX the second one (the
+comparison file, the results file) is decoded in a forked child while this
+process parses the first (:func:`_aside`). The child only decodes; checks,
+warnings and errors all come from this process, in the same order as when
+the files are read one after the other.
 """
 
 from __future__ import annotations
@@ -16,9 +22,12 @@ import gc
 import json
 import math
 import os
+import pickle
 import secrets
+import signal
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -26,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import EvalSummary, evaluate
-from .model import (Dataset, ValidationError, _Columns, _detection_table, parse_dataset,
-                    serialize_dataset)
+from .model import (Dataset, ValidationError, _Columns, _decode_dataset, _detection_table, _load_results,
+                    _result_columns, _results_known, parse_dataset, serialize_dataset, validate_dataset)
 from .noise import _EDIT_KINDS, DEFAULT_LOC_DELTA, BogusSizePolicy, InjectionLog, NoiseConfig, NoiseType, inject
 from .tide import DEFAULT_TB, DEFAULT_TF, ERROR_ORDER, ErrorKind, TideReport, tide_report
 
@@ -207,10 +216,86 @@ def _load_dataset(path: str) -> Dataset:
     return parse_dataset(Path(path).read_bytes())
 
 
+def _attempt(fn, *args):
+    try:
+        return fn(*args)
+    except Exception:
+        return None
+
+
+@contextmanager
+def _aside(fn, *args):
+    """Run ``fn(*args)`` in a forked child while the caller goes on; yields a callable that
+    waits for the child and returns the result, or None when ``fn`` raised (``fn`` must not
+    return None). The caller then redoes the work in process, where the error is worded.
+
+    The child sends the result pickled through a pipe and leaves by ``os._exit``: it flushes
+    no inherited stdio and never returns into the caller. Leaving the block before the
+    result is read kills and reaps the child. Where ``os.fork`` is missing or fails, the
+    callable runs ``fn`` in process. ``fn`` must only compute: no logging, printing or writes.
+
+    numpy's BLAS pool has threads running from import on, so this forks a multi-threaded
+    process (Python 3.12+ warns of it). That is safe because the child makes no BLAS call:
+    it touches no lock those threads may hold.
+    """
+    pid = None
+    if hasattr(os, "fork"):
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: decode in process
+            os.close(r)
+            os.close(w)
+    if pid is None:
+        yield partial(_attempt, fn, *args)
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            payload = pickle.dumps(fn(*args), pickle.HIGHEST_PROTOCOL)
+            with open(w, "wb") as f:
+                f.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    pipe, reaped = open(r, "rb"), False
+
+    def result():
+        nonlocal reaped
+        payload = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        return pickle.loads(payload) if os.waitstatus_to_exitcode(status) == 0 else None
+
+    try:
+        yield result
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _decode_file(path: str) -> Dataset:
+    return _decode_dataset(Path(path).read_bytes())
+
+
+def _pull_results_file(path: str) -> _Columns:
+    return _result_columns(_load_results(Path(path).read_bytes()))
+
+
 def _load_scoring(opts: dict) -> tuple[Dataset, _Columns]:
-    """Ground truth and the results file as columns: scoring builds no detection records."""
-    gt = _load_dataset(opts["gt"])
-    return gt, _detection_table(Path(opts["dt"]).read_bytes(), gt)
+    """Ground truth and the results file as columns: scoring builds no detection records.
+    The results file is decoded aside while the ground truth is parsed; its rows are checked
+    against the ground truth here, and anything short of a pass is redone in process."""
+    with _aside(_pull_results_file, opts["dt"]) as pulled:
+        gt = _load_dataset(opts["gt"])
+        dets = pulled()
+    if dets is None or not _results_known(dets, gt):
+        dets = _detection_table(Path(opts["dt"]).read_bytes(), gt)
+    return gt, dets
 
 
 def _write_all(files: list[tuple[Path, bytes]]) -> None:
@@ -253,6 +338,16 @@ def _json_array(rows: list[str], indent: str) -> str:
     return f"[\n{indent}  " + f",\n{indent}  ".join(rows) + f"\n{indent}]"
 
 
+def _json_object(fields: list[str]) -> str:
+    """Encoded ``"key": value`` ``fields`` as ``json.dumps(indent=2)`` lays out a top-level object."""
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
+
+
+def _id_fields(items) -> list[str]:
+    """``(key, ids)`` pairs as ``_json_object`` fields holding integer arrays."""
+    return [f'"{key}": ' + _json_array(list(map(str, ids)), "  ") for key, ids in items]
+
+
 def _json_float(v: float) -> str:
     if not math.isfinite(v):
         raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
@@ -289,9 +384,7 @@ def sidecar_json(log: InjectionLog) -> str:
     fields = [f'"{key}": ' + json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
               for key, value in head.items()]
     fields.append('"corrupted": ' + _json_array(_edit_rows(log), "  "))
-    fields += [f'"{key}": ' + _json_array(list(map(str, ids)), "  ")
-               for key, ids in (("removed", log.removed), ("added", log.added))]
-    return "{\n  " + ",\n  ".join(fields) + "\n}"
+    return _json_object(fields + _id_fields((("removed", log.removed), ("added", log.added))))
 
 
 def cmd_inject(opts: dict) -> int:
@@ -489,8 +582,8 @@ def diff_datasets(a: Dataset, b: Dataset) -> dict:
 
 
 def _render_diff(diff: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(diff, indent=2, allow_nan=False)
+    if fmt == "json":  # exactly json.dumps(diff, indent=2), a row at a time
+        return _json_object(_id_fields(diff.items()))
     if fmt == "csv":
         lines = ["change,id"]
         for key, ids in diff.items():
@@ -508,8 +601,14 @@ def _render_diff(diff: dict, fmt: str) -> str:
 
 
 def cmd_diff(opts: dict, path_a: str, path_b: str) -> int:
-    a = _load_dataset(path_a)
-    b = _load_dataset(path_b)
+    # b is decoded aside and validated here, after a is parsed, so its warning and errors come second
+    with _aside(_decode_file, path_b) as decoded:
+        a = _load_dataset(path_a)
+        b = decoded()
+    if b is None:
+        b = _load_dataset(path_b)
+    else:
+        validate_dataset(b)
     print(_render_diff(diff_datasets(a, b), opts["format"]))
     return EXIT_OK
 

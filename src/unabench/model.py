@@ -17,6 +17,11 @@ judges the input: it alone words errors and decides what is rejected. A
 parsed dataset builds its annotation records from its table on first access
 of ``annotations``; :func:`serialize_dataset` writes from the table; records
 become arrays in :func:`_columns` (detections) and :meth:`_AnnotationTable.of`.
+
+Decoding is kept apart from judging, so it can run in another process:
+:func:`parse_dataset` is :func:`_decode_dataset` then :func:`validate_dataset`,
+and :func:`_detection_table` is :func:`_result_columns` then
+:func:`_results_known`. The decode steps log nothing.
 """
 
 from __future__ import annotations
@@ -418,6 +423,14 @@ def parse_dataset(data: bytes | str) -> Dataset:
     Valid annotations are read as a table; their records are built when
     ``annotations`` is first read.
     """
+    ds = _decode_dataset(data)
+    validate_dataset(ds)
+    return ds
+
+
+def _decode_dataset(data: bytes | str) -> Dataset:
+    """:func:`parse_dataset` without :func:`validate_dataset`: the document decoded and its
+    sections read into a dataset, raising on what no dataset can hold. It logs nothing."""
     doc = _load_json(data, dict, "top level must be an object")
     errors = [f"document: missing or non-array {key!r} section"
               for key in ("images", "annotations", "categories") if not isinstance(doc.get(key), list)]
@@ -434,15 +447,12 @@ def parse_dataset(data: bytes | str) -> Dataset:
         raise ValidationError(errors)
 
     if table is None:
-        ds = Dataset(images, annotations, categories)
-    else:
-        cached = {}
-        if image_columns is not None:  # the image table, from the pulled columns
-            sizes = np.stack((image_columns["width"], image_columns["height"]), axis=1).astype(np.float64)
-            cached["_image_table"] = _ImageTable.of(image_columns["id"], sizes)
-        ds = Dataset._of_table(images, table, categories, **cached)
-    validate_dataset(ds)
-    return ds
+        return Dataset(images, annotations, categories)
+    cached = {}
+    if image_columns is not None:  # the image table, from the pulled columns
+        sizes = np.stack((image_columns["width"], image_columns["height"]), axis=1).astype(np.float64)
+        cached["_image_table"] = _ImageTable.of(image_columns["id"], sizes)
+    return Dataset._of_table(images, table, categories, **cached)
 
 
 def serialize_dataset(ds: Dataset) -> bytes:
@@ -630,15 +640,30 @@ def _annotation_table(section: list) -> _AnnotationTable | None:
         return None
 
 
+def _load_results(data: bytes | str) -> list:
+    return _load_json(data, list, "results must be a JSON array")
+
+
+def _result_columns(doc: list) -> _Columns:
+    """A decoded results array by the column pull, not yet checked against a dataset;
+    raises one of ``_TO_WALK`` where the record walk must judge it."""
+    img, cat, box, score = _pull(doc, _RESULTS[2])
+    return _Columns(_int_column(img), _int_column(cat), _box_column(box), _num_column(score))
+
+
+def _results_known(t: _Columns, ds: Dataset) -> bool:
+    """Every result row names an image and a category of ``ds`` and has w > 0 and h > 0."""
+    known = (np.fromiter(by_id, np.int64) for by_id in (ds.images_by_id, ds.categories_by_id))
+    return _refs_and_sizes_ok(t, *known)
+
+
 def _detection_table(data: bytes | str, ds: Dataset) -> _Columns:
     """:func:`parse_detections` into columns. Whole-column checks pass valid input; on any
     failure :func:`_walk_detections` judges the input and words its errors, so it alone decides."""
-    doc = _load_json(data, list, "results must be a JSON array")
+    doc = _load_results(data)
     try:
-        img, cat, box, score = _pull(doc, _RESULTS[2])
-        t = _Columns(_int_column(img), _int_column(cat), _box_column(box), _num_column(score))
-        known = (np.fromiter(by_id, np.int64) for by_id in (ds.images_by_id, ds.categories_by_id))
-        if _refs_and_sizes_ok(t, *known):
+        t = _result_columns(doc)
+        if _results_known(t, ds):
             return t
     except _TO_WALK:
         pass

@@ -108,38 +108,51 @@ def classify_errors(
     )
 
 
+# the most (unmatched detection, ground truth) pairs :func:`_classify` holds at once
+_PAIR_CHUNK = 65_536
+
+
 def _classify(
     g: _Columns, d: _Columns, match: np.ndarray, tf: float, tb: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply the :func:`classify_errors` rules given the match at ``tf``.
 
-    ``match`` holds each detection's matched ``g`` row, -1 for none. Each
-    image gets one IoU matrix, its unmatched detections against its ground
-    truth; every rule is a row mask of it and targets are the first-max
-    column. Returns, per detection, its label as an ``ERROR_ORDER`` index
-    (-1 when matched) and the ``g`` row of its Cls/Loc target (-1 when it
-    has none), and per ground truth whether it is Miss.
+    ``match`` holds each detection's matched ``g`` row, -1 for none. Every
+    unmatched detection is paired with each ground truth of its image, the
+    pairs of one detection side by side in ``g`` row order; its best IoUs are
+    maxima over its run of pairs, every rule is a mask of them and its target
+    is the first pair reaching the maximum. The pairs are made a chunk of
+    detections at a time, at most ``_PAIR_CHUNK`` pairs (or one detection's)
+    each. Returns, per detection, its label as an ``ERROR_ORDER`` index (-1
+    when matched) and the ``g`` row of its Cls/Loc target (-1 when it has
+    none), and per ground truth whether it is Miss.
     """
-    n = len(d.images)
-    rule = np.full(n, -1, dtype=np.int64)
-    target = np.full(n, -1, dtype=np.int64)
+    rule = np.full(len(d.images), -1, dtype=np.int64)
+    target = np.full(len(d.images), -1, dtype=np.int64)
     taken = np.zeros(len(g.images), dtype=bool)
     taken[match[match >= 0]] = True
     miss = ~taken
-    # detections are rows 0..n-1 and ground truths n.. of one index space
-    img = np.concatenate((d.images, g.images))
-    order = np.argsort(img, kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(img[order])) + 1):
-        di, gi = rows[rows < n], rows[rows >= n] - n
-        di = di[match[di] < 0]
-        if gi.size == 0:
-            rule[di] = ERROR_ORDER.index(ErrorKind.BKG)
-            continue
-        ious = _pair_iou(d.boxes[di, None], g.boxes[None, gi])
-        same = d.categories[di, None] == g.categories[None, gi]
-        best_same = np.where(same, ious, 0.0).max(axis=1)
-        best_diff = np.where(same, 0.0, ious).max(axis=1)
-        best_dupe = np.where(same & taken[gi], ious, 0.0).max(axis=1)
+    free = np.flatnonzero(match < 0)
+    g_order = np.argsort(g.images, kind="stable")  # a stable sort keeps row order within an image
+    g_images = g.images[g_order]
+    lo, hi = (np.searchsorted(g_images, d.images[free], side) for side in ("left", "right"))
+    count = hi - lo
+    rule[free[count == 0]] = ERROR_ORDER.index(ErrorKind.BKG)
+    free, lo, count = free[count > 0], lo[count > 0], count[count > 0]
+    ends = np.cumsum(count)
+
+    start = 0
+    while start < len(free):
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - count[start] + _PAIR_CHUNK, "right")))
+        di, c = free[start:stop], count[start:stop]
+        seg = np.cumsum(c) - c  # each detection's first pair
+        pos = np.arange(seg[-1] + c[-1])
+        pd = np.repeat(di, c)
+        pg = g_order[np.repeat(lo[start:stop] - seg, c) + pos]
+        ious = _pair_iou(d.boxes[pd], g.boxes[pg])
+        same = d.categories[pd] == g.categories[pg]
+        best_same, best_diff, best_dupe = (np.maximum.reduceat(np.where(mask, ious, 0.0), seg)
+                                           for mask in (same, ~same, same & taken[pg]))
         rules = np.stack([                                    # in ERROR_ORDER
             best_diff >= tf,                                  # Cls
             (tb <= best_same) & (best_same < tf),             # Loc
@@ -151,9 +164,12 @@ def _classify(
             raise RuntimeError("error rules failed to cover a detection; matching is inconsistent")
         rule[di] = kind = rules.argmax(axis=0)
         fix = kind <= 1  # Cls targets another class, Loc its own
-        best = np.where(np.where(kind[:, None] == 0, ~same, same), ious, -1.0).argmax(axis=1)
-        target[di[fix]] = gi[best[fix]]
-        miss[gi] &= ~(ious[fix] >= tb).any(axis=0)
+        value = np.where(np.where(np.repeat(kind == 0, c), ~same, same), ious, -1.0)
+        first = np.minimum.reduceat(
+            np.where(value == np.repeat(np.maximum.reduceat(value, seg), c), pos, len(pos)), seg)
+        target[di[fix]] = pg[first[fix]]
+        miss[pg[np.repeat(fix, c) & (ious >= tb)]] = False
+        start = stop
 
     return rule, target, miss
 

@@ -164,3 +164,43 @@ def simulate_mean_iou(
             result = (fx, fy, nw, nh)
         total += iou_ref(box, result)
     return total / n_draws
+
+
+_ERROR_RULES = ("cls", "loc", "both", "dupe", "bkg")
+
+
+def classify_ref(gt, dets, matched_gt, tf: float, tb: float):
+    """The error rules of ``classify_errors``, one detection and one ground truth at a time.
+
+    ``matched_gt`` gives each detection's matched annotation id at ``tf`` (None for
+    none). Returns each detection's label (an error kind's value, None when matched),
+    the Cls/Loc targets by detection index (the first ground truth, in record order,
+    with the best IoU among those of another class for Cls, of the same class for Loc)
+    and the ids of the missed ground truths.
+    """
+    pool = [a for a in gt.annotations if not a.crowd_flag]
+    taken = {m for m in matched_gt if m is not None}
+    labels, targets, covered = [], {}, set()
+    for i, (d, m) in enumerate(zip(dets, matched_gt)):
+        if m is not None:
+            labels.append(None)
+            continue
+        best, first, dupe, near = {True: 0.0, False: 0.0}, {True: None, False: None}, 0.0, []
+        for a in pool:
+            if a.image_id != d.image_id:
+                continue
+            v = iou_ref(d.bbox.as_list(), a.bbox.as_list())
+            same = a.category_id == d.category_id
+            if first[same] is None or v > best[same]:
+                best[same], first[same] = v, a.id
+            if same and a.id in taken:
+                dupe = max(dupe, v)
+            if v >= tb:
+                near.append(a.id)
+        s, o = best[True], best[False]
+        k = [o >= tf, tb <= s < tf, tb <= o < tf, dupe >= tf, s < tb and o < tb].index(True)
+        labels.append(_ERROR_RULES[k])
+        if k <= 1:
+            targets[i] = first[k == 1]
+            covered.update(near)
+    return labels, targets, {a.id for a in pool if a.id not in taken | covered}

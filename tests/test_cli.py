@@ -3,18 +3,21 @@ subprocess smoke checks."""
 
 import gc
 import json
+import logging
 import math
 import os
 import subprocess
 import sys
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from unabench import (Annotation, BogusSizePolicy, BoundingBox, CorruptionEntry, Detection, InjectionLog,
-                      NoiseConfig, NoiseType, inject, parse_dataset, serialize_dataset)
-from unabench.cli import dataset_stats, diff_datasets, entry, main, sidecar_json
+                      NoiseConfig, NoiseType, cli, inject, parse_dataset, serialize_dataset)
+from unabench.cli import _aside, _render_diff, dataset_stats, diff_datasets, entry, main, sidecar_json
 
 from conftest import build_dataset, noise_golden_cases
 
@@ -22,6 +25,18 @@ DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 MICRO_GT = str(DATA / "micro_gt.json")
 MICRO_DT = str(DATA / "micro_dt.json")
+
+
+@pytest.fixture(autouse=True)
+def no_stray_children():
+    """Fail a test after which this process still has a child, running or unreaped."""
+    yield
+    if hasattr(os, "WNOHANG"):
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        pytest.fail(f"a child process outlived the test ({'running' if pid == 0 else f'pid {pid} unreaped'})")
 
 
 @pytest.fixture
@@ -519,6 +534,215 @@ def test_diff_names_every_kind_of_change(tmp_path, capsys):
         paths[-1].write_text(_diff_doc(anns))
     assert main(["diff", "--format", "json", *map(str, paths)]) == 0
     assert json.loads(capsys.readouterr().out) == want
+
+
+def test_diff_json_writer_equals_json_dumps(gt_path):
+    a = parse_dataset(Path(gt_path).read_bytes())
+    noisy, _ = inject(a, NoiseConfig(NoiseType.UNA, 0.3, 6))
+    huge = {"category_changed": [2**70, -2**63 - 1], "bbox_changed": [], "other_changed": [0],
+            "removed": [], "added": [2**64, 3]}  # a dict from elsewhere may hold ids no int64 holds
+    for diff in (diff_datasets(a, noisy), diff_datasets(a, a), huge):
+        assert _render_diff(diff, "json") == json.dumps(diff, indent=2, allow_nan=False)
+
+
+# --- the second input file, decoded aside ----------------------------------------
+
+def _boom():
+    raise ValueError("boom")
+
+
+def test_aside_runs_its_call_in_a_child_and_hands_back_the_result():
+    with _aside(os.getpid) as pid:
+        assert pid() != os.getpid()
+    with _aside(divmod, 7, 2) as result:
+        assert result() == (3, 1)
+    with _aside(_boom) as result:
+        assert result() is None
+
+
+def test_aside_kills_its_child_when_the_block_is_left_early():
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        with _aside(time.sleep, 60):
+            raise KeyboardInterrupt
+    assert time.monotonic() - t0 < 30
+
+
+def _no_process_to_spare():
+    raise BlockingIOError("Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("fork", [None, _no_process_to_spare], ids=["missing", "failing"])
+def test_aside_without_fork_runs_in_process(monkeypatch, fork):
+    if fork is None:
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    with _aside(os.getpid) as pid:
+        assert pid() == os.getpid()
+    with _aside(_boom) as result:
+        assert result() is None
+
+
+def test_second_file_is_decoded_in_a_child(tmp_path, gt_path, monkeypatch, capsys):
+    pids = tmp_path / "pids"
+
+    def recording(fn):
+        def run(path):
+            with pids.open("a") as f:
+                f.write(f"{os.getpid()}\n")
+            return fn(path)
+        return run
+
+    monkeypatch.setattr(cli, "_decode_file", recording(cli._decode_file))
+    monkeypatch.setattr(cli, "_pull_results_file", recording(cli._pull_results_file))
+    for args in (["diff", gt_path, gt_path], ["eval", "--gt", MICRO_GT, "--dt", MICRO_DT],
+                 ["tide", "--gt", MICRO_GT, "--dt", MICRO_DT]):
+        assert main(args) == 0
+    decoders = pids.read_text().split()
+    assert len(decoders) == 3 and str(os.getpid()) not in decoders
+
+
+@contextmanager
+def _declined(fn, *args):
+    yield lambda: None
+
+
+# how each command may load its second file: forked aside, aside without fork, and
+# declined, which leaves the command only the in-process calls that load it alone
+_MODES = {
+    "fork": lambda mp: None,
+    "no fork": lambda mp: mp.delattr(os, "fork"),
+    "in process": lambda mp: mp.setattr(cli, "_aside", _declined),
+}
+
+
+def _same_in_every_mode(args, monkeypatch, capsys, caplog):
+    """``main(args)``'s exit code, stdout, stderr and ``unabench.model`` warnings, checked
+    to be the same in every mode of ``_MODES``."""
+    seen = {}
+    for mode, setup in _MODES.items():
+        with monkeypatch.context() as mp:
+            setup(mp)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="unabench.model"):
+                rc = main(args)
+            printed = capsys.readouterr()
+        warnings = [r.getMessage() for r in caplog.records if r.name == "unabench.model"]
+        seen[mode] = (rc, printed.out, printed.err, warnings)
+    assert seen["no fork"] == seen["fork"]
+    assert seen["in process"] == seen["fork"]
+    return seen["fork"]
+
+
+_GOOD_GT = _diff_doc([_ann(1), _ann(2, category_id=2)])
+_OUT_OF_BOUNDS = "annotation box(es) extend beyond image bounds"
+
+
+def _results(**fields):
+    return json.dumps([{"image_id": 1, "category_id": 1, "bbox": [10, 10, 20, 20], "score": 0.9},
+                       {"image_id": 1, "category_id": 2, "bbox": [12, 10, 20, 20], "score": 0.8, **fields}])
+
+
+@pytest.mark.parametrize("command, a, b, rc, err", [
+    ("diff", _GOOD_GT, None, 2, "i/o error: "),
+    ("diff", _GOOD_GT, '{"images": [', 1, "document: not valid JSON"),
+    ("diff", _GOOD_GT, '{"images": [], "categories": []}', 1, "missing or non-array 'annotations' section"),
+    ("diff", _GOOD_GT, _diff_doc([_ann(1, category_id=9)]), 1, "annotations[0] (id=1): unknown category_id 9"),
+    ("diff", _diff_doc([_ann(1), _ann(1)]), _diff_doc([_ann(1, category_id=9)]), 1,
+     "error: 1 validation error(s)\n  - annotations[1] (id=1): duplicate annotation id\n"),
+    ("diff", _diff_doc([_ann(1, category_id=9)]), _diff_doc([_ann(1, bbox=[1, 2])]), 1,
+     "error: 1 validation error(s)\n  - annotations[0] (id=1): unknown category_id 9\n"),
+    ("eval", _GOOD_GT, None, 2, "i/o error: "),
+    ("eval", _GOOD_GT, _results(image_id=7), 1, "results[1]: unknown image_id 7"),
+    ("tide", _GOOD_GT, _results(bbox=[1, 1, 0, 4]), 1, "results[1]: non-positive box width/height"),
+    ("eval", _GOOD_GT, _results(score=None), 1, "results[1]: score must be a finite number, got None"),
+    ("tide", _GOOD_GT, _results(score=None), 1, "results[1]: score must be a finite number, got None"),
+    ("eval", _GOOD_GT, "{}", 1, "document: results must be a JSON array"),
+    ("eval", _diff_doc([_ann(1), _ann(1)]), _results(score=None), 1,
+     "error: 1 validation error(s)\n  - annotations[1] (id=1): duplicate annotation id\n"),
+    ("tide", _GOOD_GT, _results(), 0, ""),
+], ids=["diff-b-missing", "diff-b-not-json", "diff-b-no-section", "diff-b-invalid", "diff-both-invalid-validate",
+        "diff-both-invalid-decode", "eval-dt-missing", "eval-unknown-image", "tide-empty-box", "eval-null-score",
+        "tide-null-score", "eval-not-array", "eval-both-invalid", "tide-valid"])
+def test_second_file_errors_alike_forked_and_in_process(tmp_path, monkeypatch, capsys, caplog,
+                                                        command, a, b, rc, err):
+    """Only the first file's errors show when both files are bad; the second file's errors
+    are worded by the in-process calls, whether or not it was decoded aside."""
+    path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+    path_a.write_text(a)
+    if b is not None:
+        path_b.write_text(b)
+    args = ["diff", str(path_a), str(path_b)] if command == "diff" else [command, "--gt", str(path_a),
+                                                                            "--dt", str(path_b)]
+    got_rc, _, got_err, _ = _same_in_every_mode(args, monkeypatch, capsys, caplog)
+    assert got_rc == rc
+    assert err in got_err if err else got_err == ""
+
+
+def test_out_of_bounds_warnings_come_first_file_first(tmp_path, monkeypatch, capsys, caplog):
+    path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+    path_a.write_text(_diff_doc([_ann(1, bbox=[90, 10, 20, 20]), _ann(2)]))
+    path_b.write_text(_diff_doc([_ann(1), _ann(2, bbox=[10, 70, 20, 20])]))
+    rc, out, _, warnings = _same_in_every_mode(["diff", str(path_a), str(path_b)], monkeypatch, capsys, caplog)
+    assert rc == 0 and out.startswith("category changed:")
+    assert warnings == [f"1 {_OUT_OF_BOUNDS} (ids 1); kept as-is", f"1 {_OUT_OF_BOUNDS} (ids 2); kept as-is"]
+    path_b.write_text(_results(bbox=[90, 70, 20, 20]))  # results boxes out of bounds are not warned about
+    rc, _, _, warnings = _same_in_every_mode(["eval", "--gt", str(path_a), "--dt", str(path_b)],
+                                             monkeypatch, capsys, caplog)
+    assert rc == 0 and warnings == [f"1 {_OUT_OF_BOUNDS} (ids 1); kept as-is"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_commands_print_the_same_bytes_without_fork(tmp_path, gt_path, monkeypatch, capsys, caplog, fmt):
+    noisy = tmp_path / "noisy.json"
+    assert main(["inject", "--ann", gt_path, "--out", str(noisy), "--type", "una", "--ratio", "0.3"]) == 0
+    dt = _perfect_dets_path(tmp_path, gt_path, score=0.7)
+    capsys.readouterr()
+    for args in (["diff", gt_path, str(noisy)], ["eval", "--gt", MICRO_GT, "--dt", MICRO_DT],
+                 ["tide", "--gt", MICRO_GT, "--dt", MICRO_DT], ["eval", "--gt", str(noisy), "--dt", dt],
+                 ["tide", "--gt", str(noisy), "--dt", dt]):
+        rc, out, err, _ = _same_in_every_mode([*args, "--format", fmt], monkeypatch, capsys, caplog)
+        assert rc == 0 and out and err == "", args
+
+
+# the console script with cyclic GC off, its main wrapped to fail when a child outlives it
+_CHECKED_CONSOLE_SCRIPT = """
+import os, runpy, sys
+from unabench import cli
+
+unchecked = cli.main
+
+def main(argv=None):
+    code = unchecked(argv)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return code
+    print("a child process outlived the command", file=sys.stderr)
+    return 99
+
+cli.main = main
+sys.argv[0] = "unabench"
+runpy.run_module("unabench", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("bad_a", [False, True], ids=["valid", "first-file-invalid"])
+def test_console_script_diff_leaves_no_child(tmp_path, gt_path, capsys, bad_a):
+    noisy = tmp_path / "noisy.json"
+    assert main(["inject", "--ann", gt_path, "--out", str(noisy), "--type", "una", "--ratio", "0.3"]) == 0
+    a = tmp_path / "a.json"
+    a.write_text(_diff_doc([_ann(1), _ann(1)]) if bad_a else Path(gt_path).read_text())
+    capsys.readouterr()
+    args = ["diff", "--format", "json", str(a), str(noisy)]
+    rc = main(args)
+    printed = capsys.readouterr()
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _CHECKED_CONSOLE_SCRIPT, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, printed.out, printed.err)
+    assert rc == (1 if bad_a else 0)
 
 
 # --- config file and environment ----------------------------------------------
