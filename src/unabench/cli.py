@@ -9,10 +9,11 @@ moves its dataset and sidecar log into place only once both are written
 and synced.
 
 ``diff``, ``eval`` and ``tide`` read two files. On POSIX the second one (the
-comparison file, the results file) is decoded in a forked child while this
-process parses the first (:func:`_aside`). The child only decodes; checks,
-warnings and errors all come from this process, in the same order as when
-the files are read one after the other.
+comparison file, the results file) is read first, then decoded in a forked
+child while this process parses the first (:func:`_aside`). Each file is read
+once, so either may be a pipe. The child only decodes; checks, warnings and
+errors all come from this process, in the same order as when the files are
+read one after the other.
 """
 
 from __future__ import annotations
@@ -216,13 +217,6 @@ def _load_dataset(path: str) -> Dataset:
     return parse_dataset(Path(path).read_bytes())
 
 
-def _attempt(fn, *args):
-    try:
-        return fn(*args)
-    except Exception:
-        return None
-
-
 @contextmanager
 def _aside(fn, *args):
     """Run ``fn(*args)`` in a forked child while the caller goes on; yields a callable that
@@ -232,7 +226,8 @@ def _aside(fn, *args):
     The child sends the result pickled through a pipe and leaves by ``os._exit``: it flushes
     no inherited stdio and never returns into the caller. Leaving the block before the
     result is read kills and reaps the child. Where ``os.fork`` is missing or fails, the
-    callable runs ``fn`` in process. ``fn`` must only compute: no logging, printing or writes.
+    callable returns None at once, so the caller does all the work in process. ``fn`` must
+    only compute: no reading, logging, printing or writes.
 
     numpy's BLAS pool has threads running from import on, so this forks a multi-threaded
     process (Python 3.12+ warns of it). That is safe because the child makes no BLAS call:
@@ -247,7 +242,7 @@ def _aside(fn, *args):
             os.close(r)
             os.close(w)
     if pid is None:
-        yield partial(_attempt, fn, *args)
+        yield lambda: None
         return
     if pid == 0:
         code = 1
@@ -278,23 +273,36 @@ def _aside(fn, *args):
             os.waitpid(pid, 0)
 
 
-def _decode_file(path: str) -> Dataset:
-    return _decode_dataset(Path(path).read_bytes())
+def _read_early(path: str) -> bytes | OSError:
+    """The second file's bytes, read once before its decode goes aside: a pipe or
+    ``<(...)`` cannot be read again. An error is returned, not raised: the decode aside
+    fails on it, and :func:`_given` raises it in order, after the first file's errors."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as e:
+        return e
 
 
-def _pull_results_file(path: str) -> _Columns:
-    return _result_columns(_load_results(Path(path).read_bytes()))
+def _given(data: bytes | OSError) -> bytes:
+    if isinstance(data, OSError):
+        raise data
+    return data
+
+
+def _pull_results(data: bytes) -> _Columns:
+    return _result_columns(_load_results(data))
 
 
 def _load_scoring(opts: dict) -> tuple[Dataset, _Columns]:
     """Ground truth and the results file as columns: scoring builds no detection records.
     The results file is decoded aside while the ground truth is parsed; its rows are checked
     against the ground truth here, and anything short of a pass is redone in process."""
-    with _aside(_pull_results_file, opts["dt"]) as pulled:
+    data = _read_early(opts["dt"])
+    with _aside(_pull_results, data) as pulled:
         gt = _load_dataset(opts["gt"])
         dets = pulled()
     if dets is None or not _results_known(dets, gt):
-        dets = _detection_table(Path(opts["dt"]).read_bytes(), gt)
+        dets = _detection_table(_given(data), gt)
     return gt, dets
 
 
@@ -602,11 +610,12 @@ def _render_diff(diff: dict, fmt: str) -> str:
 
 def cmd_diff(opts: dict, path_a: str, path_b: str) -> int:
     # b is decoded aside and validated here, after a is parsed, so its warning and errors come second
-    with _aside(_decode_file, path_b) as decoded:
+    data_b = _read_early(path_b)
+    with _aside(_decode_dataset, data_b) as decoded:
         a = _load_dataset(path_a)
         b = decoded()
     if b is None:
-        b = _load_dataset(path_b)
+        b = parse_dataset(_given(data_b))
     else:
         validate_dataset(b)
     print(_render_diff(diff_datasets(a, b), opts["format"]))

@@ -573,13 +573,13 @@ def _no_process_to_spare():
 
 
 @pytest.mark.parametrize("fork", [None, _no_process_to_spare], ids=["missing", "failing"])
-def test_aside_without_fork_runs_in_process(monkeypatch, fork):
+def test_aside_without_fork_leaves_the_work_to_the_caller(monkeypatch, fork):
     if fork is None:
         monkeypatch.delattr(os, "fork")
     else:
         monkeypatch.setattr(os, "fork", fork)
     with _aside(os.getpid) as pid:
-        assert pid() == os.getpid()
+        assert pid() is None  # the caller does the work in process
     with _aside(_boom) as result:
         assert result() is None
 
@@ -588,14 +588,14 @@ def test_second_file_is_decoded_in_a_child(tmp_path, gt_path, monkeypatch, capsy
     pids = tmp_path / "pids"
 
     def recording(fn):
-        def run(path):
+        def run(data):
             with pids.open("a") as f:
                 f.write(f"{os.getpid()}\n")
-            return fn(path)
+            return fn(data)
         return run
 
-    monkeypatch.setattr(cli, "_decode_file", recording(cli._decode_file))
-    monkeypatch.setattr(cli, "_pull_results_file", recording(cli._pull_results_file))
+    monkeypatch.setattr(cli, "_decode_dataset", recording(cli._decode_dataset))
+    monkeypatch.setattr(cli, "_pull_results", recording(cli._pull_results))
     for args in (["diff", gt_path, gt_path], ["eval", "--gt", MICRO_GT, "--dt", MICRO_DT],
                  ["tide", "--gt", MICRO_GT, "--dt", MICRO_DT]):
         assert main(args) == 0
@@ -617,19 +617,21 @@ _MODES = {
 }
 
 
+def _outcome(args, setup, monkeypatch, capsys, caplog):
+    """``main(args)``'s exit code, stdout, stderr and ``unabench.model`` warnings."""
+    with monkeypatch.context() as mp:
+        setup(mp)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="unabench.model"):
+            rc = main(args)
+        printed = capsys.readouterr()
+    warnings = [r.getMessage() for r in caplog.records if r.name == "unabench.model"]
+    return rc, printed.out, printed.err, warnings
+
+
 def _same_in_every_mode(args, monkeypatch, capsys, caplog):
-    """``main(args)``'s exit code, stdout, stderr and ``unabench.model`` warnings, checked
-    to be the same in every mode of ``_MODES``."""
-    seen = {}
-    for mode, setup in _MODES.items():
-        with monkeypatch.context() as mp:
-            setup(mp)
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="unabench.model"):
-                rc = main(args)
-            printed = capsys.readouterr()
-        warnings = [r.getMessage() for r in caplog.records if r.name == "unabench.model"]
-        seen[mode] = (rc, printed.out, printed.err, warnings)
+    """``main(args)``'s outcome, checked to be the same in every mode of ``_MODES``."""
+    seen = {mode: _outcome(args, setup, monkeypatch, capsys, caplog) for mode, setup in _MODES.items()}
     assert seen["no fork"] == seen["fork"]
     assert seen["in process"] == seen["fork"]
     return seen["fork"]
@@ -691,6 +693,47 @@ def test_out_of_bounds_warnings_come_first_file_first(tmp_path, monkeypatch, cap
     rc, _, _, warnings = _same_in_every_mode(["eval", "--gt", str(path_a), "--dt", str(path_b)],
                                              monkeypatch, capsys, caplog)
     assert rc == 0 and warnings == [f"1 {_OUT_OF_BOUNDS} (ids 1); kept as-is"]
+
+
+def _child_fails(mp):
+    mp.setattr(cli, "_decode_dataset", _boom)
+    mp.setattr(cli, "_pull_results", _boom)
+
+
+def _piped(text: str) -> int:
+    """The read end of a pipe holding ``text`` and closed for writing."""
+    r, w = os.pipe()
+    os.write(w, text.encode())  # small enough for the pipe's buffer
+    os.close(w)
+    return r
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="opens a pipe by its /dev/fd path")
+@pytest.mark.parametrize("command, b", [
+    ("diff", _diff_doc([_ann(1, category_id=2)])),
+    ("diff", _diff_doc([_ann(1, category_id=9)])),
+    ("diff", '{"images": ['),
+    ("eval", _results()),
+    ("eval", _results(image_id=7)),
+    ("tide", _results(score=None)),
+], ids=["diff-valid", "diff-invalid", "diff-not-json", "eval-valid", "eval-unknown-image", "tide-null-score"])
+def test_second_file_may_be_a_pipe(tmp_path, monkeypatch, capsys, caplog, command, b):
+    """A second file that can be read only once gives what the same file on disk gives
+    in process, however its decode goes, also when the child decoding it fails."""
+    path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+    path_a.write_text(_GOOD_GT)
+    path_b.write_text(b)
+
+    def args(b_path):
+        return ["diff", str(path_a), b_path] if command == "diff" else [command, "--gt", str(path_a),
+                                                                        "--dt", b_path]
+    want = _outcome(args(str(path_b)), _MODES["in process"], monkeypatch, capsys, caplog)
+    for setup in (*_MODES.values(), _child_fails):
+        r = _piped(b)
+        try:
+            assert _outcome(args(f"/dev/fd/{r}"), setup, monkeypatch, capsys, caplog) == want
+        finally:
+            os.close(r)
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
