@@ -202,6 +202,48 @@ def match_fuzz_digest(n: int = 300, seed: int = 4242) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def coco_shaped_instance(n_images: int = 500, n_annotations: int = 3_600, seed: int = 0,
+                         per_image: int = 100) -> tuple[Dataset, list[Detection]]:
+    """A scoring problem shaped like COCO val: 80 categories, ~7 ground truths and
+    ``per_image`` detections per image.
+
+    Half of each image's detections are jittered copies of one of its ground
+    truths, 20% of them with another class; the other half are random boxes
+    (all of them on an image without ground truth). Scores are rounded to
+    thousandths, so equal-score ties are common.
+    """
+    ds = build_dataset(n_images=n_images, n_categories=80, n_annotations=n_annotations, seed=seed)
+    rng = np.random.default_rng([seed, 80])
+    by_image: dict[int, list[Annotation]] = {}
+    for a in ds.annotations:
+        by_image.setdefault(a.image_id, []).append(a)
+    rows = []
+    for image in ds.images:
+        anns = by_image.get(image.id, [])
+        n_copies = per_image // 2 if anns else 0
+        picks = [anns[k] for k in rng.integers(0, max(len(anns), 1), n_copies).tolist()]
+        shift, scale = rng.uniform(-0.15, 0.15, (n_copies, 2)), rng.uniform(0.7, 1.3, (n_copies, 2))
+        relabel = (rng.random(n_copies) < 0.2).tolist()
+        other = rng.integers(1, 80, n_copies).tolist()
+        for a, (dx, dy), (sw, sh), new, step in zip(picks, shift.tolist(), scale.tolist(), relabel, other):
+            b = a.bbox
+            box = BoundingBox(b.x + dx * b.w, b.y + dy * b.h, b.w * sw, b.h * sh)
+            cat = 1 + (a.category_id - 1 + step) % 80 if new else a.category_id
+            rows.append((image.id, cat, box))
+        n_random = per_image - n_copies
+        boxes = rng.uniform((0.0, 0.0, 8.0, 8.0), (600.0, 440.0, 200.0, 200.0), (n_random, 4))
+        cats = rng.integers(1, 81, n_random).tolist()
+        rows += [(image.id, c, BoundingBox(*b)) for c, b in zip(cats, boxes.tolist())]
+    scores = np.round(rng.random(len(rows)), 3).tolist()
+    return ds, [Detection(i, c, b, s) for (i, c, b), s in zip(rows, scores)]
+
+
+def coco_match_digest() -> str:
+    """SHA-256 of :func:`match_summary` on :func:`coco_shaped_instance`."""
+    blob = json.dumps(match_summary(*coco_shaped_instance()))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def edge_noise_dataset() -> Dataset:
     """Fixed dataset of one- and two-pixel boxes against image edges.
 

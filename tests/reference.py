@@ -28,10 +28,12 @@ def iou_ref(a, b) -> float:
     return inter / union
 
 
-def _match_count(order, gt_boxes, threshold) -> int:
-    """Greedy-match the given detection boxes in order; count matches."""
+def greedy_ref(order, gt_boxes, threshold) -> list:
+    """Greedy-match the given detection boxes in order: each takes the free ground
+    truth of highest IoU >= ``threshold``, the first one on ties. Returns each
+    detection's matched ``gt_boxes`` index, or None."""
     taken = [False] * len(gt_boxes)
-    hits = 0
+    matched = []
     for box in order:
         best, best_iou = None, threshold
         for j, g in enumerate(gt_boxes):
@@ -42,8 +44,23 @@ def _match_count(order, gt_boxes, threshold) -> int:
                 best, best_iou = j, v
         if best is not None:
             taken[best] = True
-            hits += 1
-    return hits
+        matched.append(best)
+    return matched
+
+
+def _match_count(order, gt_boxes, threshold) -> int:
+    """Greedy-match the given detection boxes in order; count matches."""
+    return sum(m is not None for m in greedy_ref(order, gt_boxes, threshold))
+
+
+def ap_from_points(points) -> float:
+    """Mean over the 101 recall grid of the best precision among the explicit
+    (precision, recall) ``points`` at or beyond each recall; 0 where none is."""
+    ap = 0.0
+    for r in RECALL_GRID:
+        feasible = [p for p, q in points if q >= r]
+        ap += max(feasible) if feasible else 0.0
+    return ap / len(RECALL_GRID)
 
 
 def evaluate_ref(gt, dets, max_dets: int = 100) -> dict:
@@ -93,11 +110,7 @@ def evaluate_ref(gt, dets, max_dets: int = 100) -> dict:
                     ]
                     tp += _match_count(boxes, cat_gts.get(img, []), t)
                 points.append((tp / k, tp / n_gt))
-            ap = 0.0
-            for r in RECALL_GRID:
-                feasible = [p for p, q in points if q >= r]
-                ap += max(feasible) if feasible else 0.0
-            aps.append(ap / len(RECALL_GRID))
+            aps.append(ap_from_points(points))
         per_category[cat] = {
             "ap": sum(aps) / len(aps),
             "ap50": aps[0],

@@ -4,6 +4,8 @@
 ``data/make_golden.py``, and the SHA-256 of the same outputs over 300
 seeded tied-score/crowd instances; any drift in matching, tie order, the
 per-image cap or the oracles shows up here as an exact mismatch.
+``COCO_SHAPED_DIGEST`` pins the same outputs on one COCO-val-shaped input
+(500 images, 80 categories, 100 detections per image).
 """
 
 import json
@@ -13,10 +15,11 @@ import pytest
 
 from unabench import parse_dataset, parse_detections
 
-from conftest import capped_tie_instance, match_fuzz_digest, match_summary
+from conftest import capped_tie_instance, coco_match_digest, match_fuzz_digest, match_summary
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = json.loads((DATA / "match_golden.json").read_text())
+COCO_SHAPED_DIGEST = "175c69bcc823e9a61fc30dfbe3b506aea326dd52d39c4ce7db3f41354babb470"
 
 
 def _micro():
@@ -34,3 +37,7 @@ def test_outputs_match_golden_exactly(name, build):
 
 def test_tied_crowd_fuzz_matches_golden_digest():
     assert match_fuzz_digest() == GOLDEN["tied_crowd_fuzz"]
+
+
+def test_coco_shaped_matches_pinned_digest():
+    assert coco_match_digest() == COCO_SHAPED_DIGEST
