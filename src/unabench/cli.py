@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import math
 import os
 import pickle
-import secrets
 import signal
 import sys
 from collections import Counter
@@ -320,7 +320,7 @@ def _write_all(files: list[tuple[Path, bytes]]) -> None:
     try:
         for path, data in files:
             # not mkstemp: its 0600 mode would end up on the outputs
-            tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+            tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
             with tmp.open("xb") as f:
                 temps.append(tmp)
                 f.write(data)
@@ -421,6 +421,16 @@ def cmd_inject(opts: dict) -> int:
     return EXIT_OK
 
 
+def _csv(rows: list[tuple[str, ...]]) -> str:
+    """``rows`` as CSV, one line each with no line end after the last, quoted as the csv
+    module quotes by default: a field holding a comma, a quote or a line break."""
+    import csv  # only CSV output pays for the import
+
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()[:-1]
+
+
 def _render_eval(summary: EvalSummary, gt: Dataset, fmt: str) -> str:
     names = {c.id: c.name for c in gt.categories}
     rows = [("overall", summary.ap, summary.ap50, summary.ap75)]
@@ -442,10 +452,8 @@ def _render_eval(summary: EvalSummary, gt: Dataset, fmt: str) -> str:
         }
         return json.dumps(doc, indent=2, allow_nan=False)
     if fmt == "csv":
-        lines = ["category,ap,ap50,ap75"]
-        lines += [f"{name},{v1 * 100:.1f},{v2 * 100:.1f},{v3 * 100:.1f}"
-                  for name, v1, v2, v3 in rows]
-        return "\n".join(lines)
+        return _csv([("category", "ap", "ap50", "ap75")]
+                    + [(name, f"{v1 * 100:.1f}", f"{v2 * 100:.1f}", f"{v3 * 100:.1f}") for name, v1, v2, v3 in rows])
     width = max(8, max(len(r[0]) for r in rows))
     lines = [f"{'category':<{width}}  {'AP':>6}  {'AP50':>6}  {'AP75':>6}"]
     lines += [
@@ -532,15 +540,11 @@ def _render_stats(stats: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(stats, indent=2, allow_nan=False)
     if fmt == "csv":
-        lines = ["section,name,value"]
-        for key in ("images", "annotations", "crowd", "categories"):
-            lines.append(f"summary,{key},{stats[key]}")
-        for row in stats["per_category"]:
-            lines.append(f"category,{row['name']},{row['count']}")
-        if stats["box_area_quantiles"]:
-            for key, v in stats["box_area_quantiles"].items():
-                lines.append(f"box_area_quantile,{key},{v}")
-        return "\n".join(lines)
+        rows = [("section", "name", "value")]
+        rows += [("summary", key, f"{stats[key]}") for key in ("images", "annotations", "crowd", "categories")]
+        rows += [("category", row["name"], f"{row['count']}") for row in stats["per_category"]]
+        rows += [("box_area_quantile", key, f"{v}") for key, v in (stats["box_area_quantiles"] or {}).items()]
+        return _csv(rows)
     lines = [
         f"images:       {stats['images']}",
         f"annotations:  {stats['annotations']} ({stats['crowd']} crowd)",

@@ -8,17 +8,22 @@ IoU grid and over all categories that have at least one ground truth.
 Each entry point gets its arrays (image, category, (n, 4) boxes, score) once,
 the ground truth's from its dataset's annotation table and the detections'
 from :func:`model._columns` (a results table passes as is), and passes only
-arrays down.
+arrays down. :func:`_edge_iou` is the one IoU formula, over boxes as right
+edge, bottom edge and area rows (:func:`_edges`) computed once per call.
 :func:`_ranked` holds the one rank policy: detection indices ordered by
-(-score, input index), optionally capped per image. :func:`_match`, the one
-matching engine, takes detection rows already in that order and groups
-them and the ground truth into image x category cells; :func:`_greedy` then
-steps rank k over every cell at once and settles all IoU thresholds in the
-same step. Because the cap keeps each image's best-ranked detections and a
-cell ranks the same way, capped matching is a per-cell prefix of uncapped
-matching, so ``tide.tide_report`` reads its capped AP50 baseline off one
-uncapped match. :func:`_category_ap` pools AP for ``evaluate`` and for every
-TIDE baseline and oracle.
+(-score, input index) from one sort, optionally capped per image.
+:func:`_match`, the one matching engine, takes detection rows already in
+that order and groups them and the ground truth into image x category cells
+with one grouping sort; :func:`_greedy` then steps rank k over every cell at
+once and keeps only the candidate pairs, those at or above the lowest IoU
+threshold, since no other pair can match. It settles the candidates a
+conflict level at a time (detections of one level share no candidate gt),
+every threshold at once. Because the cap keeps each image's best-ranked
+detections and a cell ranks the same way, capped matching is a per-cell
+prefix of uncapped matching, so ``tide.tide_report`` reads its capped AP50
+baseline off one uncapped match. :func:`_category_ap` pools AP for
+``evaluate`` (one variant per IoU threshold) and for every TIDE baseline
+and oracle (one variant each), scoring only each category's TPs.
 
 All ties (equal scores, equal IoUs) break by input order, so a given pair
 of input files always gives the same matches and the same AP.
@@ -26,7 +31,6 @@ of input files always gives the same matches and the same AP.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,6 +41,8 @@ from .model import Annotation, BoundingBox, Dataset, Detection, _boxes, _Columns
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 RECALL_GRID: tuple[float, ...] = tuple(round(0.01 * i, 2) for i in range(101))
 MAX_DETECTIONS_PER_IMAGE = 100
+
+_RECALL = np.array(RECALL_GRID)
 
 _AP50_INDEX = IOU_THRESHOLDS.index(0.5)
 _AP75_INDEX = IOU_THRESHOLDS.index(0.75)
@@ -54,41 +60,83 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def _grouped(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows grouped by key: the ascending distinct keys, each row's group, the rows
+    group after group (each group in row order) and the group sizes.
+
+    The grouping sort is stable on the group number, which numpy does as a radix
+    sort while the number fits in 16 bits.
+    """
+    distinct, group = np.unique(keys, return_inverse=True)
+    order = np.argsort(group.astype(np.min_scalar_type(len(distinct))), kind="stable")
+    return distinct, group, order, np.bincount(group, minlength=len(distinct))
+
+
 def _ranked(d: _Columns, limit: int | None) -> np.ndarray:
     """Detection indices in rank order, (-score, input index), keeping only the
     first ``limit`` of each image (all of them when ``limit`` is None)."""
-    order = np.argsort(-d.scores, kind="stable")
-    if limit is None:
+    # the score's place among the distinct scores, then the row: one key with no ties
+    _, place = np.unique(-d.scores, return_inverse=True)
+    order = np.argsort(place * len(place) + np.arange(len(place)))
+    return order if limit is None else _capped(d.images, order, limit)
+
+
+def _capped(images: np.ndarray, order: np.ndarray, limit: int) -> np.ndarray:
+    """The rows of rank-ordered ``order`` that are among the first ``limit`` of their image."""
+    _, _, by_image, count = _grouped(images[order])
+    if count.max(initial=0) <= limit:
         return order
-    img = d.images[order]
-    by_image = np.argsort(img, kind="stable")  # rank order within each image
-    first = np.searchsorted(img[by_image], img[by_image], side="left")
     keep = np.zeros(len(order), dtype=bool)
-    keep[by_image[np.arange(len(order)) - first < limit]] = True
+    keep[by_image[np.arange(len(order)) - np.repeat(np.cumsum(count) - count, count) < limit]] = True
     return order[keep]
+
+
+def _edges(boxes: np.ndarray) -> np.ndarray:
+    """(x, y, w, h) boxes on the last axis as five rows: x, y, right, bottom, area."""
+    x, y, w, h = np.moveaxis(boxes, -1, 0)
+    return np.stack((x, y, x + w, y + h, w * h))
+
+
+def _edge_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of boxes given as :func:`_edges` rows, broadcast; the one IoU formula."""
+    inter = np.minimum(a[2], b[2])
+    inter -= np.maximum(a[0], b[0])
+    iy = np.minimum(a[3], b[3])
+    iy -= np.maximum(a[1], b[1])
+    inter = np.clip(inter, 0.0, None, out=inter)
+    inter *= np.clip(iy, 0.0, None, out=iy)
+    union = a[4] + b[4]
+    union -= inter
+    return np.divide(inter, union, out=union)
 
 
 def _pair_iou(d: np.ndarray, g: np.ndarray) -> np.ndarray:
     """IoU of (x, y, w, h) boxes on the last axis of ``d`` and ``g``, broadcast."""
-    ix = np.minimum(d[..., 0] + d[..., 2], g[..., 0] + g[..., 2]) - np.maximum(d[..., 0], g[..., 0])
-    iy = np.minimum(d[..., 1] + d[..., 3], g[..., 1] + g[..., 3]) - np.maximum(d[..., 1], g[..., 1])
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    return inter / (d[..., 2] * d[..., 3] + g[..., 2] * g[..., 3] - inter)
+    return _edge_iou(_edges(d), _edges(g))
 
 
-def _greedy(d_box: np.ndarray, g_box: np.ndarray, d_order: np.ndarray, g_order: np.ndarray,
+def _greedy(d_edges: np.ndarray, g_edges: np.ndarray, d_order: np.ndarray, g_order: np.ndarray,
             d_count: np.ndarray, g_count: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
     """Greedy matching of every cell at every threshold; the only matching loop.
 
-    ``d_order`` lists the rows of ``d_box`` cell after cell, each cell in
-    rank order; ``g_order`` lists the rows of ``g_box`` cell after cell, in
-    input order; ``d_count``/``g_count`` give the cell sizes. Step k takes
-    the rank-k detection of every cell at once and computes its IoU with its
-    cell's ground truth; at each threshold it then takes the highest-IoU gt
-    still free if that IoU is >= the threshold (first gt on ties). Returns
-    (len(thresholds), len(d_box)) matched ``g_box`` rows, -1 for none.
+    ``d_edges``/``g_edges`` hold the boxes as :func:`_edges` rows. ``d_order``
+    lists the detections cell after cell, each cell in rank order;
+    ``g_order`` lists the ground truths cell after cell, in input order;
+    ``d_count``/``g_count`` give the cell sizes. At each threshold a
+    detection, in rank order within its cell, takes the highest-IoU gt still
+    free if that IoU is >= the threshold (first gt on ties).
+
+    Step k takes the rank-k detection of every cell at once and computes its
+    IoU with its cell's ground truth. Only the pairs at or above the lowest
+    threshold (and NaN ones, which spoil their detection as they would among
+    all pairs) can match; they are the candidates. A detection's outcome
+    depends only on the earlier detections of its cell that share a
+    candidate gt, so each gets a level one above theirs: detections of one
+    level share no gt, and the candidates are settled a level at a time,
+    every threshold at once. Returns (len(thresholds), number of detections)
+    matched ``g_edges`` columns, -1 for none.
     """
-    out = np.full((len(thresholds), len(d_box)), -1, dtype=np.int32)
+    out = np.full((len(thresholds), d_edges.shape[1]), -1, dtype=np.int32)
     d_start = np.cumsum(d_count) - d_count
     g_start = np.cumsum(g_count) - g_count
     # cells that can match, longest first: at step k the live cells are a prefix
@@ -100,23 +148,53 @@ def _greedy(d_box: np.ndarray, g_box: np.ndarray, d_order: np.ndarray, g_order: 
     # one pair per (live cell, gt), cell by cell; step k uses a prefix of them
     pair_start = np.concatenate(([0], np.cumsum(g_count)))
     pair_cell = np.repeat(np.arange(live.size), g_count)
-    pos = np.arange(pair_start[-1])
-    pair_gt = g_order[g_start[pair_cell] + pos - pair_start[pair_cell]]
-    taken = np.zeros((len(thresholds), len(g_box)), dtype=bool)
+    pair_gt = g_order[g_start[pair_cell] + np.arange(pair_start[-1]) - pair_start[pair_cell]]
+    pair_edges = g_edges.take(pair_gt, axis=1)
+    floor = min(thresholds)
+    depth = np.full(g_edges.shape[1], -1)  # each gt's last candidate detection's level
+    longest_first = -d_count
+    steps = []
     for k in range(int(d_count[0])):
-        n_cells = int(np.searchsorted(-d_count, -k, side="left"))
+        n_cells = int(np.searchsorted(longest_first, -k, side="left"))
         n_pairs = int(pair_start[n_cells])
-        cell, gt, starts = pair_cell[:n_pairs], pair_gt[:n_pairs], pair_start[:n_cells]
         det = d_order[d_start[:n_cells] + k]
-        ious = _pair_iou(d_box[det[cell]], g_box[gt])
-        for t, threshold in enumerate(thresholds):
-            v = np.where(taken[t, gt], -1.0, ious)
-            best = np.maximum.reduceat(v, starts)
-            first = np.minimum.reduceat(np.where(v == best[cell], pos[:n_pairs], n_pairs), starts)
-            hit = np.flatnonzero(best >= threshold)
-            g = gt[first[hit]]
-            out[t, det[hit]] = g
-            taken[t, g] = True
+        ious = _edge_iou(np.repeat(d_edges.take(det, axis=1), g_count[:n_cells], axis=1), pair_edges[:, :n_pairs])
+        near = np.flatnonzero(~(ious < floor))
+        if near.size == 0:
+            continue
+        cell, gt = pair_cell[near], pair_gt[near]
+        head = np.flatnonzero(np.diff(cell, prepend=-1))  # each cell's first candidate
+        run = np.diff(head, append=near.size)
+        depth[gt] = level = np.repeat(np.maximum.reduceat(depth[gt], head) + 1, run)
+        steps.append((det[cell], gt, ious[near], level))
+    if not steps:
+        return out
+    det, gt, iou, level = map(np.concatenate, zip(*steps))
+    head = np.flatnonzero(np.diff(det, prepend=-1))  # each detection's first candidate
+    size = np.diff(head, append=len(det))
+    # each level's detections with several candidates, then those with one
+    block = 2 * level + np.repeat(size == 1, size)
+    by_block = np.argsort(block.astype(np.min_scalar_type(block.max())), kind="stable")
+    det, gt, iou = det[by_block], gt[by_block], iou[by_block]
+    bounds = np.cumsum(np.bincount(block)).tolist()
+    bars = np.array(thresholds)[:, None]
+    taken = np.zeros((len(thresholds), g_edges.shape[1]), dtype=bool)
+    for single, a, b in zip(range(len(bounds)), [0] + bounds, bounds):
+        d, g, v = det[a:b], gt[a:b], iou[a:b]
+        if single % 2:  # one candidate: taken where it is free and at or above the threshold
+            t, c = np.nonzero(~taken[:, g] & (v >= bars))
+        elif a < b:  # the highest IoU still free, the first on ties
+            head = np.flatnonzero(np.diff(d, prepend=-1))
+            v = np.where(taken[:, g], -1.0, v)
+            best = np.maximum.reduceat(v, head, axis=1)
+            run = np.repeat(np.arange(head.size), np.diff(head, append=b - a))
+            first = np.minimum.reduceat(np.where(v == best[:, run], np.arange(b - a), b - a), head, axis=1)
+            t, c = np.nonzero(best >= bars)
+            c = first[t, c]
+        else:
+            continue
+        out[t, d[c]] = g[c]
+        taken[t, g[c]] = True
     return out
 
 
@@ -128,15 +206,15 @@ def _match(g: _Columns, d: _Columns, rows: np.ndarray, thresholds: Sequence[floa
     (len(d), len(thresholds)) array of matched ``g`` rows, indexed by
     detection; -1 where a detection is unmatched or not in ``rows``.
     """
+    n = len(rows)
     _, img = np.unique(np.concatenate((d.images[rows], g.images)), return_inverse=True)
     cat_ids, cat = np.unique(np.concatenate((d.categories[rows], g.categories)), return_inverse=True)
-    cells, cell = np.unique(img * len(cat_ids) + cat, return_inverse=True)
-    d_cell, g_cell = cell[:len(rows)], cell[len(rows):]
-    return _greedy(d.boxes, g.boxes, rows[np.argsort(d_cell, kind="stable")], np.argsort(g_cell, kind="stable"),
-                   np.bincount(d_cell, minlength=len(cells)), np.bincount(g_cell, minlength=len(cells)),
-                   thresholds).T
-
-
+    # one grouping of detections and ground truth: each cell's detections (rank order), then its gts
+    _, cell, by_cell, count = _grouped(img * len(cat_ids) + cat)
+    d_count = np.bincount(cell[:n], minlength=len(count))
+    is_det = by_cell < n
+    return _greedy(_edges(d.boxes), _edges(g.boxes), rows[by_cell[is_det]], by_cell[~is_det] - n,
+                   d_count, count - d_count, thresholds).T
 @dataclass(frozen=True)
 class MatchResult:
     """Greedy matching outcome for one image/category cell at one threshold.
@@ -162,7 +240,7 @@ def match_greedy(dets: Sequence[Detection], gts: Sequence[Annotation], threshold
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    rows = _greedy(_boxes(dets), _boxes(gts), np.arange(len(dets)), np.arange(len(gts)),
+    rows = _greedy(_edges(_boxes(dets)), _edges(_boxes(gts)), np.arange(len(dets)), np.arange(len(gts)),
                    np.array([len(dets)]), np.array([len(gts)]), (threshold,))[0].tolist()
     gt_matched: list[int | None] = [None] * len(gts)
     for d, g in enumerate(rows):
@@ -177,25 +255,6 @@ def match_greedy(dets: Sequence[Detection], gts: Sequence[Annotation], threshold
     )
 
 
-def _interpolated_ap(tp_sorted: np.ndarray, n_gt: int) -> float:
-    """AP from score-ordered TP flags: 101-point interpolated precision mean.
-
-    Precision at recall r is the maximum precision over all operating points
-    whose recall is >= r; points past the last detection contribute zero.
-    """
-    if n_gt == 0 or tp_sorted.size == 0:
-        return 0.0
-    tp = np.cumsum(tp_sorted.astype(np.float64))
-    ranks = np.arange(1, tp_sorted.size + 1, dtype=np.float64)
-    precision = tp / ranks
-    recall = tp / n_gt
-    # running max from the right = best precision at this recall or beyond
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    idx = np.searchsorted(recall, RECALL_GRID, side="left")
-    valid = idx < recall.size
-    return float(envelope[idx[valid]].sum() / len(RECALL_GRID))
-
-
 def average_precision(matches: Iterable[MatchResult], n_gt: int) -> float:
     """Pool per-image match results for one category into a single AP.
 
@@ -207,7 +266,8 @@ def average_precision(matches: Iterable[MatchResult], n_gt: int) -> float:
     dets = [det for m in matches for det in m.detections]
     flags = np.array([gt_id is not None for m in matches for gt_id in m.matched_gt], dtype=bool)
     tp_sorted = flags[_ranked(_columns(dets), None)]
-    return _interpolated_ap(tp_sorted, n_gt)
+    return float(_category_ap(np.zeros(len(tp_sorted), dtype=np.int64), tp_sorted[None], np.zeros(1, dtype=np.int64),
+                              np.array([[n_gt]]))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -235,20 +295,67 @@ class EvalSummary:
     n_ground_truths: int
 
 
-def _category_ap(cat: np.ndarray, tp: np.ndarray, n_gt: dict[int, int]) -> tuple[list[int], np.ndarray]:
-    """Per-category AP of rows given in global rank order.
+def _first_reaching(n: np.ndarray) -> np.ndarray:
+    """For each count ``n`` of ground truth and each recall r of the grid, the
+    least TP count k with k / n >= r, as the float division computes it.
 
-    ``cat`` holds each row's category and ``tp`` its TP flags, one column per
-    IoU threshold. Returns the categories with ``n_gt`` > 0, ascending, and
-    their APs, shape (len(categories), tp.shape[1]).
+    ceil(r * n) is off by at most one from it while n < 2**52, so one step each
+    way settles it."""
+    n = n[:, None].astype(np.float64)
+    k = np.ceil(_RECALL * n)
+    k -= (k - 1) / n >= _RECALL
+    k += k / n < _RECALL
+    return k.astype(np.int64)
+
+
+def _category_ap(cat: np.ndarray, tp: np.ndarray, cats: np.ndarray, n_gt: np.ndarray,
+                 keep: np.ndarray | None = None) -> np.ndarray:
+    """101-point interpolated AP per category of rows given in global rank order,
+    for several variants at once.
+
+    ``cat`` holds each row's category, ``tp`` (V, n) each variant's TP flags
+    and ``keep`` (V, n) the rows it keeps (all when None); a dropped row adds
+    no operating point. ``cats`` lists categories ascending and ``n_gt`` (V,
+    len(cats)) their ground-truth counts per variant. Precision at recall r
+    is the maximum precision over all operating points whose recall is >= r;
+    points past the last detection contribute zero. Recall only rises at a
+    TP and a false positive only lowers precision, so that maximum is taken
+    at a TP at or after the first one reaching r (the first TP for r = 0):
+    only the TPs are scored, after one grouping of the rows by category.
+    Returns the (V, len(cats)) APs, 0.0 where a count is 0.
     """
-    cats = sorted(c for c, n in n_gt.items() if n > 0)
-    order = np.argsort(cat, kind="stable")
-    lo, hi = np.searchsorted(cat[order], cats, "left"), np.searchsorted(cat[order], cats, "right")
-    return cats, np.array([
-        [_interpolated_ap(tp[order[a:b], t], n_gt[c]) for t in range(tp.shape[1])]
-        for c, a, b in zip(cats, lo, hi)
-    ]).reshape(len(cats), tp.shape[1])
+    aps = np.zeros(n_gt.shape)
+    distinct, _, by_cat, count = _grouped(cat)
+    start = np.cumsum(count) - count  # each category's first row
+    hits = tp.take(by_cat, axis=1)
+    if keep is not None:
+        kept = keep.take(by_cat, axis=1)
+        hits &= kept
+        kept = np.cumsum(kept, axis=1)
+    # every TP, variant after variant, category after category, in rank order
+    variant, pos = np.divmod(np.flatnonzero(hits), hits.shape[1])
+    block = np.repeat(np.arange(len(distinct)), count)[pos]
+    head = np.flatnonzero(np.diff(variant * len(distinct) + block, prepend=-1))  # each run's first TP
+    n_tp = np.diff(head, append=len(pos))
+    tps = np.arange(1, len(pos) + 1) - np.repeat(head, n_tp)  # TPs so far in the run, this one included
+    if keep is None:
+        ranks = pos - start[block] + 1
+    else:  # rows kept so far in the category; a TP row is kept
+        ranks = kept[variant, pos] - np.pad(kept, ((0, 0), (1, 0)))[variant, start[block]]
+    column = np.minimum(np.searchsorted(cats, distinct), len(cats) - 1)[block[head]]
+    n = np.where(cats[column] == distinct[block[head]], n_gt[variant[head], column], 0)
+    # the TPs reaching each recall of the grid, at or after the first one reaching it
+    reach = _first_reaching(np.maximum(n, 1))
+    valid = reach <= n_tp[:, None]
+    # their best precisions: block maxima between those TPs (a run that scores no
+    # category still ends the run before it), then a running max from the right
+    envelope = np.zeros(valid.shape)
+    envelope[valid] = np.maximum.reduceat(tps / ranks, (head[:, None] + np.maximum(reach, 1) - 1)[valid])
+    envelope = np.maximum.accumulate(envelope[:, ::-1], axis=1)[:, ::-1].copy()
+    for r, v, c, size in zip(np.flatnonzero(n).tolist(), variant[head][n > 0].tolist(), column[n > 0].tolist(),
+                             valid.sum(axis=1)[n > 0].tolist()):
+        aps[v, c] = envelope[r, :size].sum() / len(RECALL_GRID)
+    return aps
 
 
 def evaluate(gt: Dataset, dets: Sequence[Detection], *, max_dets: int = MAX_DETECTIONS_PER_IMAGE) -> EvalSummary:
@@ -261,16 +368,17 @@ def evaluate(gt: Dataset, dets: Sequence[Detection], *, max_dets: int = MAX_DETE
     """
     (_, g), d = gt._table.non_crowd(), _columns(dets)
     rows = _ranked(d, max_dets)
-    tp = _match(g, d, rows, IOU_THRESHOLDS)[rows] >= 0
-    cats, grid = _category_ap(d.categories[rows], tp, Counter(g.categories.tolist()))
+    tp = _match(g, d, rows, IOU_THRESHOLDS).T[:, rows] >= 0
+    cats, n_gt = np.unique(g.categories, return_counts=True)
+    grid = np.ascontiguousarray(_category_ap(d.categories[rows], tp, cats, np.tile(n_gt, (len(tp), 1))).T)
     per_category = {
         c: ApTriple(ap=float(aps.mean()), ap50=float(aps[_AP50_INDEX]), ap75=float(aps[_AP75_INDEX]))
-        for c, aps in zip(cats, grid)
+        for c, aps in zip(cats.tolist(), grid)
     }
     return EvalSummary(
-        ap=float(grid.mean()) if cats else 0.0,
-        ap50=float(grid[:, _AP50_INDEX].mean()) if cats else 0.0,
-        ap75=float(grid[:, _AP75_INDEX].mean()) if cats else 0.0,
+        ap=float(grid.mean()) if len(cats) else 0.0,
+        ap50=float(grid[:, _AP50_INDEX].mean()) if len(cats) else 0.0,
+        ap75=float(grid[:, _AP75_INDEX].mean()) if len(cats) else 0.0,
         per_category=per_category,
         n_detections=len(rows),
         n_ground_truths=len(g.images),

@@ -249,6 +249,10 @@ def _check_refs_and_box(path: str, rec, image_ids, category_ids, errors: list[st
     if b.w <= 0 or b.h <= 0:
         errors.append(f"{path}: non-positive box width/height (w={b.w}, h={b.h})")
         return False
+    if not (math.isfinite(b.x + b.w) and math.isfinite(b.y + b.h) and 0 < b.w * b.h < math.inf):
+        errors.append(f"{path}: bbox {b.as_list()} out of float range: its right edge, bottom edge "
+                      "and area must be finite and its area positive")
+        return False
     return True
 
 
@@ -601,8 +605,13 @@ def _box_column(values: list) -> np.ndarray:
 
 
 def _refs_and_sizes_ok(t: _Columns | _AnnotationTable, image_ids: np.ndarray, category_ids: np.ndarray) -> bool:
-    """Every row names a known image and category and its box has w > 0 and h > 0."""
-    return bool((t.boxes[:, 2:] > 0).all() and np.isin(t.images, image_ids).all()
+    """Every row names a known image and category and its box has w > 0 and h > 0, and
+    finite right and bottom edges and a positive finite area (IoU needs all three)."""
+    b = t.boxes
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        area = b[:, 2] * b[:, 3]
+        in_range = np.isfinite(b[:, :2] + b[:, 2:]).all() and ((area > 0) & (area < np.inf)).all()
+    return bool((b[:, 2:] > 0).all() and in_range and np.isin(t.images, image_ids).all()
                 and np.isin(t.categories, category_ids).all())
 
 

@@ -5,20 +5,24 @@ missed ground truths form the sixth component. For each component an
 oracle "perfectly fixes" just that mistake class and AP50 is re-measured;
 the gap to the baseline is that component's cost. :func:`tide_report`
 does all of it from one match, with the oracles as edits of rank-ordered
-arrays (the ground truth's annotation table, the detections' columns) scored
-by the AP helper ``evaluate`` uses.
+arrays (the ground truth's annotation table, the detections' columns),
+ranked by one sort. Labeling (:func:`_classify`) runs its rules only over
+the (unmatched detection, ground truth) pairs at IoU >= ``tb``; the others
+cannot change a label. The baseline and the five oracles that keep each
+row's category are scored by ``metrics._category_ap`` in one pass, each a
+variant with its own TP flags, kept rows and gt counts; Cls, which moves
+rows to another category, in a second.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .metrics import MAX_DETECTIONS_PER_IMAGE, _category_ap, _match, _pair_iou, _ranked
+from .metrics import MAX_DETECTIONS_PER_IMAGE, _capped, _category_ap, _edge_iou, _edges, _grouped, _match, _ranked
 from .model import Dataset, Detection, _Columns, _columns
 
 DEFAULT_TF = 0.5
@@ -119,13 +123,15 @@ def _classify(
 
     ``match`` holds each detection's matched ``g`` row, -1 for none. Every
     unmatched detection is paired with each ground truth of its image, the
-    pairs of one detection side by side in ``g`` row order; its best IoUs are
-    maxima over its run of pairs, every rule is a mask of them and its target
-    is the first pair reaching the maximum. The pairs are made a chunk of
+    pairs of one detection side by side in ``g`` row order, a chunk of
     detections at a time, at most ``_PAIR_CHUNK`` pairs (or one detection's)
-    each. Returns, per detection, its label as an ``ERROR_ORDER`` index (-1
-    when matched) and the ``g`` row of its Cls/Loc target (-1 when it has
-    none), and per ground truth whether it is Miss.
+    each. Every rule compares a best IoU with ``tb`` or ``tf`` (>= ``tb``), so
+    only the pairs at IoU >= ``tb`` (and NaN ones, which spoil a best IoU) go
+    on; a detection with none is Bkg. Its best IoUs are maxima over its run of
+    those pairs, every rule is a mask of them and its target is the first pair
+    reaching the maximum. Returns, per detection, its label as an
+    ``ERROR_ORDER`` index (-1 when matched) and the ``g`` row of its Cls/Loc
+    target (-1 when it has none), and per ground truth whether it is Miss.
     """
     rule = np.full(len(d.images), -1, dtype=np.int64)
     target = np.full(len(d.images), -1, dtype=np.int64)
@@ -133,26 +139,38 @@ def _classify(
     taken[match[match >= 0]] = True
     miss = ~taken
     free = np.flatnonzero(match < 0)
-    g_order = np.argsort(g.images, kind="stable")  # a stable sort keeps row order within an image
-    g_images = g.images[g_order]
-    lo, hi = (np.searchsorted(g_images, d.images[free], side) for side in ("left", "right"))
-    count = hi - lo
-    rule[free[count == 0]] = ERROR_ORDER.index(ErrorKind.BKG)
+    rule[free] = ERROR_ORDER.index(ErrorKind.BKG)
+    # the ground truth and the free detections image after image, each in row order
+    n_g = len(g.images)
+    _, image, by_image, _ = _grouped(np.concatenate((g.images, d.images[free])))
+    g_order, by_image = by_image[by_image < n_g], by_image[by_image >= n_g]
+    g_count = np.bincount(image[:n_g], minlength=image.max(initial=-1) + 1)
+    free, image = free[by_image - n_g], image[by_image]
+    lo, count = (np.cumsum(g_count) - g_count)[image], g_count[image]
     free, lo, count = free[count > 0], lo[count > 0], count[count > 0]
     ends = np.cumsum(count)
+    d_edges, d_cat = _edges(d.boxes[free]), d.categories[free]
+    g_edges, g_cat, g_taken = _edges(g.boxes)[:, g_order], g.categories[g_order], taken[g_order]
 
     start = 0
     while start < len(free):
         stop = max(start + 1, int(np.searchsorted(ends, ends[start] - count[start] + _PAIR_CHUNK, "right")))
-        di, c = free[start:stop], count[start:stop]
+        c = count[start:stop]
         seg = np.cumsum(c) - c  # each detection's first pair
         pos = np.arange(seg[-1] + c[-1])
-        pd = np.repeat(di, c)
-        pg = g_order[np.repeat(lo[start:stop] - seg, c) + pos]
-        ious = _pair_iou(d.boxes[pd], g.boxes[pg])
-        same = d.categories[pd] == g.categories[pg]
-        best_same, best_diff, best_dupe = (np.maximum.reduceat(np.where(mask, ious, 0.0), seg)
-                                           for mask in (same, ~same, same & taken[pg]))
+        pg = np.repeat(lo[start:stop] - seg, c) + pos  # columns of the image-ordered ground truth
+        ious = _edge_iou(np.repeat(d_edges[:, start:stop], c, axis=1), g_edges.take(pg, axis=1))
+        near = np.flatnonzero(~(ious < tb))
+        start, offset = stop, start
+        if near.size == 0:
+            continue
+        pd = np.searchsorted(seg, near, "right") - 1  # each near pair's detection, in the chunk
+        head = np.flatnonzero(np.diff(pd, prepend=-1))  # each detection's first near pair
+        di, n_near = pd[head] + offset, np.diff(head, append=near.size)
+        ious, pg = ious[near], pg[near]
+        same = d_cat[pd + offset] == g_cat[pg]
+        best_same, best_diff, best_dupe = (np.maximum.reduceat(np.where(mask, ious, 0.0), head)
+                                           for mask in (same, ~same, same & g_taken[pg]))
         rules = np.stack([                                    # in ERROR_ORDER
             best_diff >= tf,                                  # Cls
             (tb <= best_same) & (best_same < tf),             # Loc
@@ -162,14 +180,14 @@ def _classify(
         ])
         if not rules.any(axis=0).all():  # a same-class gt at IoU >= tf must be taken
             raise RuntimeError("error rules failed to cover a detection; matching is inconsistent")
-        rule[di] = kind = rules.argmax(axis=0)
+        rule[free[di]] = kind = rules.argmax(axis=0)
         fix = kind <= 1  # Cls targets another class, Loc its own
-        value = np.where(np.where(np.repeat(kind == 0, c), ~same, same), ious, -1.0)
+        value = np.where(np.where(np.repeat(kind == 0, n_near), ~same, same), ious, -1.0)
         first = np.minimum.reduceat(
-            np.where(value == np.repeat(np.maximum.reduceat(value, seg), c), pos, len(pos)), seg)
-        target[di[fix]] = pg[first[fix]]
-        miss[pg[np.repeat(fix, c) & (ious >= tb)]] = False
-        start = stop
+            np.where(value == np.repeat(np.maximum.reduceat(value, head), n_near), np.arange(near.size), near.size),
+            head)
+        target[free[di[fix]]] = g_order[pg[first[fix]]]
+        miss[g_order[pg[np.repeat(fix, n_near) & (ious >= tb)]]] = False
 
     return rule, target, miss
 
@@ -216,12 +234,6 @@ class TideReport:
     tb: float
 
 
-def _ap50(cat: np.ndarray, tp: np.ndarray, n_gt: dict[int, int]) -> float:
-    """Mean AP over the categories with ground truth of rank-ordered rows."""
-    cats, aps = _category_ap(cat, tp[:, None], n_gt)
-    return float(aps.mean()) if cats else 0.0
-
-
 def tide_report(
     gt: Dataset, dets: Sequence[Detection], tf: float = DEFAULT_TF, tb: float = DEFAULT_TB,
 ) -> TideReport:
@@ -248,36 +260,45 @@ def tide_report(
     """
     _check_thresholds(tf, tb)
     (_, g), d = gt._table.non_crowd(), _columns(dets)
-    match = _match(g, d, _ranked(d, None), (0.5,) if tf == 0.5 else (0.5, tf))
+    order = _ranked(d, None)
+    match = _match(g, d, order, (0.5,) if tf == 0.5 else (0.5, tf))
     rule, target, miss = _classify(g, d, match[:, -1], tf, tb)
     counts = np.bincount(rule[rule >= 0], minlength=len(ERROR_ORDER) - 1).tolist() + [int(miss.sum())]
 
-    rows = _ranked(d, MAX_DETECTIONS_PER_IMAGE)
+    rows = _capped(d.images, order, MAX_DETECTIONS_PER_IMAGE)
     g50, rule, target = match[rows, 0], rule[rows], target[rows]
     tp = g50 >= 0
     taken = np.zeros(len(g.images), dtype=bool)
     taken[g50[tp]] = True
     cat = d.categories[rows]
-    n_gt = Counter(g.categories.tolist())
-    baseline = _ap50(cat, tp, n_gt)
+    cats, n_gt = np.unique(g.categories, return_counts=True)
 
-    oracle_ap: dict[ErrorKind, float] = {}
-    for k, kind in enumerate(ERROR_ORDER):
-        if kind is ErrorKind.MISS:
-            oracle_ap[kind] = _ap50(cat, tp, Counter(g.categories[~miss].tolist()))
-            continue
+    # row 0 the baseline, row 1 + k the oracle of ERROR_ORDER[k]: TP flags, kept rows, gt counts
+    o_tp, keep = np.tile(tp, (len(ERROR_ORDER) + 1, 1)), np.ones((len(ERROR_ORDER) + 1, len(tp)), dtype=bool)
+    n_gts = np.tile(n_gt, (len(ERROR_ORDER) + 1, 1))
+    n_gts[-1] = np.bincount(np.searchsorted(cats, g.categories[~miss]), minlength=len(cats))
+    o_cat = cat.copy()
+    for k, kind in enumerate(ERROR_ORDER[:-1]):
         # when tf differs from 0.5, a labeled detection can still be a TP
         # here; those rows stay put
         edit = (rule == k) & ~tp
-        keep, o_cat, o_tp = ~edit, cat.copy(), tp.copy()
+        keep[k + 1] = ~edit
         if kind in (ErrorKind.CLS, ErrorKind.LOC):
             fixed = np.flatnonzero(edit)
             first = np.zeros(fixed.size, dtype=bool)
             first[np.unique(target[fixed], return_index=True)[1]] = True
             fixed = fixed[first & ~taken[target[fixed]]]
-            keep[fixed] = o_tp[fixed] = True
-            o_cat[fixed] = g.categories[target[fixed]]  # a Loc target has the row's own class
-        oracle_ap[kind] = _ap50(o_cat[keep], o_tp[keep], n_gt)
+            keep[k + 1, fixed] = o_tp[k + 1, fixed] = True
+            if kind is ErrorKind.CLS:  # a Loc target has the row's own class
+                o_cat[fixed] = g.categories[target[fixed]]
+    # every variant but Cls keeps each row's category, so they are scored in one pass
+    pooled = np.arange(len(ERROR_ORDER) + 1) != ERROR_ORDER.index(ErrorKind.CLS) + 1
+    aps = np.empty(n_gts.shape)
+    aps[pooled] = _category_ap(cat, o_tp[pooled], cats, n_gts[pooled], keep[pooled])
+    aps[~pooled] = _category_ap(o_cat, o_tp[~pooled], cats, n_gts[~pooled], keep[~pooled])
+    # each mean runs over the categories that keep ground truth
+    baseline, *oracle = (float(a[n > 0].mean()) if (n > 0).any() else 0.0 for a, n in zip(aps, n_gts))
+    oracle_ap = dict(zip(ERROR_ORDER, oracle))
 
     return TideReport(
         baseline_ap50=baseline,

@@ -912,3 +912,61 @@ def test_an_id_beyond_int64_is_a_validation_error(tmp_path):
 def test_console_script_error_smoke(tmp_path):
     proc = _run_module("eval", "--gt", str(tmp_path / "x.json"), "--dt", str(tmp_path / "y.json"))
     assert proc.returncode == 2
+
+
+# --- boxes out of float range, names in CSV ------------------------------------------
+
+_HUGE_BOX = [0, 0, 1e200, 1e200]  # finite, but its area overflows float64
+
+
+@pytest.mark.parametrize("command", ["eval", "tide"])
+@pytest.mark.parametrize("gt_box, dt_box, err", [
+    (_HUGE_BOX, _HUGE_BOX, "annotations[0] (id=1): bbox [0.0, 0.0, 1e+200, 1e+200] out of float range"),
+    ([10, 10, 20, 20], _HUGE_BOX, "results[0]: bbox [0.0, 0.0, 1e+200, 1e+200] out of float range"),
+    ([10, 10, 20, 20], [1e-200, 1, 1e-200, 1e-200], "results[0]: bbox [1e-200, 1.0, 1e-200, 1e-200] out of float range"),
+], ids=["huge-gt-and-result", "huge-result", "area-underflow"])
+def test_boxes_out_of_float_range_are_rejected(tmp_path, monkeypatch, capsys, caplog, command, gt_box, dt_box, err):
+    """A box whose right edge, bottom edge or area is not a positive finite float would make
+    its IoU NaN: rejected with one worded error, whichever path reads the file."""
+    gt, dt = tmp_path / "gt.json", tmp_path / "dt.json"
+    gt.write_text(_diff_doc([_ann(1, bbox=gt_box, area=None), _ann(2, category_id=2)]))
+    dt.write_text(json.dumps([{"image_id": 1, "category_id": 1, "bbox": dt_box, "score": 0.9},
+                              {"image_id": 1, "category_id": 2, "bbox": [10, 10, 20, 20], "score": 0.8}]))
+    rc, out, stderr, _ = _same_in_every_mode([command, "--gt", str(gt), "--dt", str(dt)], monkeypatch, capsys, caplog)
+    assert (rc, out) == (1, "")
+    assert stderr == f"error: 1 validation error(s)\n  - {err}: its right edge, bottom edge and area must be " \
+                     "finite and its area positive\n"
+
+
+_NAMES = ["plain", "traffic light, red", 'say "cheese"', "two\nlines", ""]
+
+
+def _named_paths(tmp_path):
+    cats = [{"id": i + 1, "name": name} for i, name in enumerate(_NAMES)]
+    anns = [_ann(i + 1, category_id=i + 1) for i in range(len(_NAMES))]
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps({"images": [{"id": 1, "width": 100, "height": 80, "file_name": "a.jpg"}],
+                              "categories": cats, "annotations": anns}))
+    dt = tmp_path / "dt.json"
+    dt.write_text(json.dumps([{"image_id": 1, "category_id": a["category_id"], "bbox": a["bbox"], "score": 0.9}
+                              for a in anns]))
+    return str(gt), str(dt)
+
+
+def test_csv_quotes_category_names(tmp_path, capsys):
+    """Names holding a comma, a quote or a line break are quoted, and every row reads back
+    with as many fields as its header; other names are written as before."""
+    import csv
+
+    gt, dt = _named_paths(tmp_path)
+    assert main(["eval", "--gt", gt, "--dt", dt, "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("category,ap,ap50,ap75\noverall,100.0,100.0,100.0\nplain,100.0,100.0,100.0\n")
+    assert list(csv.reader(out.splitlines(keepends=True))) == [["category", "ap", "ap50", "ap75"]] + [
+        [name, "100.0", "100.0", "100.0"] for name in ["overall"] + _NAMES]
+    assert main(["stats", "--ann", gt, "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader(out.splitlines(keepends=True)))
+    assert rows[0] == ["section", "name", "value"] and all(len(row) == 3 for row in rows)
+    assert [row[1] for row in rows if row[0] == "category"] == _NAMES
+    assert "\ncategory,plain,1\n" in out and "\nsummary,images,1\n" in out

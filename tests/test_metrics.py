@@ -18,7 +18,7 @@ from unabench import (
     match_greedy,
 )
 
-from unabench.metrics import _columns, _match, _ranked
+from unabench.metrics import RECALL_GRID, _columns, _first_reaching, _match, _ranked
 
 from conftest import build_dataset, dets_from_gt, micro_instance, tied_crowd_instance
 from reference import evaluate_ref
@@ -320,3 +320,12 @@ def test_ranked_is_score_then_input_order_capped_per_image(cap):
 
 def test_threshold_grids_are_exact():
     assert IOU_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+
+
+def test_first_reaching_is_the_least_count_whose_recall_reaches_the_grid():
+    """AP reads each grid recall at the first TP whose float recall k / n reaches it."""
+    for n, reach in zip(range(1, 3001), _first_reaching(np.arange(1, 3001))):
+        assert reach.tolist() == np.searchsorted(np.arange(n + 1) / n, RECALL_GRID, side="left").tolist()
+    grid = np.array(RECALL_GRID)
+    for n, k in zip([2 ** 40 + 7, 10 ** 12, 2 ** 51 - 1], _first_reaching(np.array([2 ** 40 + 7, 10 ** 12, 2 ** 51 - 1]))):
+        assert ((k / n >= grid) & ((k - 1) / n < grid)).all()
