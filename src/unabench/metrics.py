@@ -61,15 +61,29 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 
 def _grouped(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rows grouped by key: the ascending distinct keys, each row's group, the rows
-    group after group (each group in row order) and the group sizes.
+    """Rows grouped by integer key: the ascending distinct keys, each row's group, the
+    rows group after group (each group in row order) and the group sizes.
 
-    The grouping sort is stable on the group number, which numpy does as a radix
-    sort while the number fits in 16 bits.
+    Keys that span a range not much wider than their count are numbered through a
+    table over that range; others by a sort. The grouping sort is stable on the group
+    number, which numpy does as a radix sort while the number fits in 16 bits.
     """
-    distinct, group = np.unique(keys, return_inverse=True)
+    low = int(keys.min(initial=0))
+    if int(keys.max(initial=0)) - low < 4 * len(keys) + 1024:
+        present = np.bincount(keys - low) > 0
+        distinct, group = np.flatnonzero(present) + low, (np.cumsum(present) - 1)[keys - low]
+    else:
+        distinct, group = np.unique(keys, return_inverse=True)
     order = np.argsort(group.astype(np.min_scalar_type(len(distinct))), kind="stable")
     return distinct, group, order, np.bincount(group, minlength=len(distinct))
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of equal neighbours in ``keys``: each run's first index and each element's run."""
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.flatnonzero(first), np.cumsum(first) - 1
 
 
 def _ranked(d: _Columns, limit: int | None) -> np.ndarray:
@@ -163,31 +177,28 @@ def _greedy(d_edges: np.ndarray, g_edges: np.ndarray, d_order: np.ndarray, g_ord
         if near.size == 0:
             continue
         cell, gt = pair_cell[near], pair_gt[near]
-        head = np.flatnonzero(np.diff(cell, prepend=-1))  # each cell's first candidate
-        run = np.diff(head, append=near.size)
-        depth[gt] = level = np.repeat(np.maximum.reduceat(depth[gt], head) + 1, run)
+        head, run = _runs(cell)  # each cell's candidates
+        depth[gt] = level = (np.maximum.reduceat(depth[gt], head) + 1)[run]
         steps.append((det[cell], gt, ious[near], level))
     if not steps:
         return out
     det, gt, iou, level = map(np.concatenate, zip(*steps))
-    head = np.flatnonzero(np.diff(det, prepend=-1))  # each detection's first candidate
-    size = np.diff(head, append=len(det))
+    _, run = _runs(det)  # each detection's candidates
     # each level's detections with several candidates, then those with one
-    block = 2 * level + np.repeat(size == 1, size)
+    block = 2 * level + (np.bincount(run) == 1)[run]
     by_block = np.argsort(block.astype(np.min_scalar_type(block.max())), kind="stable")
     det, gt, iou = det[by_block], gt[by_block], iou[by_block]
     bounds = np.cumsum(np.bincount(block)).tolist()
     bars = np.array(thresholds)[:, None]
     taken = np.zeros((len(thresholds), g_edges.shape[1]), dtype=bool)
-    for single, a, b in zip(range(len(bounds)), [0] + bounds, bounds):
+    for i, (a, b) in enumerate(zip([0] + bounds, bounds)):
         d, g, v = det[a:b], gt[a:b], iou[a:b]
-        if single % 2:  # one candidate: taken where it is free and at or above the threshold
+        if i % 2:  # one candidate: taken where it is free and at or above the threshold
             t, c = np.nonzero(~taken[:, g] & (v >= bars))
         elif a < b:  # the highest IoU still free, the first on ties
-            head = np.flatnonzero(np.diff(d, prepend=-1))
+            head, run = _runs(d)
             v = np.where(taken[:, g], -1.0, v)
             best = np.maximum.reduceat(v, head, axis=1)
-            run = np.repeat(np.arange(head.size), np.diff(head, append=b - a))
             first = np.minimum.reduceat(np.where(v == best[:, run], np.arange(b - a), b - a), head, axis=1)
             t, c = np.nonzero(best >= bars)
             c = first[t, c]
@@ -207,14 +218,26 @@ def _match(g: _Columns, d: _Columns, rows: np.ndarray, thresholds: Sequence[floa
     detection; -1 where a detection is unmatched or not in ``rows``.
     """
     n = len(rows)
-    _, img = np.unique(np.concatenate((d.images[rows], g.images)), return_inverse=True)
-    cat_ids, cat = np.unique(np.concatenate((d.categories[rows], g.categories)), return_inverse=True)
     # one grouping of detections and ground truth: each cell's detections (rank order), then its gts
-    _, cell, by_cell, count = _grouped(img * len(cat_ids) + cat)
+    _, cell, by_cell, count = _grouped(_cell_keys(np.concatenate((d.images[rows], g.images)),
+                                                  np.concatenate((d.categories[rows], g.categories))))
     d_count = np.bincount(cell[:n], minlength=len(count))
     is_det = by_cell < n
     return _greedy(_edges(d.boxes), _edges(g.boxes), rows[by_cell[is_det]], by_cell[~is_det] - n,
                    d_count, count - d_count, thresholds).T
+
+
+def _cell_keys(images: np.ndarray, categories: np.ndarray) -> np.ndarray:
+    """One int64 key per (image, category) pair, equal where the pairs are; the ids are
+    numbered first where they lie too far apart for one key."""
+    if not len(images):
+        return images
+    if (int(images.max()) - int(images.min()) + 1) * (int(categories.max()) - int(categories.min()) + 1) >= 2 ** 63:
+        images, categories = (np.unique(ids, return_inverse=True)[1] for ids in (images, categories))
+    span = int(categories.max()) - int(categories.min()) + 1
+    return (images - images.min()) * span + (categories - categories.min())
+
+
 @dataclass(frozen=True)
 class MatchResult:
     """Greedy matching outcome for one image/category cell at one threshold.
@@ -335,9 +358,9 @@ def _category_ap(cat: np.ndarray, tp: np.ndarray, cats: np.ndarray, n_gt: np.nda
     # every TP, variant after variant, category after category, in rank order
     variant, pos = np.divmod(np.flatnonzero(hits), hits.shape[1])
     block = np.repeat(np.arange(len(distinct)), count)[pos]
-    head = np.flatnonzero(np.diff(variant * len(distinct) + block, prepend=-1))  # each run's first TP
-    n_tp = np.diff(head, append=len(pos))
-    tps = np.arange(1, len(pos) + 1) - np.repeat(head, n_tp)  # TPs so far in the run, this one included
+    head, run = _runs(variant * len(distinct) + block)  # the TPs of each (variant, category)
+    n_tp = np.bincount(run, minlength=len(head))
+    tps = np.arange(1, len(pos) + 1) - head[run]  # TPs so far in the run, this one included
     if keep is None:
         ranks = pos - start[block] + 1
     else:  # rows kept so far in the category; a TP row is kept

@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import MAX_DETECTIONS_PER_IMAGE, _capped, _category_ap, _edge_iou, _edges, _grouped, _match, _ranked
+from .metrics import (MAX_DETECTIONS_PER_IMAGE, _capped, _category_ap, _edge_iou, _edges, _grouped, _match, _ranked,
+                      _runs)
 from .model import Dataset, Detection, _Columns, _columns
 
 DEFAULT_TF = 0.5
@@ -142,15 +143,15 @@ def _classify(
     rule[free] = ERROR_ORDER.index(ErrorKind.BKG)
     # the ground truth and the free detections image after image, each in row order
     n_g = len(g.images)
-    _, image, by_image, _ = _grouped(np.concatenate((g.images, d.images[free])))
+    images, image, by_image, _ = _grouped(np.concatenate((g.images, d.images[free])))
     g_order, by_image = by_image[by_image < n_g], by_image[by_image >= n_g]
-    g_count = np.bincount(image[:n_g], minlength=image.max(initial=-1) + 1)
+    g_count = np.bincount(image[:n_g], minlength=len(images))
     free, image = free[by_image - n_g], image[by_image]
     lo, count = (np.cumsum(g_count) - g_count)[image], g_count[image]
     free, lo, count = free[count > 0], lo[count > 0], count[count > 0]
     ends = np.cumsum(count)
     d_edges, d_cat = _edges(d.boxes[free]), d.categories[free]
-    g_edges, g_cat, g_taken = _edges(g.boxes)[:, g_order], g.categories[g_order], taken[g_order]
+    g_edges, g_cat, g_taken = _edges(g.boxes).take(g_order, axis=1), g.categories[g_order], taken[g_order]
 
     start = 0
     while start < len(free):
@@ -165,9 +166,8 @@ def _classify(
         if near.size == 0:
             continue
         pd = np.searchsorted(seg, near, "right") - 1  # each near pair's detection, in the chunk
-        head = np.flatnonzero(np.diff(pd, prepend=-1))  # each detection's first near pair
-        di, n_near = pd[head] + offset, np.diff(head, append=near.size)
-        ious, pg = ious[near], pg[near]
+        head, owner = _runs(pd)  # each detection's near pairs
+        di, ious, pg = pd[head] + offset, ious[near], pg[near]
         same = d_cat[pd + offset] == g_cat[pg]
         best_same, best_diff, best_dupe = (np.maximum.reduceat(np.where(mask, ious, 0.0), head)
                                            for mask in (same, ~same, same & g_taken[pg]))
@@ -182,12 +182,11 @@ def _classify(
             raise RuntimeError("error rules failed to cover a detection; matching is inconsistent")
         rule[free[di]] = kind = rules.argmax(axis=0)
         fix = kind <= 1  # Cls targets another class, Loc its own
-        value = np.where(np.where(np.repeat(kind == 0, n_near), ~same, same), ious, -1.0)
+        value = np.where(np.where((kind == 0)[owner], ~same, same), ious, -1.0)
         first = np.minimum.reduceat(
-            np.where(value == np.repeat(np.maximum.reduceat(value, head), n_near), np.arange(near.size), near.size),
-            head)
+            np.where(value == np.maximum.reduceat(value, head)[owner], np.arange(near.size), near.size), head)
         target[free[di[fix]]] = g_order[pg[first[fix]]]
-        miss[g_order[pg[np.repeat(fix, n_near) & (ious >= tb)]]] = False
+        miss[g_order[pg[fix[owner] & (ious >= tb)]]] = False
 
     return rule, target, miss
 

@@ -159,3 +159,26 @@ def test_cell_larger_than_a_pair_chunk():
     assert got.ap == pytest.approx(sum(aps) / len(aps), abs=1e-12)
     assert (got.ap50, got.ap75) == (pytest.approx(aps[0], abs=1e-12), pytest.approx(aps[5], abs=1e-12))
     assert 0 < aps[5] < aps[0]
+
+
+def test_ids_far_apart_score_as_compact_ids():
+    """Image and category ids spread over the int64 range take the sorting paths of the
+    grouping and of the cell keys; the scores are those of the same data with small ids."""
+    from dataclasses import replace
+
+    from conftest import capped_tie_instance
+
+    ds, dets = capped_tie_instance()
+    images = {1: -2 ** 62, 2: 7, 3: 2 ** 40, 4: 2 ** 62}
+    cats = {1: -5, 2: 2 ** 61, 3: 2 ** 62 + 3}
+    far = Dataset(tuple(replace(im, id=images[im.id]) for im in ds.images),
+                  tuple(replace(a, image_id=images[a.image_id], category_id=cats[a.category_id])
+                        for a in ds.annotations),
+                  tuple(replace(c, id=cats[c.id]) for c in ds.categories))
+    far_dets = [replace(d, image_id=images[d.image_id], category_id=cats[d.category_id]) for d in dets]
+    near, got = evaluate(ds, dets), evaluate(far, far_dets)
+    assert (got.ap, got.ap50, got.ap75) == (near.ap, near.ap50, near.ap75)
+    assert got.per_category == {cats[c]: t for c, t in near.per_category.items()}
+    for tf in (0.5, 0.75):
+        assert classify_errors(far, far_dets, tf) == classify_errors(ds, dets, tf)
+        assert tide_report(far, far_dets, tf, 0.1) == tide_report(ds, dets, tf, 0.1)
