@@ -241,7 +241,7 @@ def tide_report(
     One :func:`metrics._match` call over all detections at 0.5 and ``tf``
     (0.5 alone when ``tf`` == 0.5) gives the labels (tf column) and the
     baseline, the plain AP50 of (gt, dets): the 0.5 column on the rows
-    :func:`metrics._ranked` keeps under the per-image cap, in rank order. Each
+    :func:`metrics._capped` keeps under the per-image cap, in rank order. Each
     oracle edits these rank-ordered (category, TP, keep) arrays instead of
     re-matching: Both/Dupe/Bkg drop their rows that are not TPs at 0.5;
     Miss lowers the per-category gt counts; Cls/Loc fix, in rank order, the

@@ -923,7 +923,8 @@ _HUGE_BOX = [0, 0, 1e200, 1e200]  # finite, but its area overflows float64
 @pytest.mark.parametrize("gt_box, dt_box, err", [
     (_HUGE_BOX, _HUGE_BOX, "annotations[0] (id=1): bbox [0.0, 0.0, 1e+200, 1e+200] out of float range"),
     ([10, 10, 20, 20], _HUGE_BOX, "results[0]: bbox [0.0, 0.0, 1e+200, 1e+200] out of float range"),
-    ([10, 10, 20, 20], [1e-200, 1, 1e-200, 1e-200], "results[0]: bbox [1e-200, 1.0, 1e-200, 1e-200] out of float range"),
+    ([10, 10, 20, 20], [1e-200, 1, 1e-200, 1e-200],
+     "results[0]: bbox [1e-200, 1.0, 1e-200, 1e-200] out of float range"),
 ], ids=["huge-gt-and-result", "huge-result", "area-underflow"])
 def test_boxes_out_of_float_range_are_rejected(tmp_path, monkeypatch, capsys, caplog, command, gt_box, dt_box, err):
     """A box whose right edge, bottom edge or area is not a positive finite float would make

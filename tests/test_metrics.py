@@ -327,5 +327,6 @@ def test_first_reaching_is_the_least_count_whose_recall_reaches_the_grid():
     for n, reach in zip(range(1, 3001), _first_reaching(np.arange(1, 3001))):
         assert reach.tolist() == np.searchsorted(np.arange(n + 1) / n, RECALL_GRID, side="left").tolist()
     grid = np.array(RECALL_GRID)
-    for n, k in zip([2 ** 40 + 7, 10 ** 12, 2 ** 51 - 1], _first_reaching(np.array([2 ** 40 + 7, 10 ** 12, 2 ** 51 - 1]))):
+    large = np.array([2 ** 40 + 7, 10 ** 12, 2 ** 51 - 1])
+    for n, k in zip(large.tolist(), _first_reaching(large)):
         assert ((k / n >= grid) & ((k - 1) / n < grid)).all()

@@ -657,7 +657,8 @@ def test_boxes_out_of_float_range_get_one_error_in_box_order():
     anns = [dict(_ANNOTATION, id=i + 1, bbox=box, area=None) for i, box in enumerate(boxes)]
     data = json.dumps(dict(MINIMAL, annotations=anns))
     problem = "out of float range: its right edge, bottom edge and area must be finite and its area positive"
-    want = [f"annotations[{i}] (id={i + 1}): bbox {[float(v) for v in box]} {problem}" for i, box in enumerate(boxes[:4])]
+    want = [f"annotations[{i}] (id={i + 1}): bbox {[float(v) for v in box]} {problem}"
+            for i, box in enumerate(boxes[:4])]
     want.append("annotations[4] (id=5): non-positive box width/height (w=0.0, h=4.0)")
     for parse in (parse_dataset, _parse_by_walk):
         with pytest.raises(ValidationError) as err:
