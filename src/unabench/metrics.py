@@ -105,23 +105,19 @@ def _capped(images: np.ndarray, order: np.ndarray, limit: int) -> np.ndarray:
     return order[keep]
 
 
-def _edges(boxes: np.ndarray) -> np.ndarray:
-    """(x, y, w, h) boxes on the last axis as five rows: x, y, right, bottom, area."""
-    x, y, w, h = np.moveaxis(boxes, -1, 0)
-    return np.stack((x, y, x + w, y + h, w * h))
+def _edges(boxes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(x, y, w, h) boxes on the last axis as five terms: x, y, right, bottom, area."""
+    x, y, w, h = boxes[..., 0], boxes[..., 1], boxes[..., 2], boxes[..., 3]
+    return x, y, x + w, y + h, w * h
 
 
-def _edge_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of boxes given as :func:`_edges` rows, broadcast; the one IoU formula."""
-    inter = np.minimum(a[2], b[2])
-    inter -= np.maximum(a[0], b[0])
-    iy = np.minimum(a[3], b[3])
-    iy -= np.maximum(a[1], b[1])
-    inter = np.clip(inter, 0.0, None, out=inter)
-    inter *= np.clip(iy, 0.0, None, out=iy)
-    union = a[4] + b[4]
-    union -= inter
-    return np.divide(inter, union, out=union)
+def _edge_iou(a, b) -> np.ndarray:
+    """IoU of boxes given as :func:`_edges` terms (or rows of their stack), broadcast;
+    the one IoU formula."""
+    ix = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
+    iy = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
+    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
+    return inter / (a[4] + b[4] - inter)
 
 
 def _pair_iou(d: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -129,28 +125,29 @@ def _pair_iou(d: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _edge_iou(_edges(d), _edges(g))
 
 
-def _greedy(d_edges: np.ndarray, g_edges: np.ndarray, d_order: np.ndarray, g_order: np.ndarray,
+def _greedy(d_box: np.ndarray, g_box: np.ndarray, d_order: np.ndarray, g_order: np.ndarray,
             d_count: np.ndarray, g_count: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
     """Greedy matching of every cell at every threshold; the only matching loop.
 
-    ``d_edges``/``g_edges`` hold the boxes as :func:`_edges` rows. ``d_order``
-    lists the detections cell after cell, each cell in rank order;
-    ``g_order`` lists the ground truths cell after cell, in input order;
-    ``d_count``/``g_count`` give the cell sizes. At each threshold a
-    detection, in rank order within its cell, takes the highest-IoU gt still
-    free if that IoU is >= the threshold (first gt on ties).
+    ``d_order`` lists the rows of ``d_box`` cell after cell, each cell in
+    rank order; ``g_order`` lists the rows of ``g_box`` cell after cell, in
+    input order; ``d_count``/``g_count`` give the cell sizes. At each
+    threshold a detection, in rank order within its cell, takes the
+    highest-IoU gt still free if that IoU is >= the threshold (first gt on
+    ties).
 
-    Step k takes the rank-k detection of every cell at once and computes its
-    IoU with its cell's ground truth. Only the pairs at or above the lowest
+    Each box's edges and area are computed once (:func:`_edges`). Step k
+    takes the rank-k detection of every cell at once and computes its IoU
+    with its cell's ground truth. Only the pairs at or above the lowest
     threshold (and NaN ones, which spoil their detection as they would among
     all pairs) can match; they are the candidates. A detection's outcome
     depends only on the earlier detections of its cell that share a
     candidate gt, so each gets a level one above theirs: detections of one
     level share no gt, and the candidates are settled a level at a time,
-    every threshold at once. Returns (len(thresholds), number of detections)
-    matched ``g_edges`` columns, -1 for none.
+    every threshold at once. Returns (len(thresholds), len(d_box)) matched
+    ``g_box`` rows, -1 for none.
     """
-    out = np.full((len(thresholds), d_edges.shape[1]), -1, dtype=np.int32)
+    out = np.full((len(thresholds), len(d_box)), -1, dtype=np.int32)
     d_start = np.cumsum(d_count) - d_count
     g_start = np.cumsum(g_count) - g_count
     # cells that can match, longest first: at step k the live cells are a prefix
@@ -163,9 +160,9 @@ def _greedy(d_edges: np.ndarray, g_edges: np.ndarray, d_order: np.ndarray, g_ord
     pair_start = np.concatenate(([0], np.cumsum(g_count)))
     pair_cell = np.repeat(np.arange(live.size), g_count)
     pair_gt = g_order[g_start[pair_cell] + np.arange(pair_start[-1]) - pair_start[pair_cell]]
-    pair_edges = g_edges.take(pair_gt, axis=1)
+    d_edges, pair_edges = np.stack(_edges(d_box)), np.stack(_edges(g_box[pair_gt]))
     floor = min(thresholds)
-    depth = np.full(g_edges.shape[1], -1)  # each gt's last candidate detection's level
+    depth = np.full(len(g_box), -1)  # each gt's last candidate detection's level
     longest_first = -d_count
     steps = []
     for k in range(int(d_count[0])):
@@ -190,7 +187,7 @@ def _greedy(d_edges: np.ndarray, g_edges: np.ndarray, d_order: np.ndarray, g_ord
     det, gt, iou = det[by_block], gt[by_block], iou[by_block]
     bounds = np.cumsum(np.bincount(block)).tolist()
     bars = np.array(thresholds)[:, None]
-    taken = np.zeros((len(thresholds), g_edges.shape[1]), dtype=bool)
+    taken = np.zeros((len(thresholds), len(g_box)), dtype=bool)
     for i, (a, b) in enumerate(zip([0] + bounds, bounds)):
         d, g, v = det[a:b], gt[a:b], iou[a:b]
         if i % 2:  # one candidate: taken where it is free and at or above the threshold
@@ -223,7 +220,7 @@ def _match(g: _Columns, d: _Columns, rows: np.ndarray, thresholds: Sequence[floa
                                                   np.concatenate((d.categories[rows], g.categories))))
     d_count = np.bincount(cell[:n], minlength=len(count))
     is_det = by_cell < n
-    return _greedy(_edges(d.boxes), _edges(g.boxes), rows[by_cell[is_det]], by_cell[~is_det] - n,
+    return _greedy(d.boxes, g.boxes, rows[by_cell[is_det]], by_cell[~is_det] - n,
                    d_count, count - d_count, thresholds).T
 
 
@@ -263,7 +260,7 @@ def match_greedy(dets: Sequence[Detection], gts: Sequence[Annotation], threshold
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    rows = _greedy(_edges(_boxes(dets)), _edges(_boxes(gts)), np.arange(len(dets)), np.arange(len(gts)),
+    rows = _greedy(_boxes(dets), _boxes(gts), np.arange(len(dets)), np.arange(len(gts)),
                    np.array([len(dets)]), np.array([len(gts)]), (threshold,))[0].tolist()
     gt_matched: list[int | None] = [None] * len(gts)
     for d, g in enumerate(rows):

@@ -150,8 +150,8 @@ def _classify(
     lo, count = (np.cumsum(g_count) - g_count)[image], g_count[image]
     free, lo, count = free[count > 0], lo[count > 0], count[count > 0]
     ends = np.cumsum(count)
-    d_edges, d_cat = _edges(d.boxes[free]), d.categories[free]
-    g_edges, g_cat, g_taken = _edges(g.boxes).take(g_order, axis=1), g.categories[g_order], taken[g_order]
+    d_edges, d_cat = np.stack(_edges(d.boxes[free])), d.categories[free]
+    g_edges, g_cat, g_taken = np.stack(_edges(g.boxes)).take(g_order, axis=1), g.categories[g_order], taken[g_order]
 
     start = 0
     while start < len(free):
