@@ -1,6 +1,7 @@
 """End-to-end command tests driven through main() with a couple of real
 subprocess smoke checks."""
 
+import csv
 import gc
 import json
 import logging
@@ -957,8 +958,6 @@ def _named_paths(tmp_path):
 def test_csv_quotes_category_names(tmp_path, capsys):
     """Names holding a comma, a quote or a line break are quoted, and every row reads back
     with as many fields as its header; other names are written as before."""
-    import csv
-
     gt, dt = _named_paths(tmp_path)
     assert main(["eval", "--gt", gt, "--dt", dt, "--format", "csv"]) == 0
     out = capsys.readouterr().out

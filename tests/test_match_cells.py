@@ -5,6 +5,8 @@ truth taken at 0.5 but free at 0.75, and one image x category cell with more
 (detection, ground truth) pairs than a classification chunk holds.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from unabench import (
     tide_report,
 )
 
+from conftest import capped_tie_instance
 from reference import ap_from_points, classify_ref, evaluate_ref, greedy_ref, iou_ref
 
 
@@ -164,10 +167,6 @@ def test_cell_larger_than_a_pair_chunk():
 def test_ids_far_apart_score_as_compact_ids():
     """Image and category ids spread over the int64 range take the sorting paths of the
     grouping and of the cell keys; the scores are those of the same data with small ids."""
-    from dataclasses import replace
-
-    from conftest import capped_tie_instance
-
     ds, dets = capped_tie_instance()
     images = {1: -2 ** 62, 2: 7, 3: 2 ** 40, 4: 2 ** 62}
     cats = {1: -5, 2: 2 ** 61, 3: 2 ** 62 + 3}
