@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
@@ -236,6 +237,13 @@ def _is_num(v) -> bool:
     return type(v) in _NUMBERS and math.isfinite(v)
 
 
+# IoU needs finite edges and a union a + b - inter that stays finite: two areas of at
+# most half the largest float add up to a finite sum.
+_MAX_AREA = sys.float_info.max / 2
+_OUT_OF_RANGE = ("out of float range: its right and bottom edges must be finite and its area "
+                 "positive and at most half the largest float")
+
+
 def _check_refs_and_box(path: str, rec, image_ids, category_ids, errors: list[str]) -> bool:
     """Reference and box rules for annotations and detections; True if the box is usable."""
     if rec.image_id is not _UNREAD and rec.image_id not in image_ids:
@@ -249,9 +257,8 @@ def _check_refs_and_box(path: str, rec, image_ids, category_ids, errors: list[st
     if b.w <= 0 or b.h <= 0:
         errors.append(f"{path}: non-positive box width/height (w={b.w}, h={b.h})")
         return False
-    if not (math.isfinite(b.x + b.w) and math.isfinite(b.y + b.h) and 0 < b.w * b.h < math.inf):
-        errors.append(f"{path}: bbox {b.as_list()} out of float range: its right edge, bottom edge "
-                      "and area must be finite and its area positive")
+    if not (math.isfinite(b.x + b.w) and math.isfinite(b.y + b.h) and 0 < b.w * b.h <= _MAX_AREA):
+        errors.append(f"{path}: bbox {b.as_list()} {_OUT_OF_RANGE}")
         return False
     return True
 
@@ -605,12 +612,12 @@ def _box_column(values: list) -> np.ndarray:
 
 
 def _refs_and_sizes_ok(t: _Columns | _AnnotationTable, image_ids: np.ndarray, category_ids: np.ndarray) -> bool:
-    """Every row names a known image and category and its box has w > 0 and h > 0, and
-    finite right and bottom edges and a positive finite area (IoU needs all three)."""
+    """Every row names a known image and category and its box has w > 0 and h > 0,
+    finite right and bottom edges and an area in (0, ``_MAX_AREA``] (IoU needs all three)."""
     b = t.boxes
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         area = b[:, 2] * b[:, 3]
-        in_range = np.isfinite(b[:, :2] + b[:, 2:]).all() and ((area > 0) & (area < np.inf)).all()
+        in_range = np.isfinite(b[:, :2] + b[:, 2:]).all() and ((area > 0) & (area <= _MAX_AREA)).all()
     return bool((b[:, 2:] > 0).all() and in_range and np.isin(t.images, image_ids).all()
                 and np.isin(t.categories, category_ids).all())
 

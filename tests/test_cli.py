@@ -926,7 +926,10 @@ _HUGE_BOX = [0, 0, 1e200, 1e200]  # finite, but its area overflows float64
     ([10, 10, 20, 20], _HUGE_BOX, "results[0]: bbox [0.0, 0.0, 1e+200, 1e+200] out of float range"),
     ([10, 10, 20, 20], [1e-200, 1, 1e-200, 1e-200],
      "results[0]: bbox [1e-200, 1.0, 1e-200, 1e-200] out of float range"),
-], ids=["huge-gt-and-result", "huge-result", "area-underflow"])
+    ([0, 0, 1e154, 1e154], [0, 0, 1e154, 1e154],
+     "annotations[0] (id=1): bbox [0.0, 0.0, 1e+154, 1e+154] out of float range"),
+    ([10, 10, 20, 20], [0, 0, 1e154, 1e154], "results[0]: bbox [0.0, 0.0, 1e+154, 1e+154] out of float range"),
+], ids=["huge-gt-and-result", "huge-result", "area-underflow", "union-overflow", "union-overflow-result"])
 def test_boxes_out_of_float_range_are_rejected(tmp_path, monkeypatch, capsys, caplog, command, gt_box, dt_box, err):
     """A box whose right edge, bottom edge or area is not a positive finite float would make
     its IoU NaN: rejected with one worded error, whichever path reads the file."""
@@ -936,8 +939,8 @@ def test_boxes_out_of_float_range_are_rejected(tmp_path, monkeypatch, capsys, ca
                               {"image_id": 1, "category_id": 2, "bbox": [10, 10, 20, 20], "score": 0.8}]))
     rc, out, stderr, _ = _same_in_every_mode([command, "--gt", str(gt), "--dt", str(dt)], monkeypatch, capsys, caplog)
     assert (rc, out) == (1, "")
-    assert stderr == f"error: 1 validation error(s)\n  - {err}: its right edge, bottom edge and area must be " \
-                     "finite and its area positive\n"
+    assert stderr == f"error: 1 validation error(s)\n  - {err}: its right and bottom edges must be finite and " \
+                     "its area positive and at most half the largest float\n"
 
 
 _NAMES = ["plain", "traffic light, red", 'say "cheese"', "two\nlines", ""]

@@ -653,13 +653,14 @@ def test_boxes_out_of_float_range_get_one_error_in_box_order():
     """A finite box whose right edge, bottom edge or area is not a positive finite float
     gets one error, after the other box checks, on the column and the record paths."""
     boxes = [[1e308, 1, 1e308, 4], [1, 1e308, 4, 1e308], [1, 1, 1e200, 1e200], [1, 1, 1e-200, 1e-200],
-             [1, 1, 0, 4], [1, 1, 4, 4]]
+             [1, 1, 1e154, 1e154], [1, 1, 0, 4], [1, 1, 4, 4]]
     anns = [dict(_ANNOTATION, id=i + 1, bbox=box, area=None) for i, box in enumerate(boxes)]
     data = json.dumps(dict(MINIMAL, annotations=anns))
-    problem = "out of float range: its right edge, bottom edge and area must be finite and its area positive"
+    problem = ("out of float range: its right and bottom edges must be finite and its area positive "
+               "and at most half the largest float")
     want = [f"annotations[{i}] (id={i + 1}): bbox {[float(v) for v in box]} {problem}"
-            for i, box in enumerate(boxes[:4])]
-    want.append("annotations[4] (id=5): non-positive box width/height (w=0.0, h=4.0)")
+            for i, box in enumerate(boxes[:5])]
+    want.append("annotations[5] (id=6): non-positive box width/height (w=0.0, h=4.0)")
     for parse in (parse_dataset, _parse_by_walk):
         with pytest.raises(ValidationError) as err:
             parse(data)
