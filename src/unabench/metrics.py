@@ -64,16 +64,10 @@ def _grouped(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     """Rows grouped by integer key: the ascending distinct keys, each row's group, the
     rows group after group (each group in row order) and the group sizes.
 
-    Keys that span a range not much wider than their count are numbered through a
-    table over that range; others by a sort. The grouping sort is stable on the group
-    number, which numpy does as a radix sort while the number fits in 16 bits.
+    The grouping sort is stable on the group number, which numpy does as a radix
+    sort while the number fits in 16 bits.
     """
-    low = int(keys.min(initial=0))
-    if int(keys.max(initial=0)) - low < 4 * len(keys) + 1024:
-        present = np.bincount(keys - low) > 0
-        distinct, group = np.flatnonzero(present) + low, (np.cumsum(present) - 1)[keys - low]
-    else:
-        distinct, group = np.unique(keys, return_inverse=True)
+    distinct, group = np.unique(keys, return_inverse=True)
     order = np.argsort(group.astype(np.min_scalar_type(len(distinct))), kind="stable")
     return distinct, group, order, np.bincount(group, minlength=len(distinct))
 
@@ -89,9 +83,7 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _ranked(d: _Columns, limit: int | None) -> np.ndarray:
     """Detection indices in rank order, (-score, input index), keeping only the
     first ``limit`` of each image (all of them when ``limit`` is None)."""
-    # the score's place among the distinct scores, then the row: one key with no ties
-    _, place = np.unique(-d.scores, return_inverse=True)
-    order = np.argsort(place * len(place) + np.arange(len(place)))
+    order = np.argsort(-d.scores, kind="stable")
     return order if limit is None else _capped(d.images, order, limit)
 
 
@@ -180,27 +172,20 @@ def _greedy(d_box: np.ndarray, g_box: np.ndarray, d_order: np.ndarray, g_order: 
     if not steps:
         return out
     det, gt, iou, level = map(np.concatenate, zip(*steps))
-    _, run = _runs(det)  # each detection's candidates
-    # each level's detections with several candidates, then those with one
-    block = 2 * level + (np.bincount(run) == 1)[run]
-    by_block = np.argsort(block.astype(np.min_scalar_type(block.max())), kind="stable")
-    det, gt, iou = det[by_block], gt[by_block], iou[by_block]
-    bounds = np.cumsum(np.bincount(block)).tolist()
+    by_level = np.argsort(level.astype(np.min_scalar_type(level.max())), kind="stable")
+    det, gt, iou = det[by_level], gt[by_level], iou[by_level]
+    bounds = np.cumsum(np.bincount(level)).tolist()
     bars = np.array(thresholds)[:, None]
     taken = np.zeros((len(thresholds), len(g_box)), dtype=bool)
-    for i, (a, b) in enumerate(zip([0] + bounds, bounds)):
-        d, g, v = det[a:b], gt[a:b], iou[a:b]
-        if i % 2:  # one candidate: taken where it is free and at or above the threshold
-            t, c = np.nonzero(~taken[:, g] & (v >= bars))
-        elif a < b:  # the highest IoU still free, the first on ties
-            head, run = _runs(d)
-            v = np.where(taken[:, g], -1.0, v)
-            best = np.maximum.reduceat(v, head, axis=1)
-            first = np.minimum.reduceat(np.where(v == best[:, run], np.arange(b - a), b - a), head, axis=1)
-            t, c = np.nonzero(best >= bars)
-            c = first[t, c]
-        else:
-            continue
+    for a, b in zip([0] + bounds, bounds):
+        # each detection takes the highest IoU still free, the first on ties
+        d, g = det[a:b], gt[a:b]
+        head, run = _runs(d)
+        v = np.where(taken[:, g], -1.0, iou[a:b])
+        best = np.maximum.reduceat(v, head, axis=1)
+        first = np.minimum.reduceat(np.where(v == best[:, run], np.arange(b - a), b - a), head, axis=1)
+        t, c = np.nonzero(best >= bars)
+        c = first[t, c]
         out[t, d[c]] = g[c]
         taken[t, g[c]] = True
     return out
