@@ -165,8 +165,8 @@ def test_cell_larger_than_a_pair_chunk():
 
 
 def test_ids_far_apart_score_as_compact_ids():
-    """Image and category ids spread over the int64 range take the sorting paths of the
-    grouping and of the cell keys; the scores are those of the same data with small ids."""
+    """Image and category ids spread over the int64 range make the cell keys number the
+    ids first; the scores are those of the same data with small ids."""
     ds, dets = capped_tie_instance()
     images = {1: -2 ** 62, 2: 7, 3: 2 ** 40, 4: 2 ** 62}
     cats = {1: -5, 2: 2 ** 61, 3: 2 ** 62 + 3}
