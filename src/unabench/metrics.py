@@ -16,12 +16,13 @@ edge, bottom edge and area rows (:func:`_edges`) computed once per call.
 that order and groups them and the ground truth into image x category cells
 with one grouping sort; :func:`_greedy` then steps rank k over every cell at
 once and keeps only the candidate pairs, those at or above the lowest IoU
-threshold, since no other pair can match. It settles the candidates a
-conflict level at a time (detections of one level share no candidate gt),
-every threshold at once. Because the cap keeps each image's best-ranked
-detections and a cell ranks the same way, capped matching is a per-cell
-prefix of uncapped matching, so ``tide.tide_report`` reads its capped AP50
-baseline off one uncapped match. :func:`_category_ap` pools AP for
+threshold, since no other pair can match. It settles each step's
+candidates before the next step, every threshold at once: a step holds one
+detection per cell and cells share no gt, so settling rank by rank is
+greedy order. Because the cap keeps each image's best-ranked detections and
+a cell ranks the same way, capped matching is a per-cell prefix of uncapped
+matching, so ``tide.tide_report`` reads its capped AP50 baseline off one
+uncapped match. :func:`_category_ap` pools AP for
 ``evaluate`` (one variant per IoU threshold) and for every TIDE baseline
 and oracle (one variant each), scoring only each category's TPs.
 
@@ -90,8 +91,6 @@ def _ranked(d: _Columns, limit: int | None) -> np.ndarray:
 def _capped(images: np.ndarray, order: np.ndarray, limit: int) -> np.ndarray:
     """The rows of rank-ordered ``order`` that are among the first ``limit`` of their image."""
     _, _, by_image, count = _grouped(images[order])
-    if count.max(initial=0) <= limit:
-        return order
     keep = np.zeros(len(order), dtype=bool)
     keep[by_image[np.arange(len(order)) - np.repeat(np.cumsum(count) - count, count) < limit]] = True
     return order[keep]
@@ -132,12 +131,11 @@ def _greedy(d_box: np.ndarray, g_box: np.ndarray, d_order: np.ndarray, g_order: 
     takes the rank-k detection of every cell at once and computes its IoU
     with its cell's ground truth. Only the pairs at or above the lowest
     threshold (and NaN ones, which spoil their detection as they would among
-    all pairs) can match; they are the candidates. A detection's outcome
-    depends only on the earlier detections of its cell that share a
-    candidate gt, so each gets a level one above theirs: detections of one
-    level share no gt, and the candidates are settled a level at a time,
-    every threshold at once. Returns (len(thresholds), len(d_box)) matched
-    ``g_box`` rows, -1 for none.
+    all pairs) can match; they are the candidates. A step holds one
+    detection per cell and no two cells share a gt, so its detections never
+    compete: each step's candidates are settled before the next step, every
+    threshold at once, which is greedy matching in rank order. Returns
+    (len(thresholds), len(d_box)) matched ``g_box`` rows, -1 for none.
     """
     out = np.full((len(thresholds), len(d_box)), -1, dtype=np.int32)
     d_start = np.cumsum(d_count) - d_count
@@ -153,10 +151,9 @@ def _greedy(d_box: np.ndarray, g_box: np.ndarray, d_order: np.ndarray, g_order: 
     pair_cell = np.repeat(np.arange(live.size), g_count)
     pair_gt = g_order[g_start[pair_cell] + np.arange(pair_start[-1]) - pair_start[pair_cell]]
     d_edges, pair_edges = np.stack(_edges(d_box)), np.stack(_edges(g_box[pair_gt]))
-    floor = min(thresholds)
-    depth = np.full(len(g_box), -1)  # each gt's last candidate detection's level
+    floor, bars = min(thresholds), np.array(thresholds)[:, None]
+    taken = np.zeros((len(thresholds), len(g_box)), dtype=bool)
     longest_first = -d_count
-    steps = []
     for k in range(int(d_count[0])):
         n_cells = int(np.searchsorted(longest_first, -k, side="left"))
         n_pairs = int(pair_start[n_cells])
@@ -165,29 +162,16 @@ def _greedy(d_box: np.ndarray, g_box: np.ndarray, d_order: np.ndarray, g_order: 
         near = np.flatnonzero(~(ious < floor))
         if near.size == 0:
             continue
+        # each cell's rank-k detection takes the highest IoU still free, the first on ties
         cell, gt = pair_cell[near], pair_gt[near]
-        head, run = _runs(cell)  # each cell's candidates
-        depth[gt] = level = (np.maximum.reduceat(depth[gt], head) + 1)[run]
-        steps.append((det[cell], gt, ious[near], level))
-    if not steps:
-        return out
-    det, gt, iou, level = map(np.concatenate, zip(*steps))
-    by_level = np.argsort(level.astype(np.min_scalar_type(level.max())), kind="stable")
-    det, gt, iou = det[by_level], gt[by_level], iou[by_level]
-    bounds = np.cumsum(np.bincount(level)).tolist()
-    bars = np.array(thresholds)[:, None]
-    taken = np.zeros((len(thresholds), len(g_box)), dtype=bool)
-    for a, b in zip([0] + bounds, bounds):
-        # each detection takes the highest IoU still free, the first on ties
-        d, g = det[a:b], gt[a:b]
-        head, run = _runs(d)
-        v = np.where(taken[:, g], -1.0, iou[a:b])
+        head, run = _runs(cell)
+        v = np.where(taken[:, gt], -1.0, ious[near])
         best = np.maximum.reduceat(v, head, axis=1)
-        first = np.minimum.reduceat(np.where(v == best[:, run], np.arange(b - a), b - a), head, axis=1)
+        first = np.minimum.reduceat(np.where(v == best[:, run], np.arange(near.size), near.size), head, axis=1)
         t, c = np.nonzero(best >= bars)
         c = first[t, c]
-        out[t, d[c]] = g[c]
-        taken[t, g[c]] = True
+        out[t, det[cell[c]]] = gt[c]
+        taken[t, gt[c]] = True
     return out
 
 

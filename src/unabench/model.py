@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -187,7 +187,7 @@ class Dataset:
     @cached_property
     def _image_table(self) -> _ImageTable:
         return _ImageTable.of(_int_array([im.id for im in self.images]),
-                              np.array([(im.width, im.height) for im in self.images], dtype=np.float64))
+                              _int_array([v for im in self.images for v in (im.width, im.height)]).astype(np.float64))
 
     @cached_property
     def _category_ids(self) -> np.ndarray:
@@ -269,11 +269,16 @@ def validate_dataset(ds: Dataset) -> None:
     Boxes that stick out of their image are common in real exports and are
     only warned about. Everything else (duplicate ids, dangling references,
     non-positive box sizes, non-finite values) raises :class:`ValidationError`
-    listing every offending record. The annotations are checked as columns of
-    the dataset's table; when a check fails, or an image or category is at
-    fault, :func:`_walk_annotations` judges them record by record.
+    listing every offending record. A record built in code whose id, size,
+    area or box no table column takes is rejected first, alone, as decoding
+    its document would reject it (:func:`_untabled_fields`). The annotations
+    are checked as columns of the dataset's table; when a check fails, or an
+    image or category is at fault, :func:`_walk_annotations` judges them
+    record by record.
     """
-    errors: list[str] = []
+    errors = _untabled_fields(ds)
+    if errors:
+        raise ValidationError(errors)
 
     seen_img: set[int] = set()
     for i, im in enumerate(ds.images):
@@ -304,6 +309,30 @@ def validate_dataset(ds: Dataset) -> None:
 
     if errors:
         raise ValidationError(errors)
+
+
+def _untabled_fields(ds: Dataset) -> list[str]:
+    """Where a record holds an id, size, area or box that no table column takes, the errors
+    the record walk gives for the records' document, one per bad field; none where the tables
+    build, as a parsed dataset's always do, so only a dataset built in code is read again."""
+    try:
+        ds._image_table, ds._category_ids, ds._table
+        return []
+    except _TO_WALK:
+        pass
+    errors: list[str] = []
+    for kind, records in ((_IMAGES, ds.images), (_ANNOTATIONS, ds.annotations), (_CATEGORIES, ds.categories)):
+        docs = [{key: _as_decoded(getattr(rec, "crowd_flag" if key == "iscrowd" else key)) for key in kind[2]}
+                for rec in records]
+        list(_read_records(docs, kind, errors))
+    return errors
+
+
+def _as_decoded(v):
+    """A record's field as JSON decodes it: numpy numbers as Python ones, a box as its list."""
+    if isinstance(v, BoundingBox):
+        return list(map(_as_decoded, v.as_list()))
+    return v.item() if isinstance(v, (np.signedinteger, np.floating)) else v
 
 
 def _table_out_of_bounds(ds: Dataset) -> list[int] | None:
@@ -471,9 +500,10 @@ def serialize_dataset(ds: Dataset) -> bytes:
 
     The output is a pure function of the dataset's value, so two equal
     datasets built in different orders serialize to identical bytes. Floats
-    use Python's shortest round-trip repr; NaN/Inf are rejected. Annotations
-    are written from the table, one row string each, as ``json.dumps`` with
-    compact separators would write them.
+    use Python's shortest round-trip repr; NaN/Inf are rejected, and so is an
+    image or category id or size that is no integer (a numpy one is written
+    as a Python one). Annotations are written from the table, one row string
+    each, as ``json.dumps`` with compact separators would write them.
     """
     t = ds._table
     if not (np.isfinite(t.boxes).all() and np.isfinite(t.areas).all()):
@@ -483,9 +513,9 @@ def serialize_dataset(ds: Dataset) -> bytes:
                *t.boxes[order].T.tolist(), t.areas[order].tolist(), t.crowd[order].astype(np.int64).tolist())
     rows = [f'{{"id":{i},"image_id":{im},"category_id":{c},"bbox":[{x!r},{y!r},{w!r},{h!r}],"area":{a!r},'
             f'"iscrowd":{crowd}}}' for i, im, c, x, y, w, h, a, crowd in zip(*columns)]
-    images = [{"id": im.id, "width": im.width, "height": im.height, "file_name": im.file_name}
-              for im in sorted(ds.images, key=lambda im: im.id)]
-    categories = [{"id": c.id, "name": c.name} for c in sorted(ds.categories, key=lambda c: c.id)]
+    images = [{"id": index(im.id), "width": index(im.width), "height": index(im.height),
+               "file_name": im.file_name} for im in sorted(ds.images, key=lambda im: im.id)]
+    categories = [{"id": index(c.id), "name": c.name} for c in sorted(ds.categories, key=lambda c: c.id)]
     dump = partial(json.dumps, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
     text = f'{{"images":{dump(images)},"annotations":[{",".join(rows)}],"categories":{dump(categories)}}}'
     return text.encode("utf-8")

@@ -172,7 +172,8 @@ def exact_count(ratio: float, n: int) -> int:
 
 
 def _check_ratio(ratio: float) -> None:
-    if not (isinstance(ratio, (int, float)) and math.isfinite(ratio) and 0.0 <= ratio <= 1.0):
+    if not (isinstance(ratio, (int, float)) and not isinstance(ratio, bool) and math.isfinite(ratio)
+            and 0.0 <= ratio <= 1.0):
         raise ValueError(f"ratio must be in [0, 1], got {ratio!r}")
 
 
@@ -196,7 +197,7 @@ class NoiseConfig:
         object.__setattr__(self, "bogus_size_policy", BogusSizePolicy(self.bogus_size_policy))
         _check_ratio(self.ratio)
         _check_delta(self.loc_delta)
-        if not 0 <= self.seed < _MAX_SEED:
+        if isinstance(self.seed, (bool, np.bool_)) or not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     def to_dict(self) -> dict:

@@ -910,6 +910,23 @@ def test_an_id_beyond_int64_is_a_validation_error(tmp_path):
     ]
 
 
+def test_forking_commands_run_clean_with_deprecation_warnings_shown(tmp_path, gt_path):
+    """``diff``, ``eval`` and ``tide`` fork while numpy's BLAS threads run, which Python 3.12+
+    reports as a DeprecationWarning: shown ones must not appear, nor change what is printed."""
+    noisy = tmp_path / "noisy.json"
+    assert main(["inject", "--ann", gt_path, "--out", str(noisy), "--type", "una", "--ratio", "0.3"]) == 0
+    dt = _perfect_dets_path(tmp_path, gt_path, score=0.7)
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    for args in (["diff", gt_path, str(noisy)], ["eval", "--gt", str(noisy), "--dt", dt],
+                 ["tide", "--gt", str(noisy), "--dt", dt]):
+        plain, shown = (subprocess.run([sys.executable, *flags, "-m", "unabench", *args], capture_output=True,
+                                       text=True, env={**os.environ, "PYTHONPATH": path})
+                        for flags in ([], ["-W", "always::DeprecationWarning"]))
+        assert (shown.returncode, plain.returncode) == (0, 0), (args, shown.stderr)
+        assert "DeprecationWarning" not in shown.stderr, args
+        assert shown.stdout == plain.stdout and shown.stdout, args
+
+
 def test_console_script_error_smoke(tmp_path):
     proc = _run_module("eval", "--gt", str(tmp_path / "x.json"), "--dt", str(tmp_path / "y.json"))
     assert proc.returncode == 2

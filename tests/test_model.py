@@ -15,10 +15,12 @@ from unabench import (
     Category,
     Dataset,
     ImageRecord,
+    NoiseConfig,
     ValidationError,
     parse_dataset,
     parse_detections,
     evaluate,
+    inject,
     serialize_dataset,
     tide_report,
     validate_dataset,
@@ -537,18 +539,66 @@ def test_image_errors_leave_the_annotations_to_the_walk(caplog):
 
 
 def test_validate_dataset_walks_a_dataset_built_in_code():
-    """Records the table cannot hold, or that fail a column check, are judged by the walk."""
+    """Records that fail a column check are judged by the walk; records the table cannot
+    hold are rejected as decoding their document would reject them."""
     good = parse_dataset(json.dumps(dict(MINIMAL, annotations=_ANNOTATIONS)))
     validate_dataset(Dataset(good.images, good.annotations, good.categories))
-    odd = Annotation("a", 1, 1, BoundingBox(1.0, 1.0, 2.0, 2.0))
-    validate_dataset(Dataset(good.images, (odd,), good.categories))
     for bad, error in ((Annotation(7, 1, 1, BoundingBox(1.0, 1.0, math.nan, 2.0)),
                         "annotations[0] (id=7): non-finite bbox [1.0, 1.0, nan, 2.0]"),
+                       (Annotation(7, 9, 1, BoundingBox(1.0, 1.0, 2.0, 2.0)),
+                        "annotations[0] (id=7): unknown image_id 9"),
                        (Annotation(7, 1.5, 1, BoundingBox(1.0, 1.0, 2.0, 2.0)),
-                        "annotations[0] (id=7): unknown image_id 1.5")):
+                        "annotations[0] (id=7): field 'image_id' must be an integer, got 1.5"),
+                       (Annotation("a", 1, 1, BoundingBox(1.0, 1.0, 2.0, 2.0)),
+                        "annotations[0]: field 'id' must be an integer, got 'a'")):
         with pytest.raises(ValidationError) as err:
             validate_dataset(Dataset(good.images, (bad,), good.categories))
         assert err.value.errors == [error]
+
+
+_IM, _CAT = ImageRecord(1, 100, 80, "a.jpg"), Category(1, "cat")
+_RECORD = Annotation(1, 1, 1, BoundingBox(1.0, 1.0, 4.0, 4.0))
+
+
+@pytest.mark.parametrize("images, annotations, errors", [
+    ((_IM,), (replace(_RECORD, id="x"),), ["annotations[0]: field 'id' must be an integer, got 'x'"]),
+    ((_IM,), (replace(_RECORD, id=1.5),), ["annotations[0]: field 'id' must be an integer, got 1.5"]),
+    ((replace(_IM, id=1.0),), (replace(_RECORD, image_id=1.0),),
+     ["images[0]: field 'id' must be an integer, got 1.0",
+      "annotations[0] (id=1): field 'image_id' must be an integer, got 1.0"]),
+    ((replace(_IM, width=100.5),), (_RECORD,), ["images[0]: field 'width' must be an integer, got 100.5"]),
+    ((_IM,), (replace(_RECORD, area="x"),), ["annotations[0] (id=1): area must be a finite number, got 'x'"]),
+    ((_IM,), (Annotation(1, 1, 1, BoundingBox("x", 1.0, 4.0, 4.0), area=4.0),),
+     ["annotations[0] (id=1): bbox must be four finite numbers, got ['x', 1.0, 4.0, 4.0]"]),
+    ((_IM,), (replace(_RECORD, id=2 ** 63), replace(_RECORD, id=2, category_id=np.uint64(1))),
+     [f"annotations[0] (id={2 ** 63}): " + _BEYOND_INT64.format(key="id", value=2 ** 63),
+      "annotations[1] (id=2): field 'category_id' must be an integer, got np.uint64(1)"]),
+], ids=["str-id", "float-id", "float-image-id", "float-width", "str-area", "str-box", "beyond-int64"])
+def test_validate_rejects_fields_no_table_takes(images, annotations, errors):
+    """A dataset built in code whose ids, sizes, areas or boxes no table column takes is
+    rejected with one error per bad field, worded as the parse of its document words it,
+    instead of passing and failing later in inject, evaluate or serialize."""
+    with pytest.raises(ValidationError) as err:
+        validate_dataset(Dataset(images, annotations, (_CAT,)))
+    assert err.value.errors == errors
+
+
+def test_numpy_integer_ids_validate_inject_and_serialize():
+    """Numpy integers are integers the tables take: a dataset holding them validates,
+    injects, and serializes to the bytes of its Python-int twin."""
+    n = np.int64
+    images = (ImageRecord(n(1), n(100), np.int32(80), "a.jpg"),)
+    anns = tuple(Annotation(n(k + 1), n(1), np.int16(k % 2 + 1), BoundingBox(1.0 + k, 1.0, 4.0, 4.0))
+                 for k in range(4))
+    ds = Dataset(images, anns, (Category(n(1), "cat"), Category(n(2), "dog")))
+    validate_dataset(ds)
+    noisy, _ = inject(ds, NoiseConfig("una", 0.5, seed=1))
+    validate_dataset(noisy)
+    twin = Dataset((ImageRecord(1, 100, 80, "a.jpg"),),
+                   tuple(replace(a, id=int(a.id), image_id=1, category_id=int(a.category_id)) for a in anns),
+                   (Category(1, "cat"), Category(2, "dog")))
+    assert serialize_dataset(ds) == serialize_dataset(twin)
+    assert serialize_dataset(noisy) == serialize_dataset(inject(twin, NoiseConfig("una", 0.5, seed=1))[0])
 
 
 def test_parsed_dataset_is_the_value_of_its_records():

@@ -514,6 +514,22 @@ def test_noise_config_validation():
     assert config.bogus_size_policy is BogusSizePolicy.UNIFORM_FRACTION
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_no_ratio(flag):
+    """A bool would be logged as ``true`` in the sidecar; 1 and 0 stay ratios."""
+    for check in (lambda r: NoiseConfig(NoiseType.UNA, r), lambda r: exact_count(r, 10)):
+        with pytest.raises(ValueError, match=rf"^ratio must be in \[0, 1\], got {flag!r}$"):
+            check(flag)
+        check(int(flag))
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_a_bool_is_no_seed(flag):
+    """A bool would be logged as ``true`` in the sidecar."""
+    with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {flag}$"):
+        NoiseConfig(NoiseType.UNA, 0.2, seed=flag)
+
+
 def test_log_dict_schema():
     ds = build_dataset(n_annotations=50, seed=28)
     _, log = inject_una(ds, 0.2, seed=53)
