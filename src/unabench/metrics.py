@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Annotation, BoundingBox, Dataset, Detection, _boxes, _Columns, _columns
+from .model import Annotation, BoundingBox, Dataset, Detection, _AnnotationTable, _boxes, _Columns, _columns
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 RECALL_GRID: tuple[float, ...] = tuple(round(0.01 * i, 2) for i in range(101))
@@ -175,7 +175,7 @@ def _greedy(d_box: np.ndarray, g_box: np.ndarray, d_order: np.ndarray, g_order: 
     return out
 
 
-def _match(g: _Columns, d: _Columns, rows: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
+def _match(g: _AnnotationTable, d: _Columns, rows: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
     """Match detections ``rows`` against ground truth ``g`` per image x category cell.
 
     ``rows`` must be in rank order (see :func:`_ranked`): each cell takes its
@@ -355,7 +355,7 @@ def evaluate(gt: Dataset, dets: Sequence[Detection], *, max_dets: int = MAX_DETE
     count as false positives for their category if it has ground truth
     elsewhere). Categories without any ground truth are skipped.
     """
-    (_, g), d = gt._table.non_crowd(), _columns(dets)
+    g, d = gt._table.non_crowd(), _columns(dets)
     rows = _ranked(d, max_dets)
     tp = _match(g, d, rows, IOU_THRESHOLDS).T[:, rows] >= 0
     cats, n_gt = np.unique(g.categories, return_counts=True)

@@ -8,15 +8,21 @@ byte-identical output regardless of construction order.
 Decoded JSON becomes arrays in one place, the column pull (:func:`_pull` and
 the ``_*_column`` builders): each field of a section is taken as one list,
 checked by exact type at C speed and built into a numpy array. It fills the
-annotation table of :func:`parse_dataset` (:class:`_AnnotationTable`), its
-image and category records with their integer columns (:func:`_records`),
-and the results table of :func:`_detection_table`, so valid input builds no
+annotation table of :func:`parse_dataset` (:class:`_AnnotationTable`) and
+the results table of :func:`_detection_table` (:class:`_Columns`), and reads
+the image and category records (:func:`_records`), so valid input builds no
 annotation or detection record. Where a column check fails, the record walk
 (:func:`_read_records`, then :func:`validate_dataset`'s checks per record)
-judges the input: it alone words errors and decides what is rejected. A
-parsed dataset builds its annotation records from its table on first access
-of ``annotations``; :func:`serialize_dataset` writes from the table; records
-become arrays in :func:`_columns` (detections) and :meth:`_AnnotationTable.of`.
+judges the input: it alone words errors and decides what is rejected.
+Annotations only the walk takes become a table too, so every parsed dataset
+holds one, builds its annotation records from it on first access of
+``annotations`` and is written from it by :func:`serialize_dataset`.
+
+Records become arrays in one builder per table: :meth:`_AnnotationTable.of`
+(annotations of a dataset built in code, or walked), :func:`_columns`
+(detections) and ``Dataset._image_table`` (images, parsed or not). Scoring
+reads the ground truth as its table's non-crowd rows
+(:meth:`_AnnotationTable.non_crowd`) and the detections as a results table.
 
 Decoding is kept apart from judging, so it can run in another process:
 :func:`parse_dataset` is :func:`_decode_dataset` then :func:`validate_dataset`,
@@ -34,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from itertools import chain, repeat
-from operator import index, itemgetter
+from operator import attrgetter, index, itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -186,8 +192,9 @@ class Dataset:
 
     @cached_property
     def _image_table(self) -> _ImageTable:
-        return _ImageTable.of(_int_array([im.id for im in self.images]),
-                              _int_array([v for im in self.images for v in (im.width, im.height)]).astype(np.float64))
+        ids, w, h = (_int_array([getattr(im, key) for im in self.images]) for key in ("id", "width", "height"))
+        order = np.argsort(ids, kind="stable")
+        return _ImageTable(ids[order], np.stack((w, h), axis=1)[order].astype(np.float64))
 
     @cached_property
     def _category_ids(self) -> np.ndarray:
@@ -270,11 +277,12 @@ def validate_dataset(ds: Dataset) -> None:
     only warned about. Everything else (duplicate ids, dangling references,
     non-positive box sizes, non-finite values) raises :class:`ValidationError`
     listing every offending record. A record built in code whose id, size,
-    area or box no table column takes is rejected first, alone, as decoding
-    its document would reject it (:func:`_untabled_fields`). The annotations
-    are checked as columns of the dataset's table; when a check fails, or an
-    image or category is at fault, :func:`_walk_annotations` judges them
-    record by record.
+    area or box no table column takes, or whose name, box, area or crowd
+    flag a column would cast to another value, is rejected first, alone, as
+    decoding its document would reject it (:func:`_untabled_fields`). The
+    annotations are checked as columns of the dataset's table; when a check
+    fails, or an image or category is at fault, :func:`_walk_annotations`
+    judges them record by record.
     """
     errors = _untabled_fields(ds)
     if errors:
@@ -312,13 +320,16 @@ def validate_dataset(ds: Dataset) -> None:
 
 
 def _untabled_fields(ds: Dataset) -> list[str]:
-    """Where a record holds an id, size, area or box that no table column takes, the errors
-    the record walk gives for the records' document, one per bad field; none where the tables
-    build, as a parsed dataset's always do, so only a dataset built in code is read again."""
+    """Where a record holds an id, size, area or box that no table column takes, or a value
+    its document would hold as another (:func:`_plain_records`), the errors the record walk
+    gives for the records' document, one per bad field; none where the tables build from
+    plain records, as a parsed dataset's always do, so only a dataset built in code is read
+    again."""
     try:
         ds._image_table, ds._category_ids, ds._table
-        return []
-    except _TO_WALK:
+        if _plain_records(ds):
+            return []
+    except _TO_WALK:  # a table column refused a value, or a crowd flag is unhashable
         pass
     errors: list[str] = []
     for kind, records in ((_IMAGES, ds.images), (_ANNOTATIONS, ds.annotations), (_CATEGORIES, ds.categories)):
@@ -326,6 +337,26 @@ def _untabled_fields(ds: Dataset) -> list[str]:
                 for rec in records]
         list(_read_records(docs, kind, errors))
     return errors
+
+
+# The types of a box coordinate or an area that a table holds and a document writes as the
+# same value; a record holding another is read again by the walk, which decides.
+_PLAIN_NUMBERS = frozenset((int, float, np.float64, np.float32, np.int64, np.int32))
+
+
+def _plain_records(ds: Dataset) -> bool:
+    """Whether every file and category name is a string and, where the annotation records
+    exist, every box coordinate and area a number and every crowd flag 0 or 1: the values a
+    table column would cast instead of refusing. A parsed dataset builds no record for it."""
+    names = chain(map(attrgetter("file_name"), ds.images), map(attrgetter("name"), ds.categories))
+    if not set(map(type, names)) <= {str}:
+        return False
+    if "annotations" not in vars(ds):  # read from a table, so its records hold the table's values
+        return True
+    anns = ds.annotations
+    boxes = list(map(attrgetter("bbox"), anns))
+    numbers = chain(map(attrgetter("area"), anns), *(map(attrgetter(key), boxes) for key in "xywh"))
+    return set(map(type, numbers)) <= _PLAIN_NUMBERS and set(map(attrgetter("crowd_flag"), anns)) <= {0, 1}
 
 
 def _as_decoded(v):
@@ -477,22 +508,17 @@ def _decode_dataset(data: bytes | str) -> Dataset:
     if errors:
         raise ValidationError(errors)
 
-    images, image_columns = _records(doc["images"], _IMAGES, ImageRecord, errors)
+    images = _records(doc["images"], _IMAGES, ImageRecord, errors)
     table = _annotation_table(doc["annotations"])
     if table is None:
         annotations = [Annotation(crowd_flag=v.pop("iscrowd"), **v)
                        for _, v in _read_records(doc["annotations"], _ANNOTATIONS, errors)]
-    categories, _ = _records(doc["categories"], _CATEGORIES, Category, errors)
+    categories = _records(doc["categories"], _CATEGORIES, Category, errors)
     if errors:
         raise ValidationError(errors)
-
-    if table is None:
-        return Dataset(images, annotations, categories)
-    cached = {}
-    if image_columns is not None:  # the image table, from the pulled columns
-        sizes = np.stack((image_columns["width"], image_columns["height"]), axis=1).astype(np.float64)
-        cached["_image_table"] = _ImageTable.of(image_columns["id"], sizes)
-    return Dataset._of_table(images, table, categories, **cached)
+    if table is None:  # annotations only the walk takes, as an iscrowd of true
+        table = _AnnotationTable.of(annotations)
+    return Dataset._of_table(images, table, categories)
 
 
 def serialize_dataset(ds: Dataset) -> bytes:
@@ -522,12 +548,13 @@ def serialize_dataset(ds: Dataset) -> bytes:
 
 
 class _Columns(NamedTuple):
-    """Records as arrays, row i for record i; ``scores`` is None for ground truth."""
+    """A results table: detections as arrays, row i for detection i, int64 image and
+    category ids, (n, 4) (x, y, w, h) boxes and scores (float64)."""
 
     images: np.ndarray
     categories: np.ndarray
     boxes: np.ndarray
-    scores: np.ndarray | None
+    scores: np.ndarray
 
 
 def _int_array(values: list) -> np.ndarray:
@@ -543,11 +570,6 @@ class _ImageTable(NamedTuple):
 
     ids: np.ndarray
     sizes: np.ndarray
-
-    @classmethod
-    def of(cls, ids: np.ndarray, sizes: np.ndarray) -> _ImageTable:
-        order = np.argsort(ids, kind="stable")
-        return cls(ids[order], sizes.reshape(-1, 2)[order])
 
 
 class _AnnotationTable(NamedTuple):
@@ -566,8 +588,7 @@ class _AnnotationTable(NamedTuple):
         """The table of records; TypeError where an id is not an integer, as no cast of it is exact."""
         ids, images, categories = ([getattr(a, key) for a in annotations]
                                    for key in ("id", "image_id", "category_id"))
-        return cls(_int_array(ids), _int_array(images), _int_array(categories),
-                   np.array([a.bbox.as_list() for a in annotations], dtype=np.float64).reshape(-1, 4),
+        return cls(_int_array(ids), _int_array(images), _int_array(categories), _boxes(annotations),
                    np.array([a.area for a in annotations], dtype=np.float64),
                    np.array([a.crowd_flag for a in annotations], dtype=bool))
 
@@ -582,10 +603,10 @@ class _AnnotationTable(NamedTuple):
             records[i] = a
         return tuple(records)
 
-    def non_crowd(self) -> tuple[np.ndarray, _Columns]:
-        """Ids and columns of the rows scoring reads: every annotation but crowd regions."""
+    def non_crowd(self) -> _AnnotationTable:
+        """The rows scoring reads, as a table: every annotation but crowd regions."""
         keep = ~self.crowd
-        return self.ids[keep], _Columns(self.images[keep], self.categories[keep], self.boxes[keep], None)
+        return _AnnotationTable(*(col[keep] for col in self))
 
 
 def _boxes(records: Sequence[Annotation | Detection]) -> np.ndarray:
@@ -596,13 +617,14 @@ def _boxes(records: Sequence[Annotation | Detection]) -> np.ndarray:
 
 
 def _columns(detections: Sequence[Detection] | _Columns) -> _Columns:
-    """Detection records as arrays; a table passes as is. (A dataset's own annotations
-    become arrays in :meth:`_AnnotationTable.of`.)"""
+    """Detection records as a results table; a table passes as is. TypeError where an id
+    is not an integer, as no cast of it is exact. (A dataset's own annotations become
+    arrays in :meth:`_AnnotationTable.of`.)"""
     if isinstance(detections, _Columns):
         return detections
     return _Columns(
-        np.array([d.image_id for d in detections], dtype=np.int64),
-        np.array([d.category_id for d in detections], dtype=np.int64),
+        _int_array([d.image_id for d in detections]),
+        _int_array([d.category_id for d in detections]),
         _boxes(detections),
         np.array([d.score for d in detections], dtype=np.float64),
     )
@@ -652,18 +674,21 @@ def _refs_and_sizes_ok(t: _Columns | _AnnotationTable, image_ids: np.ndarray, ca
                 and np.isin(t.categories, category_ids).all())
 
 
-def _records(section: list, kind: tuple, record: type, errors: list[str]) -> tuple[list, dict | None]:
-    """An images or categories section as records, with its integer fields as int64 columns
-    by key when the column pull takes it; else the record walk reads it, and words its errors."""
+def _records(section: list, kind: tuple, record: type, errors: list[str]) -> list:
+    """An images or categories section as records, by the column pull where its integer
+    fields are int64 columns and the others string columns; else the record walk reads
+    it, and words its errors."""
     types = kind[2]
     try:
         columns = dict(zip(types, _pull(section, types)))
-        ints = {key: _int_column(columns[key]) for key, field_type in types.items() if field_type is _INT}
-        if not all(set(map(type, columns[key])) <= {str} for key in columns.keys() - ints.keys()):
-            raise TypeError("not a string column")
+        for key, field_type in types.items():
+            if field_type is _INT:
+                _int_column(columns[key])  # raises on a value no int64 column takes
+            elif not set(map(type, columns[key])) <= {str}:
+                raise TypeError("not a string column")
     except _TO_WALK:
-        return [record(**v) for _, v in _read_records(section, kind, errors)], None
-    return list(map(record, *(columns[f.name] for f in fields(record)))), ints
+        return [record(**v) for _, v in _read_records(section, kind, errors)]
+    return list(map(record, *(columns[f.name] for f in fields(record))))
 
 
 def _annotation_table(section: list) -> _AnnotationTable | None:
@@ -699,8 +724,7 @@ def _result_columns(doc: list) -> _Columns:
 
 def _results_known(t: _Columns, ds: Dataset) -> bool:
     """Every result row names an image and a category of ``ds`` and has w > 0 and h > 0."""
-    known = (np.fromiter(by_id, np.int64) for by_id in (ds.images_by_id, ds.categories_by_id))
-    return _refs_and_sizes_ok(t, *known)
+    return _refs_and_sizes_ok(t, ds._image_table.ids, ds._category_ids)
 
 
 def _detection_table(data: bytes | str, ds: Dataset) -> _Columns:

@@ -52,6 +52,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -94,6 +95,18 @@ class NoiseType(str, Enum):
 class BogusSizePolicy(str, Enum):
     SAMPLE_EXISTING = "sample_existing"
     UNIFORM_FRACTION = "uniform_fraction"
+
+
+def _seed(seed) -> int:
+    """``seed`` as a Python int in [0, 2**64); ValueError for a bool, a float, a string or
+    another value that is no integer, or one out of range. Numpy integers are integers."""
+    try:
+        value = index(seed)
+    except TypeError:
+        value = -1
+    if isinstance(seed, (bool, np.bool_)) or not 0 <= value < _MAX_SEED:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return value
 
 
 def _check_stream_key(seed: int, item: int) -> None:
@@ -197,8 +210,7 @@ class NoiseConfig:
         object.__setattr__(self, "bogus_size_policy", BogusSizePolicy(self.bogus_size_policy))
         _check_ratio(self.ratio)
         _check_delta(self.loc_delta)
-        if isinstance(self.seed, (bool, np.bool_)) or not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     def to_dict(self) -> dict:
         return {
@@ -332,7 +344,7 @@ def select_targets(ds: Dataset, ratio: float, seed: int, kind: str) -> frozenset
     :func:`exact_count`; it does not depend on input record order, and
     different kinds select independently.
     """
-    return frozenset(ds._table.ids[_select(ds, ratio, seed, kind)].tolist())
+    return frozenset(ds._table.ids[_select(ds, ratio, _seed(seed), kind)].tolist())
 
 
 def _eligible(ds: Dataset) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .metrics import (MAX_DETECTIONS_PER_IMAGE, _capped, _category_ap, _edge_iou, _edges, _grouped, _match, _ranked,
                       _runs)
-from .model import Dataset, Detection, _Columns, _columns
+from .model import Dataset, Detection, _AnnotationTable, _Columns, _columns
 
 DEFAULT_TF = 0.5
 DEFAULT_TB = 0.1
@@ -98,10 +98,10 @@ def classify_errors(
     every false positive gets exactly one label.
     """
     _check_thresholds(tf, tb)
-    (ids, g), d = gt._table.non_crowd(), _columns(dets)
+    g, d = gt._table.non_crowd(), _columns(dets)
     match = _match(g, d, _ranked(d, None), (tf,))[:, 0]
     rule, target, miss = _classify(g, d, match, tf, tb)
-    ids = ids.tolist()
+    ids = g.ids.tolist()
     return ErrorAssignment(
         labels=tuple(ERROR_ORDER[r] if r >= 0 else None for r in rule.tolist()),
         matched_gt=tuple(ids[m] if m >= 0 else None for m in match.tolist()),
@@ -118,7 +118,7 @@ _PAIR_CHUNK = 65_536
 
 
 def _classify(
-    g: _Columns, d: _Columns, match: np.ndarray, tf: float, tb: float,
+    g: _AnnotationTable, d: _Columns, match: np.ndarray, tf: float, tb: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply the :func:`classify_errors` rules given the match at ``tf``.
 
@@ -258,7 +258,7 @@ def tide_report(
     no other match. Only detections inside the cap are ranked or fixed.
     """
     _check_thresholds(tf, tb)
-    (_, g), d = gt._table.non_crowd(), _columns(dets)
+    g, d = gt._table.non_crowd(), _columns(dets)
     order = _ranked(d, None)
     match = _match(g, d, order, (0.5,) if tf == 0.5 else (0.5, tf))
     rule, target, miss = _classify(g, d, match[:, -1], tf, tb)

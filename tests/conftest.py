@@ -134,6 +134,30 @@ def tied_crowd_instance(rng: np.random.Generator) -> tuple[Dataset, list[Detecti
     return replace(ds, annotations=anns), dets
 
 
+def disjoint_instance(rng: np.random.Generator, n_images: int = 50, rows: int = 3, cols: int = 4,
+                      n_categories: int = 4) -> Dataset:
+    """Images of ``rows`` x ``cols`` disjoint 100 px cells, one box per cell, no crowd.
+
+    A box's sides are 8-30 px and its center lies at least 1.6 times its
+    larger side inside its cell, so a jitter at ``loc_delta`` up to 0.7
+    (which reaches at most ``(1.5 * delta + 0.5)`` times a side from the
+    center) keeps the box inside its cell: no two boxes of an image ever
+    overlap, before or after localization noise.
+    """
+    images = tuple(ImageRecord(i + 1, 100 * cols, 100 * rows, f"grid_{i + 1}.jpg") for i in range(n_images))
+    categories = tuple(Category(c + 1, f"class{c + 1}") for c in range(n_categories))
+    annotations = []
+    for im in images:
+        for r in range(rows):
+            for c in range(cols):
+                w, h = rng.uniform(8, 30, 2)
+                reach = 1.6 * max(w, h)
+                cx, cy = 100 * c + rng.uniform(reach, 100 - reach), 100 * r + rng.uniform(reach, 100 - reach)
+                annotations.append(Annotation(len(annotations) + 1, im.id, int(rng.integers(1, n_categories + 1)),
+                                              BoundingBox(float(cx - w / 2), float(cy - h / 2), float(w), float(h))))
+    return Dataset(images, tuple(annotations), categories)
+
+
 def capped_tie_instance() -> tuple[Dataset, list[Detection]]:
     """Fixed problem with tied scores, crowd gts and one image over the cap.
 

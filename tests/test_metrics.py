@@ -292,7 +292,7 @@ def test_capped_matching_is_a_prefix_of_uncapped_matching(cap):
     cut = 0
     for _ in range(300):
         ds, dets = tied_crowd_instance(rng)
-        (_, g), d = ds._table.non_crowd(), _columns(dets)
+        g, d = ds._table.non_crowd(), _columns(dets)
         kept = _ranked(d, cap)
         full = _match(g, d, _ranked(d, None), IOU_THRESHOLDS)
         np.testing.assert_array_equal(full[kept], _match(g, d, kept, IOU_THRESHOLDS)[kept])

@@ -526,6 +526,29 @@ def test_annotation_table_agrees_with_the_walk(caplog, name, change):
         assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
 
+@pytest.mark.parametrize("flag", [True, 0.0, 1.0])
+def test_annotations_only_the_walk_takes_are_read_into_a_table(flag):
+    """An iscrowd the column pull refuses but the walk takes: the walked records become the
+    dataset's table, so the parse builds no record to keep, as every other parse."""
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["annotations"][1]["iscrowd"] = flag
+    ds = parse_dataset(json.dumps(doc))
+    assert "annotations" not in vars(ds)
+    assert ds._table.crowd.tolist() == [False, bool(flag)]
+    walked = _parse_by_walk(json.dumps(doc))
+    assert ds == walked and serialize_dataset(ds) == serialize_dataset(walked)
+    for g, w in zip(ds._table, model._AnnotationTable.of(walked.annotations)):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+def test_scoring_reads_the_non_crowd_rows_as_a_table():
+    table = parse_dataset(json.dumps(MINIMAL))._table
+    rows = table.non_crowd()
+    assert isinstance(rows, model._AnnotationTable)
+    for g, w in zip(rows, table):
+        assert (g.dtype, g.tobytes()) == (w.dtype, w[~table.crowd].tobytes())
+
+
 def test_image_errors_leave_the_annotations_to_the_walk(caplog):
     """With a duplicated image id the walk sizes a box by the image listed last; the
     table is not consulted, so the warning and the errors are the walk's."""
@@ -581,6 +604,40 @@ def test_validate_rejects_fields_no_table_takes(images, annotations, errors):
     with pytest.raises(ValidationError) as err:
         validate_dataset(Dataset(images, annotations, (_CAT,)))
     assert err.value.errors == errors
+
+
+@pytest.mark.parametrize("images, annotations, categories, error", [
+    ((replace(_IM, file_name=5),), (_RECORD,), (_CAT,), "images[0]: file_name must be a string"),
+    ((_IM,), (_RECORD,), (Category(1, 7),), "categories[0]: name must be a string"),
+    ((_IM,), (replace(_RECORD, bbox=BoundingBox("1", 2.0, 3.0, 4.0)),), (_CAT,),
+     "annotations[0] (id=1): bbox must be four finite numbers, got ['1', 2.0, 3.0, 4.0]"),
+    ((_IM,), (replace(_RECORD, area="5"),), (_CAT,), f"{_ANN}: area must be a finite number, got '5'"),
+    ((_IM,), (replace(_RECORD, crowd_flag="yes"),), (_CAT,), f"{_ANN}: iscrowd must be 0 or 1, got 'yes'"),
+    ((_IM,), (replace(_RECORD, crowd_flag=2),), (_CAT,), f"{_ANN}: iscrowd must be 0 or 1, got 2"),
+], ids=["int-file-name", "int-category-name", "str-box-coordinate", "str-area", "str-crowd", "crowd-2"])
+def test_validate_rejects_values_a_table_would_cast(images, annotations, categories, error):
+    """A record whose name, box coordinate, area or crowd flag a table column would cast to
+    another value is rejected as its document is, not written to a file that parses back
+    to another dataset or not at all."""
+    with pytest.raises(ValidationError) as err:
+        validate_dataset(Dataset(images, annotations, categories))
+    assert err.value.errors == [error]
+
+
+def test_numpy_numbers_and_int_crowd_flags_stay_valid():
+    """Numpy numbers in boxes and areas, and crowd flags of 0, 1, 1.0 or a numpy bool, are
+    values the document holds as well: the dataset validates and serializes to its twin's bytes."""
+    anns = (Annotation(1, 1, 1, BoundingBox(np.float32(1.5), np.int64(2), np.float64(4.0), 4),
+                       area=np.float32(16.0)),
+            Annotation(2, 1, 1, BoundingBox(1.0, 1.0, 4.0, 4.0), crowd_flag=1),
+            Annotation(3, 1, 1, BoundingBox(1.0, 1.0, 4.0, 4.0), crowd_flag=np.True_),
+            Annotation(4, 1, 1, BoundingBox(1.0, 1.0, 4.0, 4.0), crowd_flag=1.0),
+            Annotation(5, 1, 1, BoundingBox(1.0, 1.0, 4.0, 4.0), crowd_flag=0))
+    ds = Dataset((_IM,), anns, (_CAT,))
+    validate_dataset(ds)
+    twin = Dataset((_IM,), (Annotation(1, 1, 1, BoundingBox(1.5, 2.0, 4.0, 4.0), area=16.0),
+                            *(replace(a, crowd_flag=bool(a.crowd_flag)) for a in anns[1:])), (_CAT,))
+    assert serialize_dataset(ds) == serialize_dataset(twin)
 
 
 def test_numpy_integer_ids_validate_inject_and_serialize():

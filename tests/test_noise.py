@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from unabench import (
 )
 from unabench.noise import DEFAULT_LOC_DELTA, _stream, _BOGUS_ITEM
 
-from conftest import build_dataset
+from conftest import build_dataset, noise_digests
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -528,6 +529,29 @@ def test_a_bool_is_no_seed(flag):
     """A bool would be logged as ``true`` in the sidecar."""
     with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {flag}$"):
         NoiseConfig(NoiseType.UNA, 0.2, seed=flag)
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3)], ids=["int64", "uint64"])
+def test_a_numpy_integer_seed_injects_as_its_python_int(seed):
+    """The seed is normalised to a Python int: the same targets, dataset and sidecar bytes
+    as 3, and the sidecar logs it as a plain integer."""
+    ds = build_dataset(n_annotations=60, seed=19, crowd_every=7)
+    config = NoiseConfig(NoiseType.UNA, 0.5, seed=seed)
+    assert type(config.seed) is int and type(config.to_dict()["seed"]) is int
+    assert noise_digests(ds, config) == noise_digests(ds, NoiseConfig(NoiseType.UNA, 0.5, seed=3))
+    for kind in ("categorization", "localization", "missing"):
+        assert select_targets(ds, 0.5, seed, kind) == select_targets(ds, 0.5, 3, kind)
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", 3.0])
+def test_a_seed_that_is_no_integer_is_refused(seed):
+    """A float or a string is no seed, even where it equals an integer."""
+    ds = build_dataset(n_annotations=20)
+    message = rf"^seed must be in \[0, 2\*\*64\), got {re.escape(str(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        NoiseConfig(NoiseType.UNA, 0.5, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        select_targets(ds, 0.5, seed, "missing")
 
 
 def test_log_dict_schema():

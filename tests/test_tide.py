@@ -1,5 +1,8 @@
 """Error classification, oracle fixes, and the per-component report."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from unabench import (
     apply_oracle,
     classify_errors,
     evaluate,
+    parse_dataset,
+    parse_detections,
     tide_report,
 )
 from unabench.tide import ERROR_ORDER
@@ -252,3 +257,31 @@ def test_fix_oracles_never_below_reevaluation_baseline():
 def test_error_order_is_fixed():
     assert tuple(k.value for k in ERROR_ORDER) == (
         "cls", "loc", "both", "dupe", "bkg", "miss")
+
+
+# --- detection ids --------------------------------------------------------------
+
+def _micro():
+    data = Path(__file__).parent / "data"
+    ds = parse_dataset((data / "micro_gt.json").read_bytes())
+    return ds, parse_detections((data / "micro_dt.json").read_bytes(), ds)
+
+
+@pytest.mark.parametrize("odd", [lambda i: i + 0.7, str], ids=["float", "string"])
+def test_scoring_refuses_a_detection_id_that_is_no_integer(odd):
+    """A float or string image id is no integer: evaluate, classify_errors and tide_report
+    raise, as they do for such a ground-truth id, instead of reading it as an int."""
+    ds, dets = _micro()
+    shifted = [replace(d, image_id=odd(d.image_id)) for d in dets]
+    for score in (evaluate, classify_errors, tide_report):
+        with pytest.raises(TypeError, match="not an integer column"):
+            score(ds, shifted)
+        with pytest.raises(TypeError, match="not an integer column"):
+            score(ds, [replace(d, category_id=odd(d.category_id)) for d in dets])
+
+
+def test_numpy_integer_detection_ids_score_as_python_ints():
+    ds, dets = _micro()
+    numpy_ids = [replace(d, image_id=np.int64(d.image_id), category_id=np.int32(d.category_id)) for d in dets]
+    for score in (evaluate, classify_errors, tide_report):
+        assert score(ds, numpy_ids) == score(ds, dets)
