@@ -2,9 +2,11 @@
 
 import json
 import logging
+import hashlib
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -561,19 +563,22 @@ def test_image_errors_leave_the_annotations_to_the_walk(caplog):
     assert warnings == walk_warnings == []
 
 
+BUILT_IN_CODE = [
+    ("nan-box", Annotation(7, 1, 1, BoundingBox(1.0, 1.0, math.nan, 2.0)),
+     "annotations[0] (id=7): non-finite bbox [1.0, 1.0, nan, 2.0]"),
+    ("unknown-image", Annotation(7, 9, 1, BoundingBox(1.0, 1.0, 2.0, 2.0)), "annotations[0] (id=7): unknown image_id 9"),
+    ("float-image-id", Annotation(7, 1.5, 1, BoundingBox(1.0, 1.0, 2.0, 2.0)),
+     "annotations[0] (id=7): field 'image_id' must be an integer, got 1.5"),
+    ("str-id", Annotation("a", 1, 1, BoundingBox(1.0, 1.0, 2.0, 2.0)), "annotations[0]: field 'id' must be an integer, got 'a'"),
+]
+
+
 def test_validate_dataset_walks_a_dataset_built_in_code():
     """Records that fail a column check are judged by the walk; records the table cannot
     hold are rejected as decoding their document would reject them."""
     good = parse_dataset(json.dumps(dict(MINIMAL, annotations=_ANNOTATIONS)))
     validate_dataset(Dataset(good.images, good.annotations, good.categories))
-    for bad, error in ((Annotation(7, 1, 1, BoundingBox(1.0, 1.0, math.nan, 2.0)),
-                        "annotations[0] (id=7): non-finite bbox [1.0, 1.0, nan, 2.0]"),
-                       (Annotation(7, 9, 1, BoundingBox(1.0, 1.0, 2.0, 2.0)),
-                        "annotations[0] (id=7): unknown image_id 9"),
-                       (Annotation(7, 1.5, 1, BoundingBox(1.0, 1.0, 2.0, 2.0)),
-                        "annotations[0] (id=7): field 'image_id' must be an integer, got 1.5"),
-                       (Annotation("a", 1, 1, BoundingBox(1.0, 1.0, 2.0, 2.0)),
-                        "annotations[0]: field 'id' must be an integer, got 'a'")):
+    for _, bad, error in BUILT_IN_CODE:
         with pytest.raises(ValidationError) as err:
             validate_dataset(Dataset(good.images, (bad,), good.categories))
         assert err.value.errors == [error]
@@ -583,7 +588,7 @@ _IM, _CAT = ImageRecord(1, 100, 80, "a.jpg"), Category(1, "cat")
 _RECORD = Annotation(1, 1, 1, BoundingBox(1.0, 1.0, 4.0, 4.0))
 
 
-@pytest.mark.parametrize("images, annotations, errors", [
+NO_TABLE_TAKES = [
     ((_IM,), (replace(_RECORD, id="x"),), ["annotations[0]: field 'id' must be an integer, got 'x'"]),
     ((_IM,), (replace(_RECORD, id=1.5),), ["annotations[0]: field 'id' must be an integer, got 1.5"]),
     ((replace(_IM, id=1.0),), (replace(_RECORD, image_id=1.0),),
@@ -596,7 +601,11 @@ _RECORD = Annotation(1, 1, 1, BoundingBox(1.0, 1.0, 4.0, 4.0))
     ((_IM,), (replace(_RECORD, id=2 ** 63), replace(_RECORD, id=2, category_id=np.uint64(1))),
      [f"annotations[0] (id={2 ** 63}): " + _BEYOND_INT64.format(key="id", value=2 ** 63),
       "annotations[1] (id=2): field 'category_id' must be an integer, got np.uint64(1)"]),
-], ids=["str-id", "float-id", "float-image-id", "float-width", "str-area", "str-box", "beyond-int64"])
+]
+_NO_TABLE_TAKES_IDS = ["str-id", "float-id", "float-image-id", "float-width", "str-area", "str-box", "beyond-int64"]
+
+
+@pytest.mark.parametrize("images, annotations, errors", NO_TABLE_TAKES, ids=_NO_TABLE_TAKES_IDS)
 def test_validate_rejects_fields_no_table_takes(images, annotations, errors):
     """A dataset built in code whose ids, sizes, areas or boxes no table column takes is
     rejected with one error per bad field, worded as the parse of its document words it,
@@ -606,7 +615,7 @@ def test_validate_rejects_fields_no_table_takes(images, annotations, errors):
     assert err.value.errors == errors
 
 
-@pytest.mark.parametrize("images, annotations, categories, error", [
+A_TABLE_WOULD_CAST = [
     ((replace(_IM, file_name=5),), (_RECORD,), (_CAT,), "images[0]: file_name must be a string"),
     ((_IM,), (_RECORD,), (Category(1, 7),), "categories[0]: name must be a string"),
     ((_IM,), (replace(_RECORD, bbox=BoundingBox("1", 2.0, 3.0, 4.0)),), (_CAT,),
@@ -614,7 +623,12 @@ def test_validate_rejects_fields_no_table_takes(images, annotations, errors):
     ((_IM,), (replace(_RECORD, area="5"),), (_CAT,), f"{_ANN}: area must be a finite number, got '5'"),
     ((_IM,), (replace(_RECORD, crowd_flag="yes"),), (_CAT,), f"{_ANN}: iscrowd must be 0 or 1, got 'yes'"),
     ((_IM,), (replace(_RECORD, crowd_flag=2),), (_CAT,), f"{_ANN}: iscrowd must be 0 or 1, got 2"),
-], ids=["int-file-name", "int-category-name", "str-box-coordinate", "str-area", "str-crowd", "crowd-2"])
+]
+_A_TABLE_WOULD_CAST_IDS = ["int-file-name", "int-category-name", "str-box-coordinate", "str-area", "str-crowd",
+                           "crowd-2"]
+
+
+@pytest.mark.parametrize("images, annotations, categories, error", A_TABLE_WOULD_CAST, ids=_A_TABLE_WOULD_CAST_IDS)
 def test_validate_rejects_values_a_table_would_cast(images, annotations, categories, error):
     """A record whose name, box coordinate, area or crowd flag a table column would cast to
     another value is rejected as its document is, not written to a file that parses back
@@ -624,30 +638,40 @@ def test_validate_rejects_values_a_table_would_cast(images, annotations, categor
     assert err.value.errors == [error]
 
 
-def test_numpy_numbers_and_int_crowd_flags_stay_valid():
-    """Numpy numbers in boxes and areas, and crowd flags of 0, 1, 1.0 or a numpy bool, are
-    values the document holds as well: the dataset validates and serializes to its twin's bytes."""
+def _numpy_numbers_dataset() -> Dataset:
     anns = (Annotation(1, 1, 1, BoundingBox(np.float32(1.5), np.int64(2), np.float64(4.0), 4),
                        area=np.float32(16.0)),
             Annotation(2, 1, 1, BoundingBox(1.0, 1.0, 4.0, 4.0), crowd_flag=1),
             Annotation(3, 1, 1, BoundingBox(1.0, 1.0, 4.0, 4.0), crowd_flag=np.True_),
             Annotation(4, 1, 1, BoundingBox(1.0, 1.0, 4.0, 4.0), crowd_flag=1.0),
             Annotation(5, 1, 1, BoundingBox(1.0, 1.0, 4.0, 4.0), crowd_flag=0))
-    ds = Dataset((_IM,), anns, (_CAT,))
+    return Dataset((_IM,), anns, (_CAT,))
+
+
+def test_numpy_numbers_and_int_crowd_flags_stay_valid():
+    """Numpy numbers in boxes and areas, and crowd flags of 0, 1, 1.0 or a numpy bool, are
+    values the document holds as well: the dataset validates and serializes to its twin's bytes."""
+    ds = _numpy_numbers_dataset()
+    anns = ds.annotations
     validate_dataset(ds)
     twin = Dataset((_IM,), (Annotation(1, 1, 1, BoundingBox(1.5, 2.0, 4.0, 4.0), area=16.0),
                             *(replace(a, crowd_flag=bool(a.crowd_flag)) for a in anns[1:])), (_CAT,))
     assert serialize_dataset(ds) == serialize_dataset(twin)
 
 
-def test_numpy_integer_ids_validate_inject_and_serialize():
-    """Numpy integers are integers the tables take: a dataset holding them validates,
-    injects, and serializes to the bytes of its Python-int twin."""
+def _numpy_ids_dataset() -> Dataset:
     n = np.int64
     images = (ImageRecord(n(1), n(100), np.int32(80), "a.jpg"),)
     anns = tuple(Annotation(n(k + 1), n(1), np.int16(k % 2 + 1), BoundingBox(1.0 + k, 1.0, 4.0, 4.0))
                  for k in range(4))
-    ds = Dataset(images, anns, (Category(n(1), "cat"), Category(n(2), "dog")))
+    return Dataset(images, anns, (Category(n(1), "cat"), Category(n(2), "dog")))
+
+
+def test_numpy_integer_ids_validate_inject_and_serialize():
+    """Numpy integers are integers the tables take: a dataset holding them validates,
+    injects, and serializes to the bytes of its Python-int twin."""
+    ds = _numpy_ids_dataset()
+    anns = ds.annotations
     validate_dataset(ds)
     noisy, _ = inject(ds, NoiseConfig("una", 0.5, seed=1))
     validate_dataset(noisy)
@@ -779,3 +803,135 @@ def test_boxes_out_of_float_range_get_one_error_in_box_order():
             parse(results, ds)
         assert err.value.errors == [w.replace(f"annotations[{i}] (id={i + 1})", f"results[{i}]")
                                     for i, w in enumerate(want)]
+
+
+
+# --- validation golden -----------------------------------------------------------------
+#
+# data/validation_golden.json, written by data/make_validation_golden.py, holds the outcome
+# of every input below: its errors, or the SHA-256 of what was accepted, and the warnings
+# logged. It is the oracle for error text and order; rewrite it only for a deliberate change
+# of what is accepted or of how a problem is worded.
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "validation_golden.json"
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _outcome(run) -> dict:
+    """``run()``'s errors, or the SHA-256 of the bytes it returns, plus the warnings it logs."""
+    handler, log = _Warnings(), logging.getLogger("unabench.model")
+    log.addHandler(handler)
+    try:
+        out = {"sha256": hashlib.sha256(run()).hexdigest()}
+    except ValidationError as e:
+        out = {"errors": e.errors}
+    finally:
+        log.removeHandler(handler)
+    return {**out, "warnings": handler.messages}
+
+
+def _detections_bytes(dets) -> bytes:
+    return json.dumps([[d.image_id, d.category_id, d.bbox.as_list(), d.score] for d in dets]).encode()
+
+
+def _mutated(base: dict, key, value):
+    """``base`` with ``key`` set to ``value`` (removed for ``_ABSENT``), or ``value`` itself for no key."""
+    if key is None:
+        return value
+    record = {k: v for k, v in base.items() if k != key}
+    if value is not _ABSENT:
+        record[key] = value
+    return record
+
+
+def _results_document(key, value) -> str:
+    return json.dumps([_RESULTS[0], _mutated(_RESULTS[1], key, value), _RESULTS[2]])
+
+
+def _annotations_document(change) -> str:
+    record = change
+    if isinstance(change, dict):
+        record = {k: v for k, v in {**_ANNOTATIONS[1], **change}.items() if v is not _ABSENT}
+    return json.dumps(dict(MINIMAL, annotations=[_ANNOTATIONS[0], record, _ANNOTATIONS[2]]))
+
+
+def _in_code_cases() -> dict[str, Dataset]:
+    """The datasets built in code that the tests above validate, by name."""
+    good = parse_dataset(json.dumps(dict(MINIMAL, annotations=_ANNOTATIONS)))
+    cases = {"walks-good": Dataset(good.images, good.annotations, good.categories)}
+    cases.update({f"walks-{name}": Dataset(good.images, (bad,), good.categories) for name, bad, _ in BUILT_IN_CODE})
+    cases.update({f"no-table-takes-{name}": Dataset(images, annotations, (_CAT,))
+                  for name, (images, annotations, _) in zip(_NO_TABLE_TAKES_IDS, NO_TABLE_TAKES)})
+    cases.update({f"table-would-cast-{name}": Dataset(images, annotations, categories)
+                  for name, (images, annotations, categories, _) in zip(_A_TABLE_WOULD_CAST_IDS, A_TABLE_WOULD_CAST)})
+    cases["numpy-numbers"] = _numpy_numbers_dataset()
+    cases["numpy-ids"] = _numpy_ids_dataset()
+    cases["non-positive-image-size"] = Dataset((ImageRecord(1, 0, 10, "x.jpg"),), (), (Category(1, "c"),))
+    return cases
+
+
+def _fuzzed_documents() -> list[str]:
+    rng = np.random.default_rng(7007)
+    return [_fuzzed_document(rng)[0] for _ in range(3000)]
+
+
+def validation_outcomes() -> dict:
+    """The outcome of every input the golden pins, as the golden holds it."""
+    minimal = parse_dataset(json.dumps(MINIMAL))
+    documents = _fuzzed_documents()
+    return {
+        "results": [{"case": name, **_outcome(
+            lambda: _detections_bytes(parse_detections(_results_document(key, value), minimal)))}
+            for name, key, value in MUTATIONS],
+        "annotations": [{"case": name, **_outcome(lambda: serialize_dataset(parse_dataset(_annotations_document(change))))}
+                        for name, change in ANNOTATION_MUTATIONS],
+        "in_code": {name: _outcome(lambda: (validate_dataset(ds), serialize_dataset(ds))[1])
+                    for name, ds in _in_code_cases().items()},
+        "documents": {
+            "inputs_sha256": hashlib.sha256("\n".join(documents).encode()).hexdigest(),
+            "outcomes": [_outcome(lambda: serialize_dataset(parse_dataset(data))) for data in documents],
+        },
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("i", range(len(MUTATIONS)), ids=[m[0] for m in MUTATIONS])
+def test_results_match_the_validation_golden(golden, i):
+    name, key, value = MUTATIONS[i]
+    minimal = parse_dataset(json.dumps(MINIMAL))
+    run = lambda: _detections_bytes(parse_detections(_results_document(key, value), minimal))  # noqa: E731
+    assert {"case": name, **_outcome(run)} == golden["results"][i]
+
+
+@pytest.mark.parametrize("i", range(len(ANNOTATION_MUTATIONS)), ids=[m[0] for m in ANNOTATION_MUTATIONS])
+def test_annotations_match_the_validation_golden(golden, i):
+    name, change = ANNOTATION_MUTATIONS[i]
+    run = lambda: serialize_dataset(parse_dataset(_annotations_document(change)))  # noqa: E731
+    assert {"case": name, **_outcome(run)} == golden["annotations"][i]
+
+
+def test_datasets_built_in_code_match_the_validation_golden(golden):
+    cases = _in_code_cases()
+    assert list(cases) == list(golden["in_code"])
+    for name, ds in cases.items():
+        assert _outcome(lambda: (validate_dataset(ds), serialize_dataset(ds))[1]) == golden["in_code"][name], name
+
+
+def test_whole_documents_match_the_validation_golden(golden):
+    documents = _fuzzed_documents()
+    want = golden["documents"]
+    assert hashlib.sha256("\n".join(documents).encode()).hexdigest() == want["inputs_sha256"]
+    for data, outcome in zip(documents, want["outcomes"], strict=True):
+        assert _outcome(lambda: serialize_dataset(parse_dataset(data))) == outcome, data
