@@ -36,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import EvalSummary, evaluate
-from .model import (Dataset, ValidationError, _Columns, _decode_dataset, _detection_table, _load_results,
-                    _result_columns, _results_known, parse_dataset, serialize_dataset, validate_dataset)
+from .model import (Dataset, ValidationError, _check_results, _Columns, _decode_dataset, _detection_table,
+                    _load_results, _result_columns, parse_dataset, serialize_dataset, validate_dataset)
 from .noise import _EDIT_KINDS, DEFAULT_LOC_DELTA, BogusSizePolicy, InjectionLog, NoiseConfig, NoiseType, inject
 from .tide import DEFAULT_TB, DEFAULT_TF, ERROR_ORDER, ErrorKind, TideReport, tide_report
 
@@ -295,14 +295,16 @@ def _pull_results(data: bytes) -> _Columns:
 
 def _load_scoring(opts: dict) -> tuple[Dataset, _Columns]:
     """Ground truth and the results file as columns: scoring builds no detection records.
-    The results file is decoded aside while the ground truth is parsed; its rows are checked
-    against the ground truth here, and anything short of a pass is redone in process."""
+    The results file is decoded aside while the ground truth is parsed and its rows are
+    checked against the ground truth here; where the column pull refused it, or the child
+    failed, it is read again in process, where the record walk words its problems."""
     data = _read_early(opts["dt"])
     with _aside(_pull_results, data) as pulled:
         gt = _load_dataset(opts["gt"])
         dets = pulled()
-    if dets is None or not _results_known(dets, gt):
-        dets = _detection_table(_given(data), gt)
+    if dets is None:
+        return gt, _detection_table(_given(data), gt)
+    _check_results(dets, gt)
     return gt, dets
 
 

@@ -5,29 +5,34 @@ find and reports them together; serialization is canonical (id-sorted arrays,
 fixed key order, compact separators) so equal datasets always produce
 byte-identical output regardless of construction order.
 
-Decoded JSON becomes arrays in one place, the column pull (:func:`_pull` and
-the ``_*_column`` builders): each field of a section is taken as one list,
-checked by exact type at C speed and built into a numpy array. It fills the
-annotation table of :func:`parse_dataset` (:class:`_AnnotationTable`) and
-the results table of :func:`_detection_table` (:class:`_Columns`), and reads
-the image and category records (:func:`_records`), so valid input builds no
-annotation or detection record. Where a column check fails, the record walk
-(:func:`_read_records`, then :func:`validate_dataset`'s checks per record)
-judges the input: it alone words errors and decides what is rejected.
-Annotations only the walk takes become a table too, so every parsed dataset
-holds one, builds its annotation records from it on first access of
-``annotations`` and is written from it by :func:`serialize_dataset`.
+Input becomes arrays in one place, the typed pull (:func:`_typed`): each
+field of a section is taken as one list, checked by exact type at C speed and
+built into a numpy array. A decoded document's sections come to it through
+:func:`_pull`, records built in code through :func:`_typed_records`. It
+fills the annotation table of :func:`parse_dataset` (:class:`_AnnotationTable`),
+the results table of :func:`_detection_table` (:class:`_Columns`) and the
+image and category records, so valid input builds no annotation or detection
+record. Where the pull refuses a section, the record walk
+(:func:`_read_records`) reads it record by record: it words what no column
+can hold (a record that is no object, a missing key, a value of another
+type) and reads the rest into the same columns.
+
+Each value rule is then written once, as a row mask over the columns (unknown
+references, the box rules, bad areas, duplicate ids, non-positive image
+sizes, the out-of-image warning); annotations and results share the rules
+they have in common (:func:`_row_rules`). Only the rows a mask flags are
+worded (:func:`_worded`), in record order.
 
 Records become arrays in one builder per table: :meth:`_AnnotationTable.of`
-(annotations of a dataset built in code, or walked), :func:`_columns`
-(detections) and ``Dataset._image_table`` (images, parsed or not). Scoring
-reads the ground truth as its table's non-crowd rows
-(:meth:`_AnnotationTable.non_crowd`) and the detections as a results table.
+(annotations of a dataset built in code), :func:`_columns` (detections) and
+``Dataset._image_table`` (images, parsed or not). Scoring reads the ground
+truth as its table's non-crowd rows (:meth:`_AnnotationTable.non_crowd`) and
+the detections as a results table.
 
 Decoding is kept apart from judging, so it can run in another process:
 :func:`parse_dataset` is :func:`_decode_dataset` then :func:`validate_dataset`,
 and :func:`_detection_table` is :func:`_result_columns` then
-:func:`_results_known`. The decode steps log nothing.
+:func:`_check_results`. The decode steps log nothing.
 """
 
 from __future__ import annotations
@@ -191,15 +196,20 @@ class Dataset:
         return tuple(a for a in self.annotations if not a.crowd_flag)
 
     @cached_property
+    def _image_columns(self) -> dict:
+        """The images as typed columns, in record order (:func:`_typed`)."""
+        return _typed_records(self.images, _IMAGES)
+
+    @cached_property
     def _image_table(self) -> _ImageTable:
-        ids, w, h = (_int_array([getattr(im, key) for im in self.images]) for key in ("id", "width", "height"))
-        order = np.argsort(ids, kind="stable")
-        return _ImageTable(ids[order], np.stack((w, h), axis=1)[order].astype(np.float64))
+        c = self._image_columns
+        order = np.argsort(c["id"], kind="stable")
+        return _ImageTable(c["id"][order], np.stack((c["width"], c["height"]), axis=1)[order].astype(np.float64))
 
     @cached_property
     def _category_ids(self) -> np.ndarray:
         """The category ids, sorted, as int64."""
-        return np.sort(_int_array([c.id for c in self.categories]))
+        return np.sort(_typed_records(self.categories, _CATEGORIES)["id"])
 
     @cached_property
     def _id_order(self) -> np.ndarray:
@@ -251,62 +261,53 @@ _OUT_OF_RANGE = ("out of float range: its right and bottom edges must be finite 
                  "positive and at most half the largest float")
 
 
-def _check_refs_and_box(path: str, rec, image_ids, category_ids, errors: list[str]) -> bool:
-    """Reference and box rules for annotations and detections; True if the box is usable."""
-    if rec.image_id is not _UNREAD and rec.image_id not in image_ids:
-        errors.append(f"{path}: unknown image_id {rec.image_id}")
-    if rec.category_id is not _UNREAD and rec.category_id not in category_ids:
-        errors.append(f"{path}: unknown category_id {rec.category_id}")
-    b = rec.bbox
-    if not all(map(math.isfinite, (b.x, b.y, b.w, b.h))):
-        errors.append(f"{path}: non-finite bbox {b.as_list()}")
-        return False
-    if b.w <= 0 or b.h <= 0:
-        errors.append(f"{path}: non-positive box width/height (w={b.w}, h={b.h})")
-        return False
-    if not (math.isfinite(b.x + b.w) and math.isfinite(b.y + b.h) and 0 < b.w * b.h <= _MAX_AREA):
-        errors.append(f"{path}: bbox {b.as_list()} {_OUT_OF_RANGE}")
-        return False
-    return True
-
-
 def validate_dataset(ds: Dataset) -> None:
     """Check referential integrity and value ranges; raise on any violation.
 
     Boxes that stick out of their image are common in real exports and are
     only warned about. Everything else (duplicate ids, dangling references,
     non-positive box sizes, non-finite values) raises :class:`ValidationError`
-    listing every offending record. A record built in code whose id, size,
-    area or box no table column takes, or whose name, box, area or crowd
-    flag a column would cast to another value, is rejected first, alone, as
-    decoding its document would reject it (:func:`_untabled_fields`). The
-    annotations are checked as columns of the dataset's table; when a check
-    fails, or an image or category is at fault, :func:`_walk_annotations`
-    judges them record by record.
+    listing every offending record. A record built in code whose field no
+    table column takes (an id that is no integer, a name that is no string,
+    a box coordinate or area that is no number, a crowd flag other than 0
+    or 1) is rejected first, alone, worded by the record walk as decoding
+    its document would word it. Each value rule is a row mask over the
+    table columns; only the rows a mask flags are worded.
     """
-    errors = _untabled_fields(ds)
-    if errors:
-        raise ValidationError(errors)
+    try:
+        images, t = ds._image_columns, ds._table
+        category_ids = _typed_records(ds.categories, _CATEGORIES)["id"]
+    except _TO_WALK:  # a record built in code holds a value no column takes
+        errors: list = []
+        for kind, records in ((_IMAGES, ds.images), (_ANNOTATIONS, ds.annotations), (_CATEGORIES, ds.categories)):
+            _read_records([{key: _as_decoded(getattr(rec, _ATTRIBUTES.get(key, key))) for key in kind[2]}
+                           for rec in records], kind, errors)
+        raise ValidationError([e for _, e in errors])
 
-    seen_img: set[int] = set()
-    for i, im in enumerate(ds.images):
-        path = f"images[{i}] (id={im.id})"
-        if im.id in seen_img:
-            errors.append(f"{path}: duplicate image id")
-        seen_img.add(im.id)
-        if im.width <= 0 or im.height <= 0:
-            errors.append(f"{path}: non-positive size {im.width}x{im.height}")
+    ids, widths, heights = images["id"], images["width"], images["height"]
+    errors = _worded("images[{i}] (id={id})", [
+        (_earlier(ids), "duplicate image id"), ((widths <= 0) | (heights <= 0), "non-positive size {width}x{height}"),
+    ], {"id": ids, "width": widths, "height": heights})
+    errors += _worded("categories[{i}] (id={id})", [(_earlier(category_ids), "duplicate category id")],
+                      {"id": category_ids})
 
-    seen_cat: set[int] = set()
-    for i, c in enumerate(ds.categories):
-        path = f"categories[{i}] (id={c.id})"
-        if c.id in seen_cat:
-            errors.append(f"{path}: duplicate category id")
-        seen_cat.add(c.id)
+    # an annotation is sized by the last listed image of its id: its sorted position, or -1
+    order = np.argsort(ids, kind="stable")
+    at = np.searchsorted(ids[order], t.images, side="right") - 1
+    known = at >= 0
+    known[known] = ids[order[at[known]]] == t.images[known]
+    rules, box_ok = _row_rules(t, known, np.isin(t.categories, category_ids))
+    with np.errstate(invalid="ignore"):
+        bad_area = box_ok & ~(np.isfinite(t.areas) & (t.areas >= 0))
+    errors += _worded("annotations[{i}] (id={id})", [
+        (_earlier(t.ids), "duplicate annotation id"), *rules, (bad_area, "bad area {area}"),
+    ], {"id": t.ids, "image_id": t.images, "category_id": t.categories, "bbox": t.boxes, "area": t.areas})
 
-    out_of_bounds = None if errors else _table_out_of_bounds(ds)
-    if out_of_bounds is None:
-        out_of_bounds = _walk_annotations(ds, seen_img, seen_cat, errors)
+    rows = np.flatnonzero(known & box_ok)
+    image = order[at[rows]]
+    x, y, w, h = t.boxes[rows].T
+    out = (x < 0) | (y < 0) | _beyond(x + w, widths[image]) | _beyond(y + h, heights[image])
+    out_of_bounds = t.ids[rows[out]].tolist()
     if out_of_bounds:
         sample = ", ".join(str(v) for v in out_of_bounds[:10])
         extra = ", ..." if len(out_of_bounds) > 10 else ""
@@ -316,47 +317,53 @@ def validate_dataset(ds: Dataset) -> None:
         )
 
     if errors:
-        raise ValidationError(errors)
+        raise ValidationError([e for _, e in errors])
 
 
-def _untabled_fields(ds: Dataset) -> list[str]:
-    """Where a record holds an id, size, area or box that no table column takes, or a value
-    its document would hold as another (:func:`_plain_records`), the errors the record walk
-    gives for the records' document, one per bad field; none where the tables build from
-    plain records, as a parsed dataset's always do, so only a dataset built in code is read
-    again."""
-    try:
-        ds._image_table, ds._category_ids, ds._table
-        if _plain_records(ds):
-            return []
-    except _TO_WALK:  # a table column refused a value, or a crowd flag is unhashable
-        pass
-    errors: list[str] = []
-    for kind, records in ((_IMAGES, ds.images), (_ANNOTATIONS, ds.annotations), (_CATEGORIES, ds.categories)):
-        docs = [{key: _as_decoded(getattr(rec, "crowd_flag" if key == "iscrowd" else key)) for key in kind[2]}
-                for rec in records]
-        list(_read_records(docs, kind, errors))
+def _earlier(ids: np.ndarray) -> np.ndarray:
+    """The rows whose id an earlier row holds."""
+    order = np.argsort(ids, kind="stable")
+    dup = np.zeros(len(ids), dtype=bool)
+    dup[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    return dup
+
+
+def _beyond(edges: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``edges > sizes`` for float edges and int64 sizes, exact as Python compares them: a
+    float holds every integer up to 2**53, so only larger sizes are compared one by one."""
+    out = edges > sizes
+    inexact = np.flatnonzero(np.abs(sizes) > 2 ** 53)
+    out[inexact] = [e > s for e, s in zip(edges[inexact].tolist(), sizes[inexact].tolist())]
+    return out
+
+
+def _row_rules(t: _Columns | _AnnotationTable, known_images: np.ndarray,
+               known_categories: np.ndarray) -> tuple[list, np.ndarray]:
+    """The rules annotations and results share, as ``(failing rows, problem)`` in the order
+    they are worded, and the rows whose box passes. A row fails one box rule at most: a
+    failing one leaves the row's later rules unchecked. IoU needs finite edges and an area
+    in (0, ``_MAX_AREA``]."""
+    x, y, w, h = t.boxes.T
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        non_finite = ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(w) & np.isfinite(h))
+        flat = ~non_finite & ((w <= 0) | (h <= 0))
+        area = w * h
+        fits = np.isfinite(x + w) & np.isfinite(y + h) & (area > 0) & (area <= _MAX_AREA)
+    return [
+        (~known_images, "unknown image_id {image_id}"), (~known_categories, "unknown category_id {category_id}"),
+        (non_finite, "non-finite bbox {bbox}"), (flat, "non-positive box width/height (w={bbox[2]}, h={bbox[3]})"),
+        (~(non_finite | flat | fits), "bbox {bbox} " + _OUT_OF_RANGE),
+    ], fits & ~flat  # a non-finite box never fits
+
+
+def _worded(label: str, rules: list, columns: dict[str, np.ndarray]) -> list[tuple[int, str]]:
+    """``(row, error)`` for each rule a row fails: rows in record order, a row's rules in the
+    order given, ``label`` and the problem formatted with the row's ``columns`` and ``i``."""
+    errors = []
+    for i in np.flatnonzero(np.logical_or.reduce([mask for mask, _ in rules])).tolist():
+        row = {key: col[i].tolist() for key, col in columns.items()}
+        errors += [(i, f"{label}: {problem}".format(i=i, **row)) for mask, problem in rules if mask[i]]
     return errors
-
-
-# The types of a box coordinate or an area that a table holds and a document writes as the
-# same value; a record holding another is read again by the walk, which decides.
-_PLAIN_NUMBERS = frozenset((int, float, np.float64, np.float32, np.int64, np.int32))
-
-
-def _plain_records(ds: Dataset) -> bool:
-    """Whether every file and category name is a string and, where the annotation records
-    exist, every box coordinate and area a number and every crowd flag 0 or 1: the values a
-    table column would cast instead of refusing. A parsed dataset builds no record for it."""
-    names = chain(map(attrgetter("file_name"), ds.images), map(attrgetter("name"), ds.categories))
-    if not set(map(type, names)) <= {str}:
-        return False
-    if "annotations" not in vars(ds):  # read from a table, so its records hold the table's values
-        return True
-    anns = ds.annotations
-    boxes = list(map(attrgetter("bbox"), anns))
-    numbers = chain(map(attrgetter("area"), anns), *(map(attrgetter(key), boxes) for key in "xywh"))
-    return set(map(type, numbers)) <= _PLAIN_NUMBERS and set(map(attrgetter("crowd_flag"), anns)) <= {0, 1}
 
 
 def _as_decoded(v):
@@ -364,45 +371,6 @@ def _as_decoded(v):
     if isinstance(v, BoundingBox):
         return list(map(_as_decoded, v.as_list()))
     return v.item() if isinstance(v, (np.signedinteger, np.floating)) else v
-
-
-def _table_out_of_bounds(ds: Dataset) -> list[int] | None:
-    """Ids of the annotations whose box sticks out of its image, in record order, read
-    off the table; None when a column check fails and the record walk must judge."""
-    try:
-        t, (image_ids, sizes), category_ids = ds._table, ds._image_table, ds._category_ids
-        ds._id_order  # raises on a duplicated id
-    except _TO_WALK:  # records holding values no table column takes, or a duplicated id
-        return None
-    if not (_refs_and_sizes_ok(t, image_ids, category_ids)
-            and np.isfinite(t.boxes).all() and np.isfinite(t.areas).all() and (t.areas >= 0).all()
-            and (np.abs(sizes) <= 2 ** 53).all()):  # sizes beyond 2**53 would compare inexactly
-        return None
-    w, h = sizes[np.searchsorted(image_ids, t.images)].T
-    b = t.boxes
-    with np.errstate(over="ignore"):
-        out = (b[:, 0] < 0) | (b[:, 1] < 0) | (b[:, 0] + b[:, 2] > w) | (b[:, 1] + b[:, 3] > h)
-    return t.ids[out].tolist()
-
-
-def _walk_annotations(ds: Dataset, image_ids, category_ids, errors: list[str]) -> list[int]:
-    """:func:`validate_dataset`'s annotation checks record by record, appending every
-    problem to ``errors``; returns the ids of boxes that stick out of their image."""
-    seen_ann: set[int] = set()
-    out_of_bounds: list[int] = []
-    for i, a in enumerate(ds.annotations):
-        path = f"annotations[{i}] (id={a.id})"
-        if a.id in seen_ann:
-            errors.append(f"{path}: duplicate annotation id")
-        seen_ann.add(a.id)
-        if not _check_refs_and_box(path, a, image_ids, category_ids, errors):
-            continue
-        if not math.isfinite(a.area) or a.area < 0:
-            errors.append(f"{path}: bad area {a.area}")
-        b, im = a.bbox, ds.images_by_id.get(a.image_id)
-        if im is not None and (b.x < 0 or b.y < 0 or b.x + b.w > im.width or b.y + b.h > im.height):
-            out_of_bounds.append(a.id)
-    return out_of_bounds
 
 
 def _int(v):
@@ -415,46 +383,128 @@ def _int(v):
 
 def _box(v):
     if type(v) is list and len(v) == 4 and _NUMBERS.issuperset(map(type, v)) and all(map(math.isfinite, v)):
-        return BoundingBox(*map(float, v))
+        return list(map(float, v))
     return _UNREAD
 
 
-# Field types: (reader, problem, fallback). A reader returns the field's value,
+# The typed pull: each field of a section, as decoded JSON or as records built in code
+# (_typed_records), taken as one list, checked by exact type at C speed and built into
+# a numpy array. Numpy numbers, which only a record built in code holds, read as Python
+# ones. With ``finite`` a non-finite number is refused too, as a document's is; a
+# record's is left to the rules. A refused column raises one of _TO_WALK: a non-object
+# record or a missing key, a value of another exact type (a bool is no int), a
+# non-finite number, an int beyond int64 or float64.
+_TO_WALK = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _plain(values: list, types: set | frozenset, column: str) -> list:
+    if not set(map(type, values)) <= types:
+        values = list(map(_as_decoded, values))
+        if not set(map(type, values)) <= types:
+            raise TypeError(f"not {column} column")
+    return values
+
+
+def _int_column(values: list, finite: bool = True) -> np.ndarray:
+    return np.array(_plain(values, {int}, "an integer"), dtype=np.int64)
+
+
+def _num_column(values: list, finite: bool = True) -> np.ndarray:
+    col = np.array(_plain(values, _NUMBERS, "a number"), dtype=np.float64)
+    if finite and not np.isfinite(col).all():
+        raise ValueError("non-finite number")
+    return col
+
+
+def _box_column(values: list, finite: bool = True) -> np.ndarray:
+    if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {4}):
+        raise TypeError("not a box column")
+    return _num_column(list(chain.from_iterable(values)), finite).reshape(-1, 4)
+
+
+def _str_column(values: list, finite: bool = True) -> list:
+    if not all(map(isinstance, values, repeat(str))):
+        raise TypeError("not a string column")
+    return values
+
+
+def _flag_column(values: list, finite: bool = True) -> np.ndarray:
+    if not set(values) <= {0, 1}:
+        raise ValueError("a crowd flag other than 0 or 1")
+    return np.array(values, dtype=bool)
+
+
+def _area_column(values: list, finite: bool = True) -> tuple[np.ndarray, list[int]]:
+    """The areas, and the rows whose area is absent or null, left to the box (:meth:`_AnnotationTable._of`)."""
+    nulls = [i for i, a in enumerate(values) if a is None] if None in values else []
+    return _num_column([0 if a is None else a for a in values] if nulls else values, finite), nulls
+
+
+# Field types: (reader, problem, fallback, column). A reader returns the field's value,
 # or _UNREAD to reject it, or raises ValueError whose text is the problem instead;
 # an absent key reads as _UNREAD, which every reader rejects. A missing or
 # rejected field is reported, a rejected value with ``problem``, and reads as
-# ``fallback`` so later checks run; they skip an _UNREAD id.
+# ``fallback``; the rules skip an _UNREAD id. ``column`` is the field's typed pull; it is
+# given ``finite``, which only a number column reads.
 _UNREAD = object()
-_INT = (_int, "field {key!r} must be an integer, got {value!r}", _UNREAD)
-_STR = (lambda v: v if isinstance(v, str) else _UNREAD, "{key} must be a string", "")
-_NUM = (lambda v: float(v) if _is_num(v) else _UNREAD, "{key} must be a finite number, got {value!r}", 0.0)
-_BOX = (_box, "{key} must be four finite numbers, got {value!r}", BoundingBox(0.0, 0.0, 1.0, 1.0))
+_INT = (_int, "field {key!r} must be an integer, got {value!r}", _UNREAD, _int_column)
+_STR = (lambda v: v if isinstance(v, str) else _UNREAD, "{key} must be a string", "", _str_column)
+_NUM = (lambda v: float(v) if _is_num(v) else _UNREAD, "{key} must be a finite number, got {value!r}", 0.0,
+        _num_column)
+_BOX = (_box, "{key} must be four finite numbers, got {value!r}", [0.0, 0.0, 1.0, 1.0], _box_column)
 # Record kinds: (section name, label paths with the record's id, field types by
 # key, in the order their problems are reported). _DEFAULTS holds the optional keys and
 # what an absent one reads as; a null area is derived from the box too.
 _IMAGES = ("images", False, {"file_name": _STR, "id": _INT, "width": _INT, "height": _INT})
 _ANNOTATIONS = ("annotations", True, {
-    "iscrowd": (lambda v: bool(v) if v in (0, 1) else _UNREAD, "{key} must be 0 or 1, got {value!r}", False),
-    "area": (lambda v: None if v is None else float(v) if _is_num(v) else _UNREAD, _NUM[1], None),
+    "iscrowd": (lambda v: bool(v) if v in (0, 1) else _UNREAD, "{key} must be 0 or 1, got {value!r}", False,
+                _flag_column),
+    "area": (lambda v: None if v is None else float(v) if _is_num(v) else _UNREAD, _NUM[1], None, _area_column),
     "id": _INT, "image_id": _INT, "category_id": _INT, "bbox": _BOX})
 _CATEGORIES = ("categories", False, {"name": _STR, "id": _INT})
 _RESULTS = ("results", False, {"image_id": _INT, "category_id": _INT, "bbox": _BOX, "score": _NUM})
 _DEFAULTS = {"iscrowd": 0, "area": None}
+_ATTRIBUTES = {"iscrowd": "crowd_flag"}  # a record's attribute, where its key is another
 
 
-def _read_records(section: list, kind: tuple, errors: list[str]):
-    """Yield ``(path, fields)`` for each object record of a document section, ``fields``
-    mapping each key of the kind to its value or fallback: the only reader of JSON records."""
+def _typed(columns: dict[str, list], kind: tuple, finite: bool = True) -> dict:
+    """The typed pull of a section's columns, by key in the kind's order."""
+    return {key: field_type[3](columns[key], finite) for key, field_type in kind[2].items()}
+
+
+def _typed_records(records: Sequence, kind: tuple, finite: bool = True) -> dict:
+    """The typed pull of records built in code, their fields taken as a section's columns
+    (a box as its list)."""
+    columns = {key: list(map(attrgetter(_ATTRIBUTES.get(key, key)), records)) for key in kind[2]}
+    if "bbox" in columns:
+        columns["bbox"] = list(map(BoundingBox.as_list, columns["bbox"]))
+    return _typed(columns, kind, finite)
+
+
+def _pull(section: list, keys) -> list[list]:
+    """Each key of a decoded section as one list, an absent optional key read as its default."""
+    return [list(map(itemgetter(key), section)) if key not in _DEFAULTS
+            else list(map(dict.get, section, repeat(key), repeat(_DEFAULTS[key]))) for key in keys]
+
+
+def _read_records(section: list, kind: tuple, errors: list) -> dict[str, list]:
+    """A decoded section record by record, as the typed pull's columns: each key of the kind
+    to its values, a missing or rejected one read as its fallback, and every field of a
+    record that is no object. Appends ``(row, error)`` for each problem: the only reader of
+    JSON records, and the only wording of a problem no column can hold."""
     name, labelled, types = kind
-    fields = [(key, *field_type, _DEFAULTS.get(key, _UNREAD)) for key, field_type in types.items()]
+    fields = [(key, read, problem, fallback, _DEFAULTS.get(key, _UNREAD))
+              for key, (read, problem, fallback, _) in types.items()]
+    columns: dict[str, list] = {key: [] for key in types}
     for i, rec in enumerate(section):
         path = f"{name}[{i}]"
         if not isinstance(rec, dict):
-            errors.append(f"{path}: record must be an object")
+            errors.append((i, f"{path}: record must be an object"))
+            for key, _, _, fallback, _ in fields:
+                columns[key].append(fallback)
             continue
         if labelled and type(rec.get("id")) is int:
             path = f"{path} (id={rec['id']})"
-        values = {}
         for key, read, problem, fallback, absent in fields:
             raw = rec.get(key, absent)
             try:
@@ -467,17 +517,28 @@ def _read_records(section: list, kind: tuple, errors: list[str]):
                 if raw is None and "{value" not in problem:
                     problem += ", got {value!r}"  # a null shows even where a wrong value does not
                 text = f"missing field {key!r}" if raw is _UNREAD else problem.format(key=key, value=raw)
-                errors.append(f"{path}: {text}")
+                errors.append((i, f"{path}: {text}"))
                 value = fallback
-            values[key] = value
-        yield path, values
+            columns[key].append(value)
+    return columns
+
+
+def _section(section: list, kind: tuple, errors: list) -> dict | None:
+    """A decoded section's typed columns: by the column pull, or where it refuses, from the
+    record walk's reading; None where the walk words a problem."""
+    try:
+        return _typed(dict(zip(kind[2], _pull(section, kind[2]))), kind)
+    except _TO_WALK:
+        n = len(errors)
+        columns = _read_records(section, kind, errors)
+        return None if len(errors) > n else _typed(columns, kind)
 
 
 def _load_json(data: bytes | str, top: type, shape: str):
     """Decode a whole document whose top level must be a ``top``."""
     try:
         doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:  # too deeply nested for the decoder
         raise ValidationError([f"document: not valid JSON ({e})"]) from e
     if not isinstance(doc, top):
         raise ValidationError([f"document: {shape}"])
@@ -501,24 +562,24 @@ def parse_dataset(data: bytes | str) -> Dataset:
 
 def _decode_dataset(data: bytes | str) -> Dataset:
     """:func:`parse_dataset` without :func:`validate_dataset`: the document decoded and its
-    sections read into a dataset, raising on what no dataset can hold. It logs nothing."""
+    sections read into a dataset, raising on what no column can hold. It logs nothing."""
     doc = _load_json(data, dict, "top level must be an object")
     errors = [f"document: missing or non-array {key!r} section"
               for key in ("images", "annotations", "categories") if not isinstance(doc.get(key), list)]
     if errors:
         raise ValidationError(errors)
-
-    images = _records(doc["images"], _IMAGES, ImageRecord, errors)
-    table = _annotation_table(doc["annotations"])
-    if table is None:
-        annotations = [Annotation(crowd_flag=v.pop("iscrowd"), **v)
-                       for _, v in _read_records(doc["annotations"], _ANNOTATIONS, errors)]
-    categories = _records(doc["categories"], _CATEGORIES, Category, errors)
+    images, annotations, categories = (_section(doc[kind[0]], kind, errors)
+                                       for kind in (_IMAGES, _ANNOTATIONS, _CATEGORIES))
     if errors:
-        raise ValidationError(errors)
-    if table is None:  # annotations only the walk takes, as an iscrowd of true
-        table = _AnnotationTable.of(annotations)
-    return Dataset._of_table(images, table, categories)
+        raise ValidationError([e for _, e in errors])
+    return Dataset._of_table(_as_records(ImageRecord, images), _AnnotationTable._of(annotations),
+                             _as_records(Category, categories))
+
+
+def _as_records(record: type, columns: dict) -> list:
+    """An images or categories section's typed columns as records."""
+    return list(map(record, *(c.tolist() if isinstance(c, np.ndarray) else c
+                              for c in (columns[f.name] for f in fields(record)))))
 
 
 def serialize_dataset(ds: Dataset) -> bytes:
@@ -557,14 +618,6 @@ class _Columns(NamedTuple):
     scores: np.ndarray
 
 
-def _int_array(values: list) -> np.ndarray:
-    """Python or numpy integers (a bool counts as 0 or 1, as in a set) as int64; TypeError otherwise."""
-    col = np.array(values)
-    if col.size and col.dtype.kind not in "bi":
-        raise TypeError("not an integer column")
-    return col.astype(np.int64)
-
-
 class _ImageTable(NamedTuple):
     """A dataset's images in id order (a stable sort): int64 ids and (n, 2) float64 (width, height)."""
 
@@ -585,12 +638,18 @@ class _AnnotationTable(NamedTuple):
 
     @classmethod
     def of(cls, annotations: Sequence[Annotation]) -> _AnnotationTable:
-        """The table of records; TypeError where an id is not an integer, as no cast of it is exact."""
-        ids, images, categories = ([getattr(a, key) for a in annotations]
-                                   for key in ("id", "image_id", "category_id"))
-        return cls(_int_array(ids), _int_array(images), _int_array(categories), _boxes(annotations),
-                   np.array([a.area for a in annotations], dtype=np.float64),
-                   np.array([a.crowd_flag for a in annotations], dtype=bool))
+        """The table of records built in code, by the typed pull; one of ``_TO_WALK`` where a
+        field holds a value no column takes. A non-finite box or area is left to the rules."""
+        return cls._of(_typed_records(annotations, _ANNOTATIONS, finite=False))
+
+    @classmethod
+    def _of(cls, c: dict) -> _AnnotationTable:
+        """The table of an annotations section's typed columns; an absent or null area is the
+        box's, as :class:`Annotation` derives it."""
+        areas, nulls = c["area"]
+        with np.errstate(over="ignore"):  # an area too large for a float is inf, as in Python
+            areas[nulls] = c["bbox"][nulls, 2] * c["bbox"][nulls, 3]
+        return cls(c["id"], c["image_id"], c["category_id"], c["bbox"], areas, c["iscrowd"])
 
     def records(self, reused: Sequence[Annotation] = (), source: np.ndarray | None = None) -> tuple[Annotation, ...]:
         """The rows as records; row i is ``reused[source[i]]`` itself where ``source[i] >= 0``."""
@@ -617,98 +676,13 @@ def _boxes(records: Sequence[Annotation | Detection]) -> np.ndarray:
 
 
 def _columns(detections: Sequence[Detection] | _Columns) -> _Columns:
-    """Detection records as a results table; a table passes as is. TypeError where an id
-    is not an integer, as no cast of it is exact. (A dataset's own annotations become
-    arrays in :meth:`_AnnotationTable.of`.)"""
+    """Detection records as a results table, by the typed pull; a table passes as is.
+    TypeError where an id is no integer or a score or box coordinate no number, ValueError
+    where a score or coordinate is not finite. (A dataset's own annotations become arrays
+    in :meth:`_AnnotationTable.of`.)"""
     if isinstance(detections, _Columns):
         return detections
-    return _Columns(
-        _int_array([d.image_id for d in detections]),
-        _int_array([d.category_id for d in detections]),
-        _boxes(detections),
-        np.array([d.score for d in detections], dtype=np.float64),
-    )
-
-
-# The column pull. A record or value the walk must judge raises one of _TO_WALK:
-# a non-object record or a missing key, a value of another exact type (a bool is
-# no int), a non-finite number, an int beyond int64 or float64.
-_TO_WALK = (KeyError, TypeError, ValueError, OverflowError)
-
-
-def _pull(section: list, keys) -> list[list]:
-    """Each key of a decoded section as one list, an absent optional key read as its default."""
-    return [list(map(itemgetter(key), section)) if key not in _DEFAULTS
-            else list(map(dict.get, section, repeat(key), repeat(_DEFAULTS[key]))) for key in keys]
-
-
-def _int_column(values: list) -> np.ndarray:
-    if not set(map(type, values)) <= {int}:
-        raise TypeError("not an int column")
-    return np.array(values, dtype=np.int64)
-
-
-def _num_column(values: list) -> np.ndarray:
-    if not set(map(type, values)) <= _NUMBERS:
-        raise TypeError("not a number column")
-    col = np.array(values, dtype=np.float64)
-    if not np.isfinite(col).all():
-        raise ValueError("non-finite number")
-    return col
-
-
-def _box_column(values: list) -> np.ndarray:
-    if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {4}):
-        raise TypeError("not a box column")
-    return _num_column(list(chain.from_iterable(values))).reshape(-1, 4)
-
-
-def _refs_and_sizes_ok(t: _Columns | _AnnotationTable, image_ids: np.ndarray, category_ids: np.ndarray) -> bool:
-    """Every row names a known image and category and its box has w > 0 and h > 0,
-    finite right and bottom edges and an area in (0, ``_MAX_AREA``] (IoU needs all three)."""
-    b = t.boxes
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        area = b[:, 2] * b[:, 3]
-        in_range = np.isfinite(b[:, :2] + b[:, 2:]).all() and ((area > 0) & (area <= _MAX_AREA)).all()
-    return bool((b[:, 2:] > 0).all() and in_range and np.isin(t.images, image_ids).all()
-                and np.isin(t.categories, category_ids).all())
-
-
-def _records(section: list, kind: tuple, record: type, errors: list[str]) -> list:
-    """An images or categories section as records, by the column pull where its integer
-    fields are int64 columns and the others string columns; else the record walk reads
-    it, and words its errors."""
-    types = kind[2]
-    try:
-        columns = dict(zip(types, _pull(section, types)))
-        for key, field_type in types.items():
-            if field_type is _INT:
-                _int_column(columns[key])  # raises on a value no int64 column takes
-            elif not set(map(type, columns[key])) <= {str}:
-                raise TypeError("not a string column")
-    except _TO_WALK:
-        return [record(**v) for _, v in _read_records(section, kind, errors)]
-    return list(map(record, *(columns[f.name] for f in fields(record))))
-
-
-def _annotation_table(section: list) -> _AnnotationTable | None:
-    """The annotations section by the column pull; None where the record walk must read it.
-    An absent or null area is derived from the box, as :class:`Annotation` does."""
-    try:
-        crowd, area, ids, img, cat, box = _pull(section, _ANNOTATIONS[2])
-        flags, boxes = _int_column(crowd), _box_column(box)
-        if not set(crowd) <= {0, 1}:
-            raise ValueError("iscrowd beyond 0 and 1")
-        nulls = [i for i, a in enumerate(area) if a is None] if None in area else []
-        for i in nulls:
-            area[i] = 0
-        areas = _num_column(area)
-        with np.errstate(over="ignore"):  # an area too large for a float is inf, as in Python
-            areas[nulls] = boxes[nulls, 2] * boxes[nulls, 3]
-        return _AnnotationTable(_int_column(ids), _int_column(img), _int_column(cat), boxes, areas,
-                                flags.astype(bool))
-    except _TO_WALK:
-        return None
+    return _Columns(*_typed_records(detections, _RESULTS).values())
 
 
 def _load_results(data: bytes | str) -> list:
@@ -717,39 +691,37 @@ def _load_results(data: bytes | str) -> list:
 
 def _result_columns(doc: list) -> _Columns:
     """A decoded results array by the column pull, not yet checked against a dataset;
-    raises one of ``_TO_WALK`` where the record walk must judge it."""
-    img, cat, box, score = _pull(doc, _RESULTS[2])
-    return _Columns(_int_column(img), _int_column(cat), _box_column(box), _num_column(score))
+    raises one of ``_TO_WALK`` where the record walk must word a problem."""
+    return _Columns(*_typed(dict(zip(_RESULTS[2], _pull(doc, _RESULTS[2]))), _RESULTS).values())
 
 
-def _results_known(t: _Columns, ds: Dataset) -> bool:
-    """Every result row names an image and a category of ``ds`` and has w > 0 and h > 0."""
-    return _refs_and_sizes_ok(t, ds._image_table.ids, ds._category_ids)
+def _check_results(t: _Columns, ds: Dataset, errors: list = (), unread=(False, False)) -> None:
+    """Raise listing every problem of a results table against ``ds``: the record walk's
+    ``errors`` (``(row, error)``) of a row ahead of its value problems. ``unread`` marks the
+    rows whose image or category id the walk rejected; no rule reads those."""
+    rules, _ = _row_rules(t, np.isin(t.images, ds._image_table.ids) | unread[0],
+                          np.isin(t.categories, ds._category_ids) | unread[1])
+    problems = _worded("results[{i}]", rules, {"image_id": t.images, "category_id": t.categories, "bbox": t.boxes})
+    if errors or problems:
+        raise ValidationError([e for _, e in sorted([*errors, *problems], key=itemgetter(0))])
 
 
 def _detection_table(data: bytes | str, ds: Dataset) -> _Columns:
-    """:func:`parse_detections` into columns. Whole-column checks pass valid input; on any
-    failure :func:`_walk_detections` judges the input and words its errors, so it alone decides."""
+    """:func:`parse_detections` into columns: by the column pull, or where it refuses, from
+    the record walk's reading, a rejected field read as its fallback; then the rules."""
     doc = _load_results(data)
+    errors: list = []
+    unread = (False, False)
     try:
         t = _result_columns(doc)
-        if _results_known(t, ds):
-            return t
     except _TO_WALK:
-        pass
-    return _columns(_walk_detections(doc, ds))
-
-
-def _walk_detections(doc: list, ds: Dataset) -> list[Detection]:
-    """Check a decoded results array record by record; raise listing every problem."""
-    errors: list[str] = []
-    out: list[Detection] = []
-    for path, v in _read_records(doc, _RESULTS, errors):
-        out.append(Detection(**v))
-        _check_refs_and_box(path, out[-1], ds.images_by_id, ds.categories_by_id, errors)
-    if errors:
-        raise ValidationError(errors)
-    return out
+        columns = _read_records(doc, _RESULTS, errors)
+        ids = ("image_id", "category_id")
+        unread = [np.array([v is _UNREAD for v in columns[key]], dtype=bool) for key in ids]
+        columns.update({key: [0 if v is _UNREAD else v for v in columns[key]] for key in ids})
+        t = _Columns(*_typed(columns, _RESULTS).values())
+    _check_results(t, ds, errors, unread)
+    return t
 
 
 def parse_detections(data: bytes | str, ds: Dataset) -> list[Detection]:

@@ -893,6 +893,27 @@ def test_an_int_too_large_for_a_float_is_a_validation_error(tmp_path, command, e
     assert "Traceback" not in proc.stderr
 
 
+_DEEP = "[" * 100000 + "]" * 100000  # nested deeper than the JSON decoder recurses
+
+
+@pytest.mark.parametrize("command", ["stats", "eval"])
+def test_json_nested_too_deep_is_a_validation_error(tmp_path, command):
+    """A document nested deeper than the decoder can follow is not valid JSON, worded as such,
+    not a traceback; the results file's forked decode fails on it and the fallback words it."""
+    gt = tmp_path / "gt.json"
+    gt.write_text(_DEEP if command == "stats" else _GOOD_GT)
+    dt = tmp_path / "dt.json"
+    dt.write_text(_DEEP)
+    args = ("stats", "--ann", str(gt)) if command == "stats" else ("eval", "--gt", str(gt), "--dt", str(dt))
+    proc = _run_module(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: 1 validation error(s)",
+        "  - document: not valid JSON (maximum recursion depth exceeded while decoding a JSON array from a "
+        "unicode string)",
+    ]
+
+
 def test_an_id_beyond_int64_is_a_validation_error(tmp_path):
     gt = tmp_path / "gt.json"
     gt.write_text('{"images": [{"id": 9223372036854775808, "width": 100, "height": 80, "file_name": "a.jpg"}], '

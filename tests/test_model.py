@@ -6,6 +6,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from unabench import (
     BoundingBox,
     Category,
     Dataset,
+    Detection,
     ImageRecord,
     NoiseConfig,
     ValidationError,
@@ -28,7 +30,7 @@ from unabench import (
     validate_dataset,
 )
 from unabench import model
-from unabench.model import _columns, _detection_table, _walk_detections
+from unabench.model import _columns, _detection_table
 
 from conftest import VAL2017_PATH, build_dataset, capped_tie_instance, requires_val2017
 
@@ -170,6 +172,15 @@ def test_malformed_json_rejected():
         parse_dataset(b"[]")
     with pytest.raises(ValidationError, match="categories"):
         parse_dataset(b'{"images": [], "annotations": []}')
+
+
+@pytest.mark.parametrize("data", [b"[" * 100000 + b"]" * 100000,
+                                  b'{"images": [], "categories": [], "annotations": ' + b"[" * 100000 + b"]" * 100000
+                                  + b"}"], ids=["document", "annotations"])
+def test_json_nested_too_deep_is_not_valid_json(data):
+    with pytest.raises(ValidationError) as err:
+        parse_dataset(data)
+    assert len(err.value.errors) == 1 and err.value.errors[0].startswith("document: not valid JSON (maximum recursion")
 
 
 def test_out_of_bounds_box_warns_but_passes(caplog):
@@ -400,22 +411,33 @@ def test_an_int_too_large_for_a_float_is_not_finite(section, field, value, error
     assert err.value.errors == [error]
 
 
-# --- results table against the record walk -------------------------------------------
+# --- results table against the golden and the record walk ---------------------------
 
-def _assert_table_agrees_with_walk(data: str, ds: Dataset) -> bool:
-    """``_detection_table`` raises the walk's errors or returns its records' columns
-    bit for bit; returns whether the input was accepted."""
-    try:
-        records = _walk_detections(json.loads(data), ds)
-    except ValidationError as walk_err:
-        with pytest.raises(ValidationError) as err:
-            _detection_table(data, ds)
-        assert err.value.errors == walk_err.errors
+def _without_the_pull(fn, *args):
+    """``fn(*args)`` with every section read by the record walk, as the column pull refuses."""
+    def refuse(section, keys):
+        raise TypeError("column pull refused")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(model, "_pull", refuse)
+        return fn(*args)
+
+
+def _assert_table_agrees_with_golden(data: str, ds: Dataset, want: dict) -> bool:
+    """``_detection_table``, with the column pull and without it, raises the golden's errors
+    or returns the same columns bit for bit, those of the records the golden's digest pins;
+    returns whether the input was accepted."""
+    if "errors" in want:
+        for read in (_detection_table, partial(_without_the_pull, _detection_table)):
+            with pytest.raises(ValidationError) as err:
+                read(data, ds)
+            assert err.value.errors == want["errors"]
         return False
-    got, want = _detection_table(data, ds), _columns(records)
-    for g, w in zip(got, want):
-        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
-    assert parse_detections(data, ds) == records
+    records = parse_detections(data, ds)
+    assert hashlib.sha256(_detections_bytes(records)).hexdigest() == want["sha256"]
+    for got in (_detection_table(data, ds), _without_the_pull(_detection_table, data, ds)):
+        for g, w in zip(got, _columns(records)):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
     return True
 
 
@@ -436,18 +458,14 @@ MUTATIONS = [(f"{key}-{name}", key, value) for key in _RESULT for name, value in
 _ACCEPTED = {"score-negative", "extra-key"}
 
 
-@pytest.mark.parametrize("name, key, value", MUTATIONS, ids=[m[0] for m in MUTATIONS])
-def test_results_table_agrees_with_the_walk(name, key, value):
-    """One record of a valid results file mutated: the table and the walk give
-    the same errors or the same columns."""
-    if key is None:
-        record = value
-    else:
-        record = {k: v for k, v in _RESULTS[1].items() if k != key}
-        if value is not _ABSENT:
-            record[key] = value
-    data = json.dumps([_RESULTS[0], record, _RESULTS[2]])
-    assert _assert_table_agrees_with_walk(data, parse_dataset(json.dumps(MINIMAL))) == (name in _ACCEPTED)
+@pytest.mark.parametrize("i", range(len(MUTATIONS)), ids=[m[0] for m in MUTATIONS])
+def test_results_table_agrees_with_the_walk(golden, i):
+    """One record of a valid results file mutated: the column pull and the record walk
+    give the golden's errors or the same columns."""
+    name, key, value = MUTATIONS[i]
+    data = _results_document(key, value)
+    accepted = _assert_table_agrees_with_golden(data, parse_dataset(json.dumps(MINIMAL)), golden["results"][i])
+    assert accepted == (name in _ACCEPTED)
 
 
 def test_results_table_takes_valid_input_without_the_walk(monkeypatch):
@@ -458,23 +476,36 @@ def test_results_table_takes_valid_input_without_the_walk(monkeypatch):
             for i, d in enumerate(dets)]
     assert any(r["score"] == 1 for r in rows) and any(type(r["bbox"][0]) is int for r in rows)
     data = json.dumps(rows)
-    assert _assert_table_agrees_with_walk(data, ds)
     records = parse_detections(data, ds)
-    monkeypatch.setattr(model, "_walk_detections", lambda *args: pytest.fail("valid input reached the walk"))
+    assert _assert_table_agrees_with_golden(data, ds, {"sha256": hashlib.sha256(_detections_bytes(records)).hexdigest()})
+    monkeypatch.setattr(model, "_read_records", lambda *args: pytest.fail("valid input reached the walk"))
     table = _detection_table(data, ds)
     assert evaluate(ds, table) == evaluate(ds, records)
     assert tide_report(ds, table) == tide_report(ds, records)
 
 
-# --- annotation table against the record walk -----------------------------------------
+def test_one_bad_box_is_worded_without_building_records(monkeypatch):
+    """A file with one bad annotation box, and a results file with one bad result box, get
+    their errors from the rules' row masks: no Annotation or Detection record is built."""
+    anns = [dict(_ANNOTATION, id=i + 1, bbox=[1, 1, 0 if i == 3 else 4, 4]) for i in range(6)]
+    data = json.dumps(dict(MINIMAL, annotations=anns))
+    results = json.dumps([dict(_RESULT, bbox=[1, 1, 4, -1 if i == 2 else 4]) for i in range(5)])
+    ds = parse_dataset(json.dumps(MINIMAL))
 
-def _parse_by_walk(data: str) -> Dataset:
-    """``parse_dataset`` with every annotation read and checked record by record."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(model, "_annotation_table", lambda section: None)
-        m.setattr(model, "_table_out_of_bounds", lambda ds: None)
-        return parse_dataset(data)
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} record was built")
 
+    monkeypatch.setattr(Annotation, "__init__", refuse)
+    monkeypatch.setattr(Detection, "__init__", refuse)
+    with pytest.raises(ValidationError) as err:
+        parse_dataset(data)
+    assert err.value.errors == ["annotations[3] (id=4): non-positive box width/height (w=0.0, h=4.0)"]
+    with pytest.raises(ValidationError) as err:
+        _detection_table(results, ds)
+    assert err.value.errors == ["results[2]: non-positive box width/height (w=4.0, h=-1.0)"]
+
+
+# --- annotation table against the golden and the record walk ---------------------------
 
 def _warnings_of(caplog, parse, data):
     caplog.clear()
@@ -505,39 +536,38 @@ _ANNOTATIONS_ACCEPTED = {"iscrowd-absent", "iscrowd-true", "iscrowd-0.0", "iscro
                          "area-null", "area-beyond-int64", "bbox-item-beyond-int64", "extra-key"}
 
 
-@pytest.mark.parametrize("name, change", ANNOTATION_MUTATIONS, ids=[m[0] for m in ANNOTATION_MUTATIONS])
-def test_annotation_table_agrees_with_the_walk(caplog, name, change):
-    """One annotation of a valid file mutated (or replaced by a non-object): the table path
-    raises the walk's errors, or returns the walk's dataset with the same warnings and a
-    table equal to its records' table bit for bit."""
-    record = change
-    if isinstance(change, dict):
-        record = {k: v for k, v in {**_ANNOTATIONS[1], **change}.items() if v is not _ABSENT}
-    data = json.dumps(dict(MINIMAL, annotations=[_ANNOTATIONS[0], record, _ANNOTATIONS[2]]))
-    walk, walk_warnings = _warnings_of(caplog, _parse_by_walk, data)
+@pytest.mark.parametrize("i", range(len(ANNOTATION_MUTATIONS)), ids=[m[0] for m in ANNOTATION_MUTATIONS])
+def test_annotation_table_agrees_with_the_walk(caplog, golden, i):
+    """One annotation of a valid file mutated (or replaced by a non-object): with the column
+    pull and without it, the parse raises the golden's errors, or returns the same dataset
+    with the golden's warnings and a table equal to its records' table bit for bit."""
+    name, change = ANNOTATION_MUTATIONS[i]
+    want = golden["annotations"][i]
+    data = _annotations_document(change)
+    walk, walk_warnings = _warnings_of(caplog, _parse_without_the_pull, data)
     got, warnings = _warnings_of(caplog, parse_dataset, data)
-    assert warnings == walk_warnings
-    if isinstance(walk, ValidationError):
+    assert warnings == walk_warnings == want["warnings"]
+    if "errors" in want:
         assert name not in _ANNOTATIONS_ACCEPTED
-        assert isinstance(got, ValidationError) and got.errors == walk.errors
+        assert got.errors == walk.errors == want["errors"]
         return
     assert name in _ANNOTATIONS_ACCEPTED
     table = got._table
-    assert got == walk
+    assert got == walk and hashlib.sha256(serialize_dataset(got)).hexdigest() == want["sha256"]
     for g, w in zip(table, model._AnnotationTable.of(walk.annotations)):
         assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
 
 @pytest.mark.parametrize("flag", [True, 0.0, 1.0])
 def test_annotations_only_the_walk_takes_are_read_into_a_table(flag):
-    """An iscrowd the column pull refuses but the walk takes: the walked records become the
-    dataset's table, so the parse builds no record to keep, as every other parse."""
+    """An iscrowd of true, 0.0 or 1.0, which the walk takes, is taken by the column pull too:
+    the parse builds no record and reads it as the walk does."""
     doc = json.loads(json.dumps(MINIMAL))
     doc["annotations"][1]["iscrowd"] = flag
     ds = parse_dataset(json.dumps(doc))
     assert "annotations" not in vars(ds)
     assert ds._table.crowd.tolist() == [False, bool(flag)]
-    walked = _parse_by_walk(json.dumps(doc))
+    walked = _parse_without_the_pull(json.dumps(doc))
     assert ds == walked and serialize_dataset(ds) == serialize_dataset(walked)
     for g, w in zip(ds._table, model._AnnotationTable.of(walked.annotations)):
         assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
@@ -552,12 +582,12 @@ def test_scoring_reads_the_non_crowd_rows_as_a_table():
 
 
 def test_image_errors_leave_the_annotations_to_the_walk(caplog):
-    """With a duplicated image id the walk sizes a box by the image listed last; the
-    table is not consulted, so the warning and the errors are the walk's."""
+    """With a duplicated image id a box is sized by the image listed last, with the column
+    pull and without it."""
     images = [{"id": 1, "width": 100, "height": 80, "file_name": "a.jpg"},
               {"id": 1, "width": 200, "height": 200, "file_name": "b.jpg"}]
     data = json.dumps(dict(MINIMAL, images=images, annotations=[dict(_ANNOTATION, bbox=[150, 10, 20, 20])]))
-    walk, walk_warnings = _warnings_of(caplog, _parse_by_walk, data)
+    walk, walk_warnings = _warnings_of(caplog, _parse_without_the_pull, data)
     got, warnings = _warnings_of(caplog, parse_dataset, data)
     assert walk.errors == got.errors == ["images[1] (id=1): duplicate image id"]
     assert warnings == walk_warnings == []
@@ -745,12 +775,7 @@ def _fuzzed_document(rng: np.random.Generator) -> str:
 
 
 def _parse_without_the_pull(data: str):
-    def refuse(section, keys):
-        raise TypeError("column pull refused")
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(model, "_pull", refuse)
-        return parse_dataset(data)
+    return _without_the_pull(parse_dataset, data)
 
 
 def test_whole_documents_parse_alike_with_and_without_the_column_pull(caplog):
@@ -792,13 +817,13 @@ def test_boxes_out_of_float_range_get_one_error_in_box_order():
     want = [f"annotations[{i}] (id={i + 1}): bbox {[float(v) for v in box]} {problem}"
             for i, box in enumerate(boxes[:5])]
     want.append("annotations[5] (id=6): non-positive box width/height (w=0.0, h=4.0)")
-    for parse in (parse_dataset, _parse_by_walk):
+    for parse in (parse_dataset, _parse_without_the_pull):
         with pytest.raises(ValidationError) as err:
             parse(data)
         assert err.value.errors == want
     ds = parse_dataset(json.dumps(MINIMAL))
     results = json.dumps([dict(_RESULT, bbox=box) for box in boxes])
-    for parse in (parse_detections, _detection_table):
+    for parse in (parse_detections, _detection_table, partial(_without_the_pull, _detection_table)):
         with pytest.raises(ValidationError) as err:
             parse(results, ds)
         assert err.value.errors == [w.replace(f"annotations[{i}] (id={i + 1})", f"results[{i}]")

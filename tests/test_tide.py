@@ -1,5 +1,6 @@
 """Error classification, oracle fixes, and the per-component report."""
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -278,6 +279,29 @@ def test_scoring_refuses_a_detection_id_that_is_no_integer(odd):
             score(ds, shifted)
         with pytest.raises(TypeError, match="not an integer column"):
             score(ds, [replace(d, category_id=odd(d.category_id)) for d in dets])
+
+
+@pytest.mark.parametrize("odd, error", [(str, TypeError), (lambda v: math.nan, ValueError)], ids=["string", "nan"])
+def test_scoring_refuses_a_score_or_coordinate_that_is_no_finite_number(odd, error):
+    """A string score or box coordinate is no number, and a NaN one no finite number:
+    evaluate, classify_errors and tide_report raise, as a results file or a ground-truth
+    box holding one is refused, instead of casting the string or scoring the NaN."""
+    ds, dets = micro_instance(np.random.default_rng(0))
+    odd_scores = [replace(d, score=odd(d.score)) for d in dets]
+    odd_boxes = [replace(d, bbox=BoundingBox(*map(odd, d.bbox.as_list()))) for d in dets]
+    one_odd_width = [replace(d, bbox=replace(d.bbox, w=odd(d.bbox.w))) if i == 0 else d for i, d in enumerate(dets)]
+    for score in (evaluate, classify_errors, tide_report):
+        for odd_dets in (odd_scores, odd_boxes, one_odd_width):
+            with pytest.raises(error):
+                score(ds, odd_dets)
+
+
+def test_numpy_float_scores_and_coordinates_score_as_python_floats():
+    ds, dets = micro_instance(np.random.default_rng(0))
+    numpy_dets = [replace(d, score=np.float64(d.score),
+                          bbox=BoundingBox(*map(np.float64, d.bbox.as_list()))) for d in dets]
+    for score in (evaluate, classify_errors, tide_report):
+        assert score(ds, numpy_dets) == score(ds, dets)
 
 
 def test_numpy_integer_detection_ids_score_as_python_ints():
