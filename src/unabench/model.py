@@ -297,8 +297,7 @@ def validate_dataset(ds: Dataset) -> None:
     known = at >= 0
     known[known] = ids[order[at[known]]] == t.images[known]
     rules, box_ok = _row_rules(t, known, np.isin(t.categories, category_ids))
-    with np.errstate(invalid="ignore"):
-        bad_area = box_ok & ~(np.isfinite(t.areas) & (t.areas >= 0))
+    bad_area = box_ok & ~(np.isfinite(t.areas) & (t.areas >= 0))
     errors += _worded("annotations[{i}] (id={id})", [
         (_earlier(t.ids), "duplicate annotation id"), *rules, (bad_area, "bad area {area}"),
     ], {"id": t.ids, "image_id": t.images, "category_id": t.categories, "bbox": t.boxes, "area": t.areas})
