@@ -694,7 +694,7 @@ def _result_columns(doc: list) -> _Columns:
     return _Columns(*_typed(dict(zip(_RESULTS[2], _pull(doc, _RESULTS[2]))), _RESULTS).values())
 
 
-def _check_results(t: _Columns, ds: Dataset, errors: list = (), unread=(False, False)) -> None:
+def _check_results(t: _Columns, ds: Dataset, errors: Sequence = (), unread=(False, False)) -> None:
     """Raise listing every problem of a results table against ``ds``: the record walk's
     ``errors`` (``(row, error)``) of a row ahead of its value problems. ``unread`` marks the
     rows whose image or category id the walk rejected; no rule reads those."""
