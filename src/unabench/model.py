@@ -12,10 +12,13 @@ built into a numpy array. A decoded document's sections come to it through
 fills the annotation table of :func:`parse_dataset` (:class:`_AnnotationTable`),
 the results table of :func:`_detection_table` (:class:`_Columns`) and the
 image and category records, so valid input builds no annotation or detection
-record. Where the pull refuses a section, the record walk
-(:func:`_read_records`) reads it record by record: it words what no column
-can hold (a record that is no object, a missing key, a value of another
-type) and reads the rest into the same columns.
+record. Each field type is stated once, as its column check (``_int_column``,
+``_box_column``, ...) with the problem that words a value it refuses. Where
+the pull refuses a section, the record walk (:func:`_read_records`) runs
+each field's column check on the whole column, searches only a refused one
+for the values it refuses (:func:`_refusals`), and words what no column can
+hold (a record that is no object, a missing key, a value of another type);
+the rest it reads into the same columns.
 
 Each value rule is then written once, as a row mask over the columns (unknown
 references, the box rules, bad areas, duplicate ids, non-positive image
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -250,10 +252,6 @@ class Dataset:
 _NUMBERS = frozenset((int, float))
 
 
-def _is_num(v) -> bool:
-    return type(v) in _NUMBERS and math.isfinite(v)
-
-
 # IoU needs finite edges and a union a + b - inter that stays finite: two areas of at
 # most half the largest float add up to a finite sum.
 _MAX_AREA = sys.float_info.max / 2
@@ -372,44 +370,39 @@ def _as_decoded(v):
     return v.item() if isinstance(v, (np.signedinteger, np.floating)) else v
 
 
-def _int(v):
-    if type(v) is not int:
-        return _UNREAD
-    if not -2 ** 63 <= v < 2 ** 63:  # integer fields become int64 columns
-        raise ValueError("field {key!r} must be an integer from -2**63 to 2**63 - 1, got {value!r}")
-    return v
-
-
-def _box(v):
-    if type(v) is list and len(v) == 4 and _NUMBERS.issuperset(map(type, v)) and all(map(math.isfinite, v)):
-        return list(map(float, v))
-    return _UNREAD
-
-
 # The typed pull: each field of a section, as decoded JSON or as records built in code
 # (_typed_records), taken as one list, checked by exact type at C speed and built into
 # a numpy array. Numpy numbers, which only a record built in code holds, read as Python
 # ones. With ``finite`` a non-finite number is refused too, as a document's is; a
 # record's is left to the rules. A refused column raises one of _TO_WALK: a non-object
 # record or a missing key, a value of another exact type (a bool is no int), a
-# non-finite number, an int beyond int64 or float64.
+# non-finite number (an int too large for a float among them) or a crowd flag other than
+# 0 or 1, and an int beyond int64, whose OverflowError words its own problem.
 _TO_WALK = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def _plain(values: list, types: set | frozenset, column: str) -> list:
-    if not set(map(type, values)) <= types:
+    kinds = set(map(type, values))
+    if not kinds <= types and any(issubclass(k, np.number) for k in kinds):
         values = list(map(_as_decoded, values))
-        if not set(map(type, values)) <= types:
-            raise TypeError(f"not {column} column")
+        kinds = set(map(type, values))
+    if not kinds <= types:
+        raise TypeError(f"not {column} column")
     return values
 
 
 def _int_column(values: list, finite: bool = True) -> np.ndarray:
-    return np.array(_plain(values, {int}, "an integer"), dtype=np.int64)
+    try:
+        return np.array(_plain(values, {int}, "an integer"), dtype=np.int64)
+    except OverflowError:
+        raise OverflowError("field {key!r} must be an integer from -2**63 to 2**63 - 1, got {value!r}") from None
 
 
 def _num_column(values: list, finite: bool = True) -> np.ndarray:
-    col = np.array(_plain(values, _NUMBERS, "a number"), dtype=np.float64)
+    try:
+        col = np.array(_plain(values, _NUMBERS, "a number"), dtype=np.float64)
+    except OverflowError:
+        raise ValueError("non-finite number") from None
     if finite and not np.isfinite(col).all():
         raise ValueError("non-finite number")
     return col
@@ -439,27 +432,22 @@ def _area_column(values: list, finite: bool = True) -> tuple[np.ndarray, list[in
     return _num_column([0 if a is None else a for a in values] if nulls else values, finite), nulls
 
 
-# Field types: (reader, problem, fallback, column). A reader returns the field's value,
-# or _UNREAD to reject it, or raises ValueError whose text is the problem instead;
-# an absent key reads as _UNREAD, which every reader rejects. A missing or
-# rejected field is reported, a rejected value with ``problem``, and reads as
-# ``fallback``; the rules skip an _UNREAD id. ``column`` is the field's typed pull; it is
-# given ``finite``, which only a number column reads.
+# Field types: (problem, fallback, column). ``column`` is the field's typed pull; it is
+# given ``finite``, which only a number column reads. The record walk words a value the
+# column refuses with ``problem`` (or the OverflowError's own), and a missing or refused
+# field reads as ``fallback``; the rules skip an _UNREAD id.
 _UNREAD = object()
-_INT = (_int, "field {key!r} must be an integer, got {value!r}", _UNREAD, _int_column)
-_STR = (lambda v: v if isinstance(v, str) else _UNREAD, "{key} must be a string", "", _str_column)
-_NUM = (lambda v: float(v) if _is_num(v) else _UNREAD, "{key} must be a finite number, got {value!r}", 0.0,
-        _num_column)
-_BOX = (_box, "{key} must be four finite numbers, got {value!r}", [0.0, 0.0, 1.0, 1.0], _box_column)
+_INT = ("field {key!r} must be an integer, got {value!r}", _UNREAD, _int_column)
+_STR = ("{key} must be a string", "", _str_column)
+_NUM = ("{key} must be a finite number, got {value!r}", 0.0, _num_column)
+_BOX = ("{key} must be four finite numbers, got {value!r}", [0.0, 0.0, 1.0, 1.0], _box_column)
 # Record kinds: (section name, label paths with the record's id, field types by
 # key, in the order their problems are reported). _DEFAULTS holds the optional keys and
 # what an absent one reads as; a null area is derived from the box too.
 _IMAGES = ("images", False, {"file_name": _STR, "id": _INT, "width": _INT, "height": _INT})
-_ANNOTATIONS = ("annotations", True, {
-    "iscrowd": (lambda v: bool(v) if v in (0, 1) else _UNREAD, "{key} must be 0 or 1, got {value!r}", False,
-                _flag_column),
-    "area": (lambda v: None if v is None else float(v) if _is_num(v) else _UNREAD, _NUM[1], None, _area_column),
-    "id": _INT, "image_id": _INT, "category_id": _INT, "bbox": _BOX})
+_ANNOTATIONS = ("annotations", True, {"iscrowd": ("{key} must be 0 or 1, got {value!r}", False, _flag_column),
+                                      "area": (_NUM[0], None, _area_column), "id": _INT, "image_id": _INT,
+                                      "category_id": _INT, "bbox": _BOX})
 _CATEGORIES = ("categories", False, {"name": _STR, "id": _INT})
 _RESULTS = ("results", False, {"image_id": _INT, "category_id": _INT, "bbox": _BOX, "score": _NUM})
 _DEFAULTS = {"iscrowd": 0, "area": None}
@@ -468,7 +456,7 @@ _ATTRIBUTES = {"iscrowd": "crowd_flag"}  # a record's attribute, where its key i
 
 def _typed(columns: dict[str, list], kind: tuple, finite: bool = True) -> dict:
     """The typed pull of a section's columns, by key in the kind's order."""
-    return {key: field_type[3](columns[key], finite) for key, field_type in kind[2].items()}
+    return {key: column(columns[key], finite) for key, (_, _, column) in kind[2].items()}
 
 
 def _typed_records(records: Sequence, kind: tuple, finite: bool = True) -> dict:
@@ -486,39 +474,46 @@ def _pull(section: list, keys) -> list[list]:
             else list(map(dict.get, section, repeat(key), repeat(_DEFAULTS[key]))) for key in keys]
 
 
+def _refusals(column, values: list) -> list[tuple[int, Exception]]:
+    """``(position, refusal)`` for each of ``values`` that ``column`` refuses, in no set order:
+    the whole list is checked once, and a refused run is halved down to runs of at most 32,
+    checked value by value."""
+    found, runs = [], [(0, len(values))]
+    while runs:
+        lo, hi = runs.pop()
+        try:
+            column(values[lo:hi])
+        except _TO_WALK as refusal:
+            if hi - lo == 1:
+                found.append((lo, refusal))
+            else:
+                step = 1 if hi - lo <= 32 else (hi - lo + 1) // 2
+                runs += [(j, min(j + step, hi)) for j in range(lo, hi, step)]
+    return found
+
+
 def _read_records(section: list, kind: tuple, errors: list) -> dict[str, list]:
-    """A decoded section record by record, as the typed pull's columns: each key of the kind
-    to its values, a missing or rejected one read as its fallback, and every field of a
-    record that is no object. Appends ``(row, error)`` for each problem: the only reader of
-    JSON records, and the only wording of a problem no column can hold."""
+    """A decoded section field by field, as the typed pull's columns: each key of the kind to
+    its values, a missing or refused one read as its fallback, and every field of a record
+    that is no object. A value is judged by its field's own column check (:func:`_refusals`);
+    no column takes a missing one. Appends ``(row, error)`` for each problem, a record's in
+    the kind's field order: the only wording of a problem no column can hold."""
     name, labelled, types = kind
-    fields = [(key, read, problem, fallback, _DEFAULTS.get(key, _UNREAD))
-              for key, (read, problem, fallback, _) in types.items()]
-    columns: dict[str, list] = {key: [] for key in types}
-    for i, rec in enumerate(section):
-        path = f"{name}[{i}]"
-        if not isinstance(rec, dict):
-            errors.append((i, f"{path}: record must be an object"))
-            for key, _, _, fallback, _ in fields:
-                columns[key].append(fallback)
-            continue
-        if labelled and type(rec.get("id")) is int:
-            path = f"{path} (id={rec['id']})"
-        for key, read, problem, fallback, absent in fields:
-            raw = rec.get(key, absent)
-            try:
-                value = read(raw)
-            except OverflowError:  # an int too large for a float is not a finite number
-                value = _UNREAD
-            except ValueError as e:
-                value, problem = _UNREAD, e.args[0]
-            if value is _UNREAD:
-                if raw is None and "{value" not in problem:
-                    problem += ", got {value!r}"  # a null shows even where a wrong value does not
-                text = f"missing field {key!r}" if raw is _UNREAD else problem.format(key=key, value=raw)
-                errors.append((i, f"{path}: {text}"))
-                value = fallback
-            columns[key].append(value)
+    found = [(i, -1, "record must be an object") for i, rec in enumerate(section) if not isinstance(rec, dict)]
+    records = [rec if isinstance(rec, dict) else {} for rec in section] if found else section
+    columns = {}
+    for f, (key, (problem, fallback, column)) in enumerate(types.items()):
+        values = columns[key] = list(map(dict.get, records, repeat(key), repeat(_DEFAULTS.get(key, _UNREAD))))
+        for i, refusal in _refusals(column, values):
+            raw, values[i] = values[i], fallback
+            text = refusal.args[0] if isinstance(refusal, OverflowError) else problem
+            if raw is None and "{value" not in text:
+                text += ", got {value!r}"  # a null shows even where a wrong value does not
+            if records[i] is section[i]:  # a record that is no object is worded once, above
+                found.append((i, f, f"missing field {key!r}" if raw is _UNREAD else text.format(key=key, value=raw)))
+    for i, _, text in sorted(found):  # record order; a record's fields in the kind's order
+        label = f" (id={records[i]['id']})" if labelled and type(records[i].get("id")) is int else ""
+        errors.append((i, f"{name}[{i}]{label}: {text}"))
     return columns
 
 
@@ -665,13 +660,6 @@ class _AnnotationTable(NamedTuple):
         """The rows scoring reads, as a table: every annotation but crowd regions."""
         keep = ~self.crowd
         return _AnnotationTable(*(col[keep] for col in self))
-
-
-def _boxes(records: Sequence[Annotation | Detection]) -> np.ndarray:
-    """The records' boxes as (n, 4) float64 (x, y, w, h) rows."""
-    bb = [r.bbox for r in records]
-    return np.array([[b.x for b in bb], [b.y for b in bb], [b.w for b in bb], [b.h for b in bb]],
-                    dtype=np.float64).T
 
 
 def _columns(detections: Sequence[Detection] | _Columns) -> _Columns:

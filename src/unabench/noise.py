@@ -49,6 +49,7 @@ when ``corrupted`` is read.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -58,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .metrics import _pair_iou
-from .model import Annotation, BoundingBox, Dataset, ImageRecord, _AnnotationTable
+from .model import Annotation, BoundingBox, Dataset, ImageRecord, _AnnotationTable, _box_column, _int_column
 
 _SELECT_PURPOSE = {"categorization": 1, "localization": 2, "missing": 3}
 _EDIT_KINDS = {(True, False): ("categorization",), (False, True): ("localization",),
@@ -178,26 +179,46 @@ def _bounded(words: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
 
 def exact_count(ratio: float, n: int) -> int:
     """Number of entities to corrupt: half-up rounding of ``ratio * n``."""
-    _check_ratio(ratio)
+    ratio = _ratio(ratio)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     return min(n, math.floor(ratio * n + 0.5))
 
 
-def _check_ratio(ratio: float) -> None:
-    if not (isinstance(ratio, (int, float)) and not isinstance(ratio, bool) and math.isfinite(ratio)
-            and 0.0 <= ratio <= 1.0):
+def _real(value) -> float:
+    """``value`` as a Python float where it is a Python or numpy real number other than a
+    bool (``numbers.Real`` holds bools too); NaN for anything else."""
+    return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+
+
+def _ratio(ratio) -> float:
+    value = _real(ratio)
+    if not 0.0 <= value <= 1.0:
         raise ValueError(f"ratio must be in [0, 1], got {ratio!r}")
+    return value
 
 
-def _check_delta(delta: float) -> None:
-    if not (isinstance(delta, (int, float)) and 0.0 < delta < 1.0):
+def _delta(delta) -> float:
+    value = _real(delta)
+    if not 0.0 < value < 1.0:
         raise ValueError(f"loc_delta must be in (0, 1), got {delta!r}")
+    return value
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; TypeError for a bool or another value that is no integer.
+    Numpy integers are integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """One injection run: what to corrupt, how much, and from which seed."""
+    """One injection run: what to corrupt, how much, and from which seed.
+
+    ``ratio`` and ``loc_delta`` are kept as Python floats and ``seed`` as a Python int,
+    numpy numbers included; a bool is none of them."""
 
     noise_type: NoiseType
     ratio: float
@@ -206,11 +227,9 @@ class NoiseConfig:
     bogus_size_policy: BogusSizePolicy = BogusSizePolicy.SAMPLE_EXISTING
 
     def __post_init__(self):
-        object.__setattr__(self, "noise_type", NoiseType(self.noise_type))
-        object.__setattr__(self, "bogus_size_policy", BogusSizePolicy(self.bogus_size_policy))
-        _check_ratio(self.ratio)
-        _check_delta(self.loc_delta)
-        object.__setattr__(self, "seed", _seed(self.seed))
+        for name, read in (("noise_type", NoiseType), ("bogus_size_policy", BogusSizePolicy), ("ratio", _ratio),
+                           ("loc_delta", _delta), ("seed", _seed)):
+            object.__setattr__(self, name, read(getattr(self, name)))
 
     def to_dict(self) -> dict:
         return {
@@ -256,14 +275,17 @@ class _EditTable(NamedTuple):
     @classmethod
     def of(cls, entries: tuple[CorruptionEntry, ...]) -> _EditTable:
         """The table of records. Raises ``ValueError`` on an entry unlike :func:`inject`'s
-        (kinds in order, each with its old value and no other), which it cannot hold."""
+        (kinds in order, each with its old value and no other), which it cannot hold, and
+        ``TypeError`` on an id or old category id that is no integer (:func:`_integer`)."""
         flipped = [e.old_category_id is not None for e in entries]
         moved = [e.old_bbox is not None for e in entries]
         for e, marks in zip(entries, zip(flipped, moved)):
             if _EDIT_KINDS.get(marks) != tuple(e.kinds):
                 raise ValueError(f"corrupted entry {e.id}: kinds {tuple(e.kinds)} do not match its old values")
-        return cls(np.array([e.id for e in entries], dtype=object), np.array(flipped, dtype=bool),
-                   np.array(moved, dtype=bool), np.array([e.old_category_id for e in entries], dtype=object),
+        old_categories = [None if e.old_category_id is None
+                          else _integer(e.old_category_id, f"corrupted entry {e.id}: old_category_id") for e in entries]
+        return cls(np.array([_integer(e.id, "corrupted entry id") for e in entries], dtype=object),
+                   np.array(flipped, dtype=bool), np.array(moved, dtype=bool), np.array(old_categories, dtype=object),
                    np.array([(0.0,) * 4 if e.old_bbox is None else e.old_bbox.as_list() for e in entries],
                             dtype=np.float64).reshape(-1, 4))
 
@@ -330,7 +352,7 @@ class InjectionLog:
         return {
             "config": self.config.to_dict(),
             "counts": self.counts(),
-            "corrupted": [e.to_dict() for e in self.corrupted],
+            "corrupted": [e.to_dict() for e in self._edits.entries()],
             "removed": list(self.removed),
             "added": list(self.added),
         }
@@ -403,10 +425,14 @@ def perturb_box(
     ``min(max(side, 1), image side)``, each corner
     ``min(max(center - side/2, 0), image side - side)``; that last resort may
     coincide with the original box.
+
+    The box and the image size are read as a parsed file's are: ``TypeError``
+    for a coordinate that is no number or a size that is no integer,
+    ``ValueError`` for a non-finite coordinate.
     """
-    _check_delta(delta)
-    old = np.array(box.as_list(), dtype=np.float64).reshape(4, 1)
-    size = np.array([[image.width], [image.height]], dtype=np.float64)
+    delta = _delta(delta)
+    old = _box_column([box.as_list()]).reshape(4, 1)
+    size = _int_column([image.width, image.height]).astype(np.float64).reshape(2, 1)
     new = _perturb(old, size, delta, lambda attempt, todo: rng.uniform(-1.0, 1.0, size=(4, len(todo))), max_attempts)
     return BoundingBox(*new[:, 0].tolist())
 
@@ -473,7 +499,6 @@ def _plan_localization(ds: Dataset, ratio: float, delta: float, seed: int) -> tu
     Attempt a of every target still rejected comes from block a of its
     stream (one attempt's four uniforms are one block), all targets at once.
     """
-    _check_delta(delta)
     rows = _select(ds, ratio, seed, "localization")
     t, images = ds._table, ds._image_table
     if not len(rows):
@@ -505,6 +530,7 @@ def make_bogus_box(
     the span is clipped to the image; a span the image does not cut keeps
     the sampled size bit-exact, and one left under a pixel becomes
     ``min(1, side)`` long at ``min(max(center - length/2, 0), side - length)``.
+    An image size that is no integer raises ``TypeError``.
     """
     policy = BogusSizePolicy(policy)
     cats = ds._category_ids
@@ -512,7 +538,7 @@ def make_bogus_box(
         raise ValueError("bogus noise needs at least one category")
     if new_id is None:
         new_id = ds.max_annotation_id() + 1
-    side = [float(image.width), float(image.height)]
+    side = _int_column([image.width, image.height]).astype(np.float64).tolist()
     ids = ds._image_table.ids
     j = int(np.searchsorted(ids, image.id))
     if ids[j:j + 1].tolist() != [image.id]:  # an image of another dataset

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from unabench import (Annotation, BogusSizePolicy, BoundingBox, CorruptionEntry, Detection, InjectionLog,
@@ -192,6 +193,26 @@ def test_log_entries_unlike_injections_are_refused(bad):
     for read in (log.counts, lambda: sidecar_json(log)):
         with pytest.raises(ValueError, match="^corrupted entry 3: kinds .* do not match its old values$"):
             read()
+
+
+@pytest.mark.parametrize("entry_id, old_category", [("x", 2), (True, 2), (3.0, 2), (3, "2"), (3, False), (3, 2.0)],
+                         ids=["id-str", "id-bool", "id-float", "old-str", "old-bool", "old-float"])
+def test_log_ids_that_are_no_integers_are_refused(entry_id, old_category):
+    """Where ``json.dumps`` would write ``"x"`` or ``true``, the sidecar writer wrote ``x`` or ``True``."""
+    bad = CorruptionEntry(entry_id, ("categorization",), old_category)
+    log = InjectionLog(NoiseConfig("categorization", 1.0), (bad,), (), ())
+    for read in (log.counts, log.to_dict, lambda: sidecar_json(log)):
+        with pytest.raises(TypeError, match="must be an integer, got"):
+            read()
+
+
+def test_numpy_log_ids_are_written_as_python_ints():
+    entry = CorruptionEntry(np.int64(3), ("categorization",), np.int32(2))
+    log = InjectionLog(NoiseConfig("categorization", 1.0), (entry,), (), ())
+    doc = log.to_dict()
+    assert doc["corrupted"] == [{"id": 3, "kinds": ["categorization"], "old_category_id": 2}]
+    assert [type(v) for v in doc["corrupted"][0].values()] == [int, list, int]
+    assert sidecar_json(log) == json.dumps(doc, indent=2, allow_nan=False)
 
 
 def test_only_the_console_script_turns_off_cyclic_gc(monkeypatch):

@@ -1,6 +1,8 @@
 """The counting rule of ``tools/code_lines.py``, which every line count in ROADMAP.md uses."""
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -49,3 +51,30 @@ def test_each_line_of_a_multi_line_statement_counts():
 
 def test_a_string_that_is_no_docstring_counts():
     assert code_lines.code_lines('x = 1\n"""not the first statement"""\n') == 2
+
+
+def test_base_prints_each_module_at_the_ref_in_the_work_tree_and_the_difference(tmp_path, monkeypatch, capsys):
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    package = tmp_path / "src" / "unabench"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n")
+    (package / "b.py").write_text("y = [\n    1,\n]\n")
+    (package / "notes.txt").write_text("not a module\n")
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@example.com", "-c",
+           "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "base"]):
+        subprocess.run([*git, *args], check=True, capture_output=True)
+    (package / "a.py").write_text("x = 1\nz = 2\n")
+    (package / "b.py").unlink()
+    (package / "c.py").write_text('"""Docstring."""\nw = 3\n')
+    monkeypatch.setattr(code_lines, "ROOT", tmp_path)
+    monkeypatch.setattr(code_lines, "PACKAGE", package)
+    code_lines.main(["--base", "HEAD"])
+    assert capsys.readouterr().out.splitlines() == [
+        "        base   work   diff",
+        "a.py       1      2     +1",
+        "b.py       3      0     -3",
+        "c.py       0      1     +1",
+        "total      4      3     -1",
+    ]

@@ -120,6 +120,26 @@ def test_match_threshold_validated():
         match_greedy([], [], 0.0)
 
 
+@pytest.mark.parametrize("box, error", [
+    (BoundingBox("10", "10", "20", "20"), TypeError),
+    (BoundingBox(10.0, 10.0, float("nan"), 20.0), ValueError),
+], ids=["string", "nan"])
+def test_match_reads_detection_boxes_as_evaluate_does(box, error):
+    """A detection box of strings or with a NaN coordinate raises, as in ``evaluate``; it
+    neither matches as numbers nor silently misses."""
+    ds, _ = _one_image_problem([(10, 10, 20, 20)], [])
+    dets = [Detection(1, 1, box, 0.9)]
+    for run in (lambda: match_greedy(dets, list(ds.annotations), 0.5), lambda: evaluate(ds, dets)):
+        with pytest.raises(error):
+            run()
+
+
+def test_match_reads_ground_truth_boxes_as_evaluate_does():
+    gt = [Annotation(1, 1, 1, BoundingBox("10", "10", "20", "20"), area=400.0)]
+    with pytest.raises(TypeError):
+        match_greedy([Detection(1, 1, BoundingBox(10, 10, 20, 20), 0.9)], gt, 0.5)
+
+
 # --- average precision fixtures ----------------------------------------------
 
 def test_ap_perfect_single_detection():

@@ -218,6 +218,32 @@ def test_perturb_box_rejects_bad_delta():
             perturb_box(box, img, bad, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("box, image, error", [
+    (BoundingBox("10", "10", "20", "20"), ImageRecord(1, 100, 100, "a.jpg"), TypeError),
+    (BoundingBox(10.0, 10.0, 20.0, 20.0), ImageRecord(1, "100", "100", "a.jpg"), TypeError),
+    (BoundingBox(10.0, 10.0, math.nan, 20.0), ImageRecord(1, 100, 100, "a.jpg"), ValueError),
+], ids=["string-box", "string-size", "nan-box"])
+def test_perturb_box_reads_its_box_and_image_as_a_parse_does(box, image, error):
+    """No string is jittered as a number, and a NaN box does not come back as one."""
+    with pytest.raises(error):
+        perturb_box(box, image, 0.4, np.random.default_rng(0))
+
+
+def test_perturb_box_reads_numpy_numbers_as_python_ones():
+    box, img = BoundingBox(10.0, 10.0, 30.0, 20.0), ImageRecord(1, 100, 100, "a.jpg")
+    want = perturb_box(box, img, 0.4, np.random.default_rng(42))
+    numpy_img = ImageRecord(1, np.int64(100), np.int32(100), "a.jpg")
+    got = perturb_box(BoundingBox(*map(np.float32, box.as_list())), numpy_img, np.float64(0.4), np.random.default_rng(42))
+    assert got == want and all(type(v) is float for v in got.as_list())
+
+
+def test_make_bogus_box_refuses_an_image_size_that_is_no_integer():
+    ds = build_dataset(n_annotations=10, seed=3)
+    for image in (ImageRecord(1, "100", "100", "a.jpg"), ImageRecord(1, 100.0, 100.0, "a.jpg")):
+        with pytest.raises(TypeError):
+            make_bogus_box(image, ds, BogusSizePolicy.UNIFORM_FRACTION, np.random.default_rng(0))
+
+
 # --- localization ---------------------------------------------------------
 
 def test_localization_counts_and_target_set_match_selector():
@@ -522,6 +548,21 @@ def test_a_bool_is_no_ratio(flag):
         with pytest.raises(ValueError, match=rf"^ratio must be in \[0, 1\], got {flag!r}$"):
             check(flag)
         check(int(flag))
+
+
+@pytest.mark.parametrize("ratio", [np.float32(0.2), np.float64(0.2), np.int64(1), np.int8(0)],
+                         ids=["float32", "float64", "int64", "int8"])
+def test_a_numpy_ratio_is_read_as_its_python_float(ratio):
+    """Ratios and ``loc_delta`` are read as Python floats, numpy ones too: the same targets,
+    dataset and sidecar bytes as the float."""
+    ds = build_dataset(n_annotations=60, seed=19, crowd_every=7)
+    config = NoiseConfig(NoiseType.UNA, ratio, seed=3, loc_delta=np.float32(0.3))
+    assert type(config.ratio) is float and type(config.loc_delta) is float
+    assert (config.ratio, config.loc_delta) == (float(ratio), float(np.float32(0.3)))
+    assert noise_digests(ds, config) == noise_digests(ds, NoiseConfig(NoiseType.UNA, float(ratio), 3, config.loc_delta))
+    assert exact_count(ratio, 7) == exact_count(float(ratio), 7)
+    for kind in ("categorization", "localization", "missing"):
+        assert select_targets(ds, ratio, 3, kind) == select_targets(ds, float(ratio), 3, kind)
 
 
 @pytest.mark.parametrize("flag", [True, False, np.True_])

@@ -12,6 +12,12 @@ image overlap before or after the noise:
   the IoU of the logged ``old_bbox`` with the new box against ``tf``/``tb``;
 - a flip and then a jitter of one box is a Cls error, a Both error plus a
   Miss, or a Bkg error plus a Miss, by the same IoU.
+
+``una`` applies all four at once, and its fabricated boxes land anywhere, so
+one can meet a clean detection at ``tb`` or more and change how that
+detection, its own ground truth and the fabricated box are counted. Its test
+checks every other detection's label and every other ground truth's Miss
+against the log, counts the ones it leaves out, and pins how many it checks.
 """
 
 from functools import lru_cache
@@ -38,6 +44,17 @@ def _instance():
     return ds, tuple(Detection(a.image_id, a.category_id, a.bbox, float(s)) for a, s in zip(ds.annotations, scores))
 
 
+def _outcome(i: int, noisy, flipped: set, old_boxes: dict, tf: float, tb: float):
+    """How the detection of surviving annotation ``i`` comes out: "tp", Cls, Loc, Both or Bkg,
+    by whether it was flipped and the IoU of its jitter (1.0 for none)."""
+    overlap = iou(old_boxes[i], noisy.annotations_by_id[i].bbox) if i in old_boxes else 1.0
+    if overlap >= tf:
+        return CLS if i in flipped else "tp"
+    if overlap >= tb:
+        return BOTH if i in flipped else LOC
+    return BKG
+
+
 def _predicted(noisy, logs, tf: float, tb: float) -> tuple[dict, dict]:
     """The TIDE counts the logs predict, and how each edited box came out."""
     flipped = {e.id for log in logs for e in log.corrupted if e.old_category_id is not None}
@@ -47,13 +64,7 @@ def _predicted(noisy, logs, tf: float, tb: float) -> tuple[dict, dict]:
     counts[MISS] = sum(len(log.added) for log in logs)
     outcomes = dict.fromkeys(("tp", CLS, LOC, BOTH, BKG), 0)
     for i in flipped | old_boxes.keys():
-        overlap = iou(old_boxes[i], noisy.annotations_by_id[i].bbox) if i in old_boxes else 1.0
-        if overlap >= tf:
-            outcome = CLS if i in flipped else "tp"
-        elif overlap >= tb:
-            outcome = BOTH if i in flipped else LOC
-        else:
-            outcome = BKG
+        outcome = _outcome(i, noisy, flipped, old_boxes, tf, tb)
         outcomes[outcome] += 1
         if outcome != "tp":
             counts[outcome] += 1
@@ -105,3 +116,39 @@ def test_a_flipped_and_jittered_box_is_cls_both_or_bkg_by_its_iou(tf, tb):
     want, outcomes = _predicted(noisy, [flips, moves], tf, tb)
     assert _counts(noisy, tf, tb) == want
     assert all(outcomes[k] > 0 for k in ("tp", CLS, LOC, BOTH, BKG)), outcomes
+
+
+@pytest.mark.parametrize("tf, tb", THRESHOLDS)
+@pytest.mark.parametrize("policy", ["sample_existing", "uniform_fraction"])
+def test_una_noise_is_the_errors_its_log_predicts_away_from_fabricated_boxes(policy, tf, tb):
+    """All four kinds at once: a dropped box's detection is Bkg, whatever else happened to
+    it, and a fabricated box is a Miss. A detection that a fabricated box meets at ``tb`` or
+    more, its own ground truth and that fabricated box are left out and counted; every other
+    label and Miss must be the predicted one, with every outcome among them."""
+    ds, dets = _instance()
+    noisy, log = inject(ds, NoiseConfig("una", RATIO, seed=13, loc_delta=0.7, bogus_size_policy=policy))
+    flipped = {e.id for e in log.corrupted if e.old_category_id is not None}
+    old_boxes = {e.id: e.old_bbox for e in log.corrupted if e.old_bbox is not None}
+    removed, added = set(log.removed), set(log.added)
+    fabricated = [noisy.annotations_by_id[i] for i in log.added]
+    met = {(d, f.id) for d, det in enumerate(dets) for f in fabricated
+           if f.image_id == det.image_id and iou(det.bbox, f.bbox) >= tb}
+    left_dets = {d for d, _ in met}
+    left_gts = {f for _, f in met} | {ds.annotations[d].id for d in left_dets}
+
+    want_labels, want_miss = {}, added - left_gts
+    for d, a in enumerate(ds.annotations):
+        if d in left_dets:
+            continue
+        outcome = BKG if a.id in removed else _outcome(a.id, noisy, flipped, old_boxes, tf, tb)
+        want_labels[d] = None if outcome == "tp" else outcome
+        if a.id not in removed and outcome in (BOTH, BKG):
+            want_miss.add(a.id)
+    got = classify_errors(noisy, dets, tf, tb)
+    assert {d: got.labels[d] for d in want_labels} == want_labels
+    assert got.miss_ids - left_gts == want_miss
+    # what the check covers: at most 20 of the 600 detections left out, every outcome checked
+    checked = list(want_labels.values())
+    assert len(checked) >= 580 and len(want_miss & added) >= 110, (len(left_dets), len(left_gts))
+    assert all(checked.count(kind) > 0 for kind in (None, CLS, LOC, BOTH, BKG)), checked
+    assert want_miss - added
