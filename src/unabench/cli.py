@@ -22,7 +22,6 @@ import argparse
 import gc
 import io
 import json
-import math
 import os
 import pickle
 import signal
@@ -31,14 +30,17 @@ from collections import Counter
 from contextlib import contextmanager
 from enum import Enum
 from functools import partial
+from itertools import chain
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .metrics import EvalSummary, evaluate
-from .model import (Dataset, ValidationError, _check_results, _Columns, _decode_dataset, _detection_table,
-                    _load_results, _result_columns, parse_dataset, serialize_dataset, validate_dataset)
-from .noise import _EDIT_KINDS, DEFAULT_LOC_DELTA, BogusSizePolicy, InjectionLog, NoiseConfig, NoiseType, inject
+from .model import (_CHUNK_ROWS, Dataset, ValidationError, _check_results, _Columns, _dataset_chunks, _decode_dataset,
+                    _detection_table, _load_results, _result_columns, parse_dataset, validate_dataset)
+from .noise import (_EDIT_KINDS, DEFAULT_LOC_DELTA, BogusSizePolicy, InjectionLog, NoiseConfig, NoiseType, _EditTable,
+                    inject)
 from .tide import DEFAULT_TB, DEFAULT_TF, ERROR_ORDER, ErrorKind, TideReport, tide_report
 
 EXIT_OK = 0
@@ -308,9 +310,9 @@ def _load_scoring(opts: dict) -> tuple[Dataset, _Columns]:
     return gt, dets
 
 
-def _write_all(files: list[tuple[Path, bytes]]) -> None:
-    """Write each file to a temp file in its directory, then move them into
-    place in the given order, only after every write succeeded.
+def _write_all(files: list[tuple[Path, Iterable[bytes]]]) -> None:
+    """Write each file's chunks to a temp file in its directory, then move
+    them into place in the given order, only after every write succeeded.
 
     Every temp file is fsynced before the first move, and every directory
     after the last, so no move can outlive a power cut with a partly written
@@ -320,12 +322,12 @@ def _write_all(files: list[tuple[Path, bytes]]) -> None:
     """
     temps: list[Path] = []
     try:
-        for path, data in files:
+        for path, chunks in files:
             # not mkstemp: its 0600 mode would end up on the outputs
             tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
             with tmp.open("xb") as f:
                 temps.append(tmp)
-                f.write(data)
+                f.writelines(chunks)
                 f.flush()
                 os.fsync(f.fileno())
         for (path, _), tmp in zip(files, temps):
@@ -348,53 +350,49 @@ def _json_array(rows: list[str], indent: str) -> str:
     return f"[\n{indent}  " + f",\n{indent}  ".join(rows) + f"\n{indent}]"
 
 
-def _json_object(fields: list[str]) -> str:
-    """Encoded ``"key": value`` ``fields`` as ``json.dumps(indent=2)`` lays out a top-level object."""
-    return "{\n  " + ",\n  ".join(fields) + "\n}"
-
-
 def _id_fields(items) -> list[str]:
-    """``(key, ids)`` pairs as ``_json_object`` fields holding integer arrays."""
+    """``(key, ids)`` pairs as the ``"key": value`` fields of a top-level object holding integer arrays."""
     return [f'"{key}": ' + _json_array(list(map(str, ids)), "  ") for key, ids in items]
-
-
-def _json_float(v: float) -> str:
-    if not math.isfinite(v):
-        raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
-    return repr(float(v))
 
 
 _KINDS_JSON = {marks: _json_array(list(map(json.dumps, kinds)), "      ") for marks, kinds in _EDIT_KINDS.items()}
 
 
-def _edit_rows(log: InjectionLog) -> list[str]:
-    """The ``corrupted`` array's encoded entries, from the log's edits table."""
-    ids, flipped, moved, old_categories, old_boxes = log._edits
+def _edit_rows(edits: _EditTable) -> Iterator[str]:
+    """The ``corrupted`` array's encoded entries, from rows of a log's edits table."""
+    ids, flipped, moved, old_categories, old_boxes = edits
     boxes = old_boxes[moved]
     bad = boxes[~np.isfinite(boxes)]
-    if len(bad):
-        _json_float(bad[0].item())  # raises on the first, as json.dumps does
+    if len(bad):  # the first, worded as json.dumps words it
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad[0].item()!r}")
     box_rows = iter([_json_array(list(map(repr, b)), "      ") for b in boxes.tolist()])
-    rows = []
     for i, f, m, c in zip(ids.tolist(), flipped.tolist(), moved.tolist(), old_categories.tolist()):
         row = f'{{\n      "id": {i},\n      "kinds": {_KINDS_JSON[f, m]}'
         if f:
             row += f',\n      "old_category_id": {c}'
         if m:
             row += ',\n      "old_bbox": ' + next(box_rows)
-        rows.append(row + "\n    }")
-    return rows
+        yield row + "\n    }"
+
+
+def _sidecar_chunks(log: InjectionLog) -> Iterator[bytes]:
+    """The sidecar log as UTF-8 chunks, the ``corrupted`` entries at most ``_CHUNK_ROWS`` a chunk,
+    written from the log's edits table: the standard encoder does indented output in pure Python."""
+    fields = [f'"{key}": ' + json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+              for key, value in (("config", log.config.to_dict()), ("counts", log.counts()))]
+    edits = log._edits
+    yield ("{\n  " + ",\n  ".join(fields) + ',\n  "corrupted": [').encode("utf-8")
+    for start in range(0, len(edits.ids), _CHUNK_ROWS):
+        rows = _edit_rows(_EditTable(*(col[start:start + _CHUNK_ROWS] for col in edits)))
+        yield ((",\n    " if start else "\n    ") + ",\n    ".join(rows)).encode("utf-8")
+    ids = ",\n  ".join(_id_fields(log._ids().items()))
+    yield ("\n  " * (len(edits.ids) > 0) + "],\n  " + ids + "\n}").encode("utf-8")
 
 
 def sidecar_json(log: InjectionLog) -> str:
-    """The sidecar log, exactly ``json.dumps(log.to_dict(), indent=2, allow_nan=False)``, written
-    a row at a time from the log's edits table: the standard encoder does indented output in pure
-    Python."""
-    head = {"config": log.config.to_dict(), "counts": log.counts()}
-    fields = [f'"{key}": ' + json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
-              for key, value in head.items()]
-    fields.append('"corrupted": ' + _json_array(_edit_rows(log), "  "))
-    return _json_object(fields + _id_fields((("removed", log.removed), ("added", log.added))))
+    """The sidecar log, exactly ``json.dumps(log.to_dict(), indent=2, allow_nan=False)``: the
+    chunks of :func:`_sidecar_chunks` joined."""
+    return b"".join(_sidecar_chunks(log)).decode("utf-8")
 
 
 def cmd_inject(opts: dict) -> int:
@@ -411,10 +409,10 @@ def cmd_inject(opts: dict) -> int:
         bogus_size_policy=opts["bogus_size_policy"],
     )
     noisy, log = inject(ds, config, workers=opts["workers"])
-    payload = serialize_dataset(noisy)
-    log_payload = sidecar_json(log).encode("utf-8")
+    dataset = _dataset_chunks(noisy)
+    head = next(dataset)  # checks every value, so a dataset that cannot be written stops the run first
     # the sidecar goes first, so no dataset is ever left without its log
-    _write_all([(log_path, log_payload), (out, payload)])
+    _write_all([(log_path, _sidecar_chunks(log)), (out, chain((head,), dataset))])
     counts = log.counts()
     print(f"wrote {out} ({len(noisy._table.ids)} annotations) and {log_path}")
     print(f"noise type: {config.noise_type.value}, ratio: {config.ratio}, seed: {config.seed}")
@@ -597,7 +595,7 @@ def diff_datasets(a: Dataset, b: Dataset) -> dict:
 
 def _render_diff(diff: dict, fmt: str) -> str:
     if fmt == "json":  # exactly json.dumps(diff, indent=2), a row at a time
-        return _json_object(_id_fields(diff.items()))
+        return "{\n  " + ",\n  ".join(_id_fields(diff.items())) + "\n}"
     if fmt == "csv":
         lines = ["change,id"]
         for key, ids in diff.items():

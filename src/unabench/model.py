@@ -36,10 +36,16 @@ Decoding is kept apart from judging, so it can run in another process:
 :func:`parse_dataset` is :func:`_decode_dataset` then :func:`validate_dataset`,
 and :func:`_detection_table` is :func:`_result_columns` then
 :func:`_check_results`. The decode steps log nothing.
+
+Output has one writer, :func:`_dataset_chunks`: the canonical document as
+UTF-8 chunks, the annotations written from the table at most ``_CHUNK_ROWS``
+rows a chunk. :func:`serialize_dataset` joins them; CLI ``inject`` streams
+them to disk, so no whole copy of the document is ever held.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import sys
@@ -48,7 +54,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from itertools import chain, repeat
 from operator import attrgetter, index, itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -455,8 +461,13 @@ _ATTRIBUTES = {"iscrowd": "crowd_flag"}  # a record's attribute, where its key i
 
 
 def _typed(columns: dict[str, list], kind: tuple, finite: bool = True) -> dict:
-    """The typed pull of a section's columns, by key in the kind's order."""
-    return {key: column(columns[key], finite) for key, (_, _, column) in kind[2].items()}
+    """The typed pull of a section's columns, by key in the kind's order. An int beyond int64
+    raises the OverflowError the record walk words, filled in with the key and the first such value."""
+    try:
+        return {key: column(columns[key], finite) for key, (_, _, column) in kind[2].items()}
+    except OverflowError as e:  # the id columns before the one refused hold no such int
+        key, value = next((k, v) for k, t in kind[2].items() if t is _INT for v in columns[k] if not -2**63 <= v < 2**63)
+        raise OverflowError(e.args[0].format(key=key, value=value)) from None
 
 
 def _typed_records(records: Sequence, kind: tuple, finite: bool = True) -> dict:
@@ -583,23 +594,41 @@ def serialize_dataset(ds: Dataset) -> bytes:
     datasets built in different orders serialize to identical bytes. Floats
     use Python's shortest round-trip repr; NaN/Inf are rejected, and so is an
     image or category id or size that is no integer (a numpy one is written
-    as a Python one). Annotations are written from the table, one row string
-    each, as ``json.dumps`` with compact separators would write them.
+    as a Python one). The bytes are those of :func:`_dataset_chunks` joined.
     """
+    out = io.BytesIO()
+    out.writelines(_dataset_chunks(ds))
+    return out.getvalue()
+
+
+# Annotation rows (or sidecar entries) per chunk of a streamed document: a chunk's row strings and
+# bytes stay a few MB, whatever the dataset's size.
+_CHUNK_ROWS = 4096
+
+
+def _dataset_chunks(ds: Dataset) -> Iterator[bytes]:
+    """The canonical document of :func:`serialize_dataset` as UTF-8 chunks: the images section,
+    then the annotations at most ``_CHUNK_ROWS`` rows a chunk, then the categories. The first
+    chunk checks every value, so a dataset that cannot be written raises before anything is
+    yielded. Annotations are written from the table, one row string each, as ``json.dumps``
+    with compact separators would write them."""
     t = ds._table
     if not (np.isfinite(t.boxes).all() and np.isfinite(t.areas).all()):
         raise ValueError("Out of range float values are not JSON compliant")
-    order = np.argsort(t.ids, kind="stable")
-    columns = (t.ids[order].tolist(), t.images[order].tolist(), t.categories[order].tolist(),
-               *t.boxes[order].T.tolist(), t.areas[order].tolist(), t.crowd[order].astype(np.int64).tolist())
-    rows = [f'{{"id":{i},"image_id":{im},"category_id":{c},"bbox":[{x!r},{y!r},{w!r},{h!r}],"area":{a!r},'
-            f'"iscrowd":{crowd}}}' for i, im, c, x, y, w, h, a, crowd in zip(*columns)]
     images = [{"id": index(im.id), "width": index(im.width), "height": index(im.height),
                "file_name": im.file_name} for im in sorted(ds.images, key=lambda im: im.id)]
     categories = [{"id": index(c.id), "name": c.name} for c in sorted(ds.categories, key=lambda c: c.id)]
     dump = partial(json.dumps, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
-    text = f'{{"images":{dump(images)},"annotations":[{",".join(rows)}],"categories":{dump(categories)}}}'
-    return text.encode("utf-8")
+    yield f'{{"images":{dump(images)},"annotations":['.encode("utf-8")
+    order = np.argsort(t.ids, kind="stable")
+    for start in range(0, len(order), _CHUNK_ROWS):
+        rows = order[start:start + _CHUNK_ROWS]
+        columns = (t.ids[rows].tolist(), t.images[rows].tolist(), t.categories[rows].tolist(),
+                   *t.boxes[rows].T.tolist(), t.areas[rows].tolist(), t.crowd[rows].astype(np.int64).tolist())
+        yield ("," * (start > 0) + ",".join(
+            f'{{"id":{i},"image_id":{im},"category_id":{c},"bbox":[{x!r},{y!r},{w!r},{h!r}],"area":{a!r},'
+            f'"iscrowd":{crowd}}}' for i, im, c, x, y, w, h, a, crowd in zip(*columns))).encode("utf-8")
+    yield f'],"categories":{dump(categories)}}}'.encode("utf-8")
 
 
 class _Columns(NamedTuple):

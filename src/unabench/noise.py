@@ -52,14 +52,15 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from operator import index
 from typing import NamedTuple
 
 import numpy as np
 
 from .metrics import _pair_iou
-from .model import Annotation, BoundingBox, Dataset, ImageRecord, _AnnotationTable, _box_column, _int_column
+from .model import (Annotation, BoundingBox, Dataset, ImageRecord, _AnnotationTable, _box_column, _int_column,
+                    _refusals)
 
 _SELECT_PURPOSE = {"categorization": 1, "localization": 2, "missing": 3}
 _EDIT_KINDS = {(True, False): ("categorization",), (False, True): ("localization",),
@@ -276,7 +277,8 @@ class _EditTable(NamedTuple):
     def of(cls, entries: tuple[CorruptionEntry, ...]) -> _EditTable:
         """The table of records. Raises ``ValueError`` on an entry unlike :func:`inject`'s
         (kinds in order, each with its old value and no other), which it cannot hold, and
-        ``TypeError`` on an id or old category id that is no integer (:func:`_integer`)."""
+        ``TypeError`` on an id or old category id that is no integer (:func:`_integer`) or an
+        old box coordinate that is no number (``model._box_column``)."""
         flipped = [e.old_category_id is not None for e in entries]
         moved = [e.old_bbox is not None for e in entries]
         for e, marks in zip(entries, zip(flipped, moved)):
@@ -284,10 +286,15 @@ class _EditTable(NamedTuple):
                 raise ValueError(f"corrupted entry {e.id}: kinds {tuple(e.kinds)} do not match its old values")
         old_categories = [None if e.old_category_id is None
                           else _integer(e.old_category_id, f"corrupted entry {e.id}: old_category_id") for e in entries]
+        boxes = [[0.0] * 4 if e.old_bbox is None else e.old_bbox.as_list() for e in entries]
+        try:
+            old_boxes = _box_column(boxes, finite=False)  # a non-finite box is refused where it is written
+        except TypeError:  # name the first entry whose box holds a value that is no number
+            e = entries[min(i for i, r in _refusals(partial(_box_column, finite=False), boxes) if isinstance(r, TypeError))]
+            raise TypeError(f"corrupted entry {e.id}: old_bbox must be four numbers, got {e.old_bbox!r}") from None
         return cls(np.array([_integer(e.id, "corrupted entry id") for e in entries], dtype=object),
                    np.array(flipped, dtype=bool), np.array(moved, dtype=bool), np.array(old_categories, dtype=object),
-                   np.array([(0.0,) * 4 if e.old_bbox is None else e.old_bbox.as_list() for e in entries],
-                            dtype=np.float64).reshape(-1, 4))
+                   old_boxes)
 
     def entries(self) -> tuple[CorruptionEntry, ...]:
         flipped, moved = self.flipped.tolist(), self.moved.tolist()
@@ -353,9 +360,13 @@ class InjectionLog:
             "config": self.config.to_dict(),
             "counts": self.counts(),
             "corrupted": [e.to_dict() for e in self._edits.entries()],
-            "removed": list(self.removed),
-            "added": list(self.added),
+            **self._ids(),
         }
+
+    def _ids(self) -> dict[str, list[int]]:
+        """``removed`` and ``added`` by key, as Python ints; ``TypeError`` on an id that is no
+        integer (:func:`_integer`)."""
+        return {key: [_integer(i, f"{key} id") for i in getattr(self, key)] for key in ("removed", "added")}
 
 
 def select_targets(ds: Dataset, ratio: float, seed: int, kind: str) -> frozenset[int]:

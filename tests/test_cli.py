@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -215,6 +216,49 @@ def test_numpy_log_ids_are_written_as_python_ints():
     assert sidecar_json(log) == json.dumps(doc, indent=2, allow_nan=False)
 
 
+def test_log_old_boxes_that_are_no_numbers_are_refused():
+    """The sidecar writer and ``to_dict`` wrote a box of strings as numbers (``[1.0, 2.0, 3.0, 4.0]``)."""
+    good = CorruptionEntry(2, ("localization",), old_bbox=BoundingBox(1.0, 2.0, 3.0, 4.0))
+    for bad_box in (BoundingBox("1", "2", "3", "4"), BoundingBox(1.0, None, 3.0, 4.0), BoundingBox(1.0, 2.0, True, 4.0)):
+        bad = CorruptionEntry(5, ("localization",), old_bbox=bad_box)
+        log = InjectionLog(NoiseConfig("localization", 1.0), (good, bad), (), ())
+        for read in (log.counts, log.to_dict, lambda: sidecar_json(log)):
+            with pytest.raises(TypeError, match=r"^corrupted entry 5: old_bbox must be four numbers, got BoundingBox"):
+                read()
+
+
+def test_log_removed_and_added_ids_are_checked_and_written_as_python_ints():
+    """``json.dumps(to_dict())`` raised on a numpy id, and the sidecar writer wrote ``x`` and ``True``."""
+    log = InjectionLog(NoiseConfig("una", 1.0), (), (np.int64(4), 7), (np.uint16(9),))
+    doc = log.to_dict()
+    assert (doc["removed"], doc["added"]) == ([4, 7], [9])
+    assert {type(i) for i in doc["removed"] + doc["added"]} == {int}
+    assert sidecar_json(log) == json.dumps(doc, indent=2, allow_nan=False)
+    for removed, added, problem in [(("x", np.int64(4)), (True,), "removed id must be an integer, got 'x'"),
+                                    ((3,), (True,), "added id must be an integer, got True"),
+                                    ((3.0,), (), "removed id must be an integer, got 3.0")]:
+        log = InjectionLog(NoiseConfig("una", 1.0), (), removed, added)
+        for read in (log.to_dict, lambda: sidecar_json(log)):
+            with pytest.raises(TypeError, match=f"^{problem}$"):
+                read()
+
+
+def test_sidecar_writer_holds_at_most_about_twice_its_output():
+    """On the una log of a COCO-val-sized dataset (seed 0) the traced peak of ``sidecar_json``
+    is 2.0 times its output: the chunks and their join (3.1 times when every entry string,
+    their join and its copies were held at once)."""
+    ds = build_dataset(n_images=5000, n_categories=80, n_annotations=36_000, seed=0, crowd_every=100)
+    _, log = inject(parse_dataset(serialize_dataset(ds)), NoiseConfig("una", 0.2, 0))
+    log.counts()
+    tracemalloc.start()
+    try:
+        out = sidecar_json(log)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * len(out), (peak, len(out))
+
+
 def test_only_the_console_script_turns_off_cyclic_gc(monkeypatch):
     assert gc.isenabled()
     assert main(["stats", "--ann", MICRO_GT]) == 0
@@ -254,6 +298,55 @@ def test_inject_failed_sidecar_leaves_no_dataset_and_no_temp_file(tmp_path, gt_p
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert not any((tmp_path / "noisy.json.log.json").iterdir())
+
+
+def test_inject_hands_each_file_over_a_chunk_of_rows_at_a_time(tmp_path, monkeypatch):
+    """Neither file is whole in memory: no chunk ``_write_all`` receives holds more than
+    ``_CHUNK_ROWS`` annotations or sidecar entries, and the chunks join to the library's bytes."""
+    ds = build_dataset(n_images=40, n_categories=5, n_annotations=3 * cli._CHUNK_ROWS + 100, seed=3)
+    gt = tmp_path / "gt.json"
+    gt.write_bytes(serialize_dataset(ds))
+    received = []
+    real_write_all = cli._write_all
+
+    def kept(chunks, seen):
+        for chunk in chunks:
+            seen.append(chunk)
+            yield chunk
+
+    def write_all(files):
+        received.extend([] for _ in files)
+        real_write_all([(path, kept(chunks, seen)) for (path, chunks), seen in zip(files, received)])
+
+    monkeypatch.setattr(cli, "_write_all", write_all)
+    out = tmp_path / "noisy.json"
+    assert main(["inject", "--ann", str(gt), "--out", str(out), "--type", "una", "--ratio", "0.6", "--seed", "1"]) == 0
+    sidecar, dataset = received
+    noisy, log = inject(parse_dataset(gt.read_bytes()), NoiseConfig("una", 0.6, 1))
+    assert b"".join(dataset) == out.read_bytes() == serialize_dataset(noisy)
+    assert b"".join(sidecar) == (tmp_path / "noisy.json.log.json").read_bytes() == sidecar_json(log).encode()
+    for chunks, row in ((dataset, b'"image_id"'), (sidecar, b'"kinds"')):
+        counts = [chunk.count(row) for chunk in chunks]
+        assert sum(counts) > 2 * cli._CHUNK_ROWS and max(counts) <= cli._CHUNK_ROWS, counts
+
+
+@pytest.mark.parametrize("writer", ["_sidecar_chunks", "_dataset_chunks"])
+def test_inject_writer_failing_midstream_leaves_no_file_behind(tmp_path, gt_path, monkeypatch, capsys, writer):
+    real = getattr(cli, writer)
+
+    def failing(*args):
+        chunks = real(*args)
+        yield next(chunks)
+        yield next(chunks)
+        raise ValueError("no more chunks")
+
+    monkeypatch.setattr(cli, writer, failing)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    rc = main(["inject", "--ann", gt_path, "--out", str(tmp_path / "noisy.json"),
+               "--type", "una", "--ratio", "0.3", "--seed", "2"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: no more chunks\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("ann_name, out", [("gt.json", "gt.json"), ("gt.json", "./gt.json"),

@@ -18,10 +18,12 @@ from unabench import (
     apply_oracle,
     classify_errors,
     evaluate,
+    match_greedy,
     parse_dataset,
     parse_detections,
     tide_report,
 )
+from unabench.model import _AnnotationTable
 from unabench.tide import ERROR_ORDER
 
 from conftest import build_dataset, dets_from_gt, micro_instance
@@ -279,6 +281,20 @@ def test_scoring_refuses_a_detection_id_that_is_no_integer(odd):
             score(ds, shifted)
         with pytest.raises(TypeError, match="not an integer column"):
             score(ds, [replace(d, category_id=odd(d.category_id)) for d in dets])
+
+
+def test_an_id_beyond_int64_is_worded_with_its_key_and_value():
+    """The refusal read ``field {key!r} must be an integer from ..., got {value!r}``, unfilled."""
+    ds, dets = _micro()
+    huge = [replace(d, image_id=2**64 + i) if i in (2, 5) else d for i, d in enumerate(dets)]
+    beyond = "must be an integer from -2\\*\\*63 to 2\\*\\*63 - 1, got"
+    for score in (evaluate, classify_errors, tide_report):
+        with pytest.raises(OverflowError, match=f"^field 'image_id' {beyond} {2**64 + 2}$"):
+            score(ds, huge)
+    with pytest.raises(OverflowError, match=f"^field 'category_id' {beyond} {-2**63 - 1}$"):
+        match_greedy([replace(dets[0], category_id=-2**63 - 1)], list(ds.annotations), 0.5)
+    with pytest.raises(OverflowError, match=f"^field 'id' {beyond} {2**63}$"):
+        _AnnotationTable.of([*ds.annotations[:1], replace(ds.annotations[1], id=2**63)])
 
 
 @pytest.mark.parametrize("odd, error", [(str, TypeError), (lambda v: math.nan, ValueError)], ids=["string", "nan"])
