@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import logging
 import os
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -334,3 +337,96 @@ def noise_digests(ds: Dataset, config: NoiseConfig) -> dict[str, str]:
     sidecar = json.dumps(log.to_dict(), indent=2, allow_nan=False).encode("utf-8")
     return {"dataset": hashlib.sha256(serialize_dataset(noisy)).hexdigest(),
             "sidecar": hashlib.sha256(sidecar).hexdigest()}
+
+
+# --- the CLI golden --------------------------------------------------------------------
+
+_DATA = Path(__file__).resolve().parent / "data"
+_NOT_JSON = '{"images": ['
+_NO_SECTION = '{"images": [], "categories": []}'
+
+
+def _results_json(rows) -> str:
+    return json.dumps([{"image_id": i, "category_id": c, "bbox": list(b), "score": s} for i, c, b, s in rows])
+
+
+def write_cli_inputs(directory: Path) -> None:
+    """Write the input files of :func:`cli_golden_cases` into ``directory``.
+
+    They are the micro files; a seeded dataset (``gt.json``), its ``una`` output
+    (``una.json``) and detections of its boxes (``dt.json``); a ground truth whose
+    category names hold a comma and a quote and whose box 2 sticks out of its image
+    (``quoted_gt.json``, ``quoted_dt.json``); and second files that fail: not JSON, a
+    missing section, an unknown id, and results records the column pull refuses (a null
+    score; a null id, a null score and an unknown id in one file). ``missing.json`` is not
+    written.
+    """
+    for name in ("micro_gt.json", "micro_dt.json"):
+        (directory / name).write_bytes((_DATA / name).read_bytes())
+    ds = build_dataset(n_images=6, n_categories=4, n_annotations=60, seed=21, crowd_every=10)
+    (directory / "gt.json").write_bytes(serialize_dataset(ds))
+    noisy, _ = inject(ds, NoiseConfig("una", 0.3, 8))
+    (directory / "una.json").write_bytes(serialize_dataset(noisy))
+    rng = np.random.default_rng(17)
+    (directory / "dt.json").write_text(_results_json(
+        (a.image_id, a.category_id, a.bbox.as_list(), float(rng.uniform(0.05, 0.99))) for a in ds.non_crowd))
+    quoted = Dataset(
+        (ImageRecord(1, 100, 80, "q1.jpg"), ImageRecord(2, 100, 80, "q2.jpg")),
+        (Annotation(1, 1, 1, BoundingBox(10.0, 10.0, 30.0, 20.0)), Annotation(2, 1, 2, BoundingBox(85.0, 70.0, 20.0, 20.0)),
+         Annotation(3, 2, 1, BoundingBox(5.0, 5.0, 40.0, 40.0))),
+        (Category(1, 'person, "tall"'), Category(2, "traffic light")),
+    )
+    (directory / "quoted_gt.json").write_bytes(serialize_dataset(quoted))
+    (directory / "quoted_dt.json").write_text(_results_json([
+        (1, 1, (11.0, 10.0, 30.0, 21.0), 0.9), (1, 2, (10.0, 10.0, 30.0, 20.0), 0.6),
+        (2, 1, (60.0, 40.0, 20.0, 20.0), 0.7), (2, 2, (5.0, 5.0, 40.0, 38.0), 0.8)]))
+    (directory / "not_json.json").write_text(_NOT_JSON)
+    (directory / "no_section.json").write_text(_NO_SECTION)
+    (directory / "not_array.json").write_text("{}")
+    bad = json.loads(serialize_dataset(build_dataset(n_images=2, n_categories=2, n_annotations=3, seed=5)))
+    bad["annotations"][1]["category_id"] = 9
+    (directory / "unknown_category.json").write_text(json.dumps(bad))
+    good = (1, 1, (10.0, 10.0, 20.0, 20.0), 0.9)
+    (directory / "null_score.json").write_text(_results_json([good, (1, 2, (12.0, 10.0, 20.0, 20.0), None)]))
+    (directory / "unknown_image.json").write_text(_results_json([good, (99, 2, (12.0, 10.0, 20.0, 20.0), 0.8)]))
+    (directory / "refused.json").write_text(_results_json([
+        good, (None, 2, (12.0, 10.0, 20.0, 20.0), 0.8), (1, 9, (1.0, 1.0, 0.0, 4.0), None), (2, 1, good[2], 0.5)]))
+
+
+def cli_golden_cases() -> list[list[str]]:
+    """The CLI commands whose exit code, stdout and stderr ``data/cli_golden.json`` pins,
+    run in the directory :func:`write_cli_inputs` fills: ``stats``, ``diff``, ``eval`` and
+    ``tide`` in every format on the micro, seeded and quoted inputs, then the second-file
+    failures in text, after a first file that warns."""
+    inputs = {
+        "stats": (["--ann", "micro_gt.json"], ["--ann", "gt.json"], ["--ann", "una.json"], ["--ann", "quoted_gt.json"]),
+        "diff": (["micro_gt.json", "micro_gt.json"], ["gt.json", "una.json"], ["una.json", "gt.json"],
+                 ["quoted_gt.json", "micro_gt.json"]),
+        "eval": (["--gt", "micro_gt.json", "--dt", "micro_dt.json"], ["--gt", "una.json", "--dt", "dt.json"],
+                 ["--gt", "gt.json", "--dt", "dt.json"], ["--gt", "quoted_gt.json", "--dt", "quoted_dt.json"]),
+    }
+    inputs["tide"] = inputs["eval"]
+    cases = [[command, "--format", fmt, *args] for command, runs in inputs.items()
+             for args in runs for fmt in ("text", "csv", "json")]
+    cases += [["diff", "quoted_gt.json", b] for b in ("missing.json", "not_json.json", "no_section.json",
+                                                     "unknown_category.json")]
+    cases += [[command, "--gt", "quoted_gt.json", "--dt", dt] for command in ("eval", "tide")
+              for dt in ("missing.json", "not_json.json", "not_array.json", "null_score.json", "unknown_image.json",
+                         "refused.json")]
+    return cases
+
+
+def cli_outcome(args: list[str]) -> dict:
+    """``unabench args`` run by ``cli.main`` in process: its exit code and what it prints,
+    the warnings written to stderr as the console script writes them."""
+    from unabench.cli import main  # here, not above: the benchmark harness imports this module
+
+    out, err = io.StringIO(), io.StringIO()
+    logger, handler = logging.getLogger("unabench.model"), logging.StreamHandler(err)
+    logger.addHandler(handler)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(args)
+    finally:
+        logger.removeHandler(handler)
+    return {"args": args, "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}

@@ -21,10 +21,18 @@ files and on ``conftest.capped_tie_instance``, at two (tf, tb) pairs, plus
 ``tied_crowd_fuzz``: the SHA-256 of the same outputs over 300 seeded
 ``conftest.tied_crowd_instance`` draws (``conftest.match_fuzz_digest``). It
 is a regression pin: rewrite it only for a deliberate change of results.
+
+``cli_golden.json`` pins what the CLI prints: the exit code, stdout and
+stderr of every command of ``conftest.cli_golden_cases``, run in a temporary
+directory that ``conftest.write_cli_inputs`` fills, so that paths in error
+messages are relative. It is the promise that a change inside the CLI leaves
+its output byte for byte as it was.
 """
 
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -44,16 +52,31 @@ from unabench import (
 from conftest import (
     build_dataset,
     capped_tie_instance,
+    cli_golden_cases,
+    cli_outcome,
     match_fuzz_digest,
     match_summary,
     noise_digests,
     noise_golden_cases,
+    write_cli_inputs,
 )
 from reference import evaluate_ref
 
 
 def _cli_round(v: float) -> float:
     return round(v * 100, 1)
+
+
+def cli_golden() -> list[dict]:
+    """The outcome of each of ``conftest.cli_golden_cases``, run on its inputs."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_cli_inputs(Path(tmp))
+        os.chdir(tmp)
+        try:
+            return [cli_outcome(args) for args in cli_golden_cases()]
+        finally:
+            os.chdir(cwd)
 
 
 def main() -> None:
@@ -113,8 +136,9 @@ def main() -> None:
     (HERE / "match_golden.json").write_text(json.dumps(pins, indent=1) + "\n")
     digests = {name: noise_digests(ds, config) for name, ds, config in noise_golden_cases()}
     (HERE / "noise_golden.json").write_text(json.dumps(digests, indent=1) + "\n")
+    (HERE / "cli_golden.json").write_text(json.dumps(cli_golden(), indent=1) + "\n")
     print("micro_gt.json, micro_dt.json, eval_golden.json, match_golden.json, "
-          "noise_golden.json written")
+          "noise_golden.json, cli_golden.json written")
     print("overall:", golden["ap"], golden["ap50"], golden["ap75"])
 
 

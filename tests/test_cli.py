@@ -22,7 +22,7 @@ from unabench import (Annotation, BogusSizePolicy, BoundingBox, CorruptionEntry,
                       NoiseConfig, NoiseType, cli, inject, parse_dataset, serialize_dataset)
 from unabench.cli import _aside, _render_diff, dataset_stats, diff_datasets, entry, main, sidecar_json
 
-from conftest import build_dataset, noise_golden_cases
+from conftest import build_dataset, cli_golden_cases, cli_outcome, noise_golden_cases, write_cli_inputs
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -730,6 +730,19 @@ _MODES = {
     "no fork": lambda mp: mp.delattr(os, "fork"),
     "in process": lambda mp: mp.setattr(cli, "_aside", _declined),
 }
+
+
+@pytest.mark.parametrize("mode", list(_MODES))
+def test_commands_print_the_golden_bytes(tmp_path, monkeypatch, mode):
+    """Exit code, stdout and stderr of each command ``data/cli_golden.json`` pins, however
+    the second file is decoded."""
+    golden = json.loads((DATA / "cli_golden.json").read_text())
+    assert [case["args"] for case in golden] == cli_golden_cases()
+    write_cli_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    _MODES[mode](monkeypatch)
+    for case in golden:
+        assert cli_outcome(case["args"]) == case
 
 
 def _outcome(args, setup, monkeypatch, capsys, caplog):
