@@ -8,12 +8,14 @@ the default seed only. Exit codes: 0 success, 1 validation or domain error,
 moves its dataset and sidecar log into place only once both are written
 and synced.
 
-``diff``, ``eval`` and ``tide`` read two files. On POSIX the second one (the
-comparison file, the results file) is read first, then decoded in a forked
-child while this process parses the first (:func:`_aside`). Each file is read
-once, so either may be a pipe. The child only decodes; checks, warnings and
-errors all come from this process, in the same order as when the files are
-read one after the other.
+``diff``, ``eval`` and ``tide`` read two files through one loader
+(:func:`_load_pair`). On POSIX the second one (the comparison file, the
+results file) is read first, then decoded in a forked child while this
+process parses the first (:func:`_aside`); a results file's decode runs the
+record walk too where the column pull refuses it. Each file is read once, so
+either may be a pipe. The child only decodes; checks, warnings and errors all
+come from this process, in the same order as when the files are read one
+after the other.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .metrics import EvalSummary, evaluate
-from .model import (_CHUNK_ROWS, Dataset, ValidationError, _check_results, _Columns, _dataset_chunks, _decode_dataset,
-                    _detection_table, _load_results, _result_columns, parse_dataset, validate_dataset)
+from .model import (_CHUNK_ROWS, Dataset, ValidationError, _check_results, _dataset_chunks, _decode_dataset,
+                    _decode_results, parse_dataset, validate_dataset)
 from .noise import (_EDIT_KINDS, DEFAULT_LOC_DELTA, BogusSizePolicy, InjectionLog, NoiseConfig, NoiseType, _EditTable,
                     inject)
 from .tide import DEFAULT_TB, DEFAULT_TF, ERROR_ORDER, ErrorKind, TideReport, tide_report
@@ -161,7 +163,7 @@ def _build_parser() -> _Parser:
 
 def _read_config_file(path: str) -> dict[str, str]:
     """Parse a ``key = value`` manifest; ``#`` starts a comment."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # an editor's byte-order mark is no part of the first key
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -275,39 +277,25 @@ def _aside(fn, *args):
             os.waitpid(pid, 0)
 
 
-def _read_early(path: str) -> bytes | OSError:
-    """The second file's bytes, read once before its decode goes aside: a pipe or
-    ``<(...)`` cannot be read again. An error is returned, not raised: the decode aside
-    fails on it, and :func:`_given` raises it in order, after the first file's errors."""
+def _load_pair(first: str, second: str, decode, judge):
+    """The dataset at ``first`` and the file at ``second`` as ``judge(decode(bytes), dataset)``.
+    The second file's bytes are read first, once, as a pipe or ``<(...)`` cannot be read
+    again, and decoded aside while the first file is parsed; where the child failed, or fork
+    is missing, they are decoded again here, where the error is raised. A read error is
+    raised here too, and judging stays here, so every warning and error comes after the
+    first file's, as when the files are read one after the other."""
     try:
-        return Path(path).read_bytes()
-    except OSError as e:
-        return e
-
-
-def _given(data: bytes | OSError) -> bytes:
-    if isinstance(data, OSError):
-        raise data
-    return data
-
-
-def _pull_results(data: bytes) -> _Columns:
-    return _result_columns(_load_results(data))
-
-
-def _load_scoring(opts: dict) -> tuple[Dataset, _Columns]:
-    """Ground truth and the results file as columns: scoring builds no detection records.
-    The results file is decoded aside while the ground truth is parsed and its rows are
-    checked against the ground truth here; where the column pull refused it, or the child
-    failed, it is read again in process, where the record walk words its problems."""
-    data = _read_early(opts["dt"])
-    with _aside(_pull_results, data) as pulled:
-        gt = _load_dataset(opts["gt"])
-        dets = pulled()
-    if dets is None:
-        return gt, _detection_table(_given(data), gt)
-    _check_results(dets, gt)
-    return gt, dets
+        data = Path(second).read_bytes()
+    except OSError as e:  # the decode aside fails on it
+        data = e
+    with _aside(decode, data) as decoded:
+        ds = _load_dataset(first)
+        result = decoded()
+    if result is None:
+        if isinstance(data, OSError):
+            raise data
+        result = decode(data)
+    return ds, judge(result, ds)
 
 
 def _write_all(files: list[tuple[Path, Iterable[bytes]]]) -> None:
@@ -421,7 +409,7 @@ def cmd_inject(opts: dict) -> int:
     return EXIT_OK
 
 
-def _csv(rows: list[tuple[str, ...]]) -> str:
+def _csv(rows: list[tuple]) -> str:
     """``rows`` as CSV, one line each with no line end after the last, quoted as the csv
     module quotes by default: a field holding a comma, a quote or a line break."""
     import csv  # only CSV output pays for the import
@@ -464,7 +452,7 @@ def _render_eval(summary: EvalSummary, gt: Dataset, fmt: str) -> str:
 
 
 def cmd_eval(opts: dict) -> int:
-    gt, dets = _load_scoring(opts)
+    gt, dets = _load_pair(opts["gt"], opts["dt"], _decode_results, _check_results)
     print(_render_eval(evaluate(gt, dets), gt, opts["format"]))
     return EXIT_OK
 
@@ -493,9 +481,8 @@ def _render_tide(report: TideReport, fmt: str) -> str:
         }
         return json.dumps(doc, indent=2, allow_nan=False)
     if fmt == "csv":
-        header = "ap50," + ",".join(c.lower() for c in _TIDE_COLUMNS)
-        row = f"{report.baseline_ap50 * 100:.1f}," + ",".join(cells[k] for k in ERROR_ORDER)
-        return header + "\n" + row
+        return _csv([("ap50", *(c.lower() for c in _TIDE_COLUMNS)),
+                     (f"{report.baseline_ap50 * 100:.1f}", *(cells[k] for k in ERROR_ORDER))])
     width = max(len(c) for c in map(str, cells.values()))
     width = max(width, 6)
     header = f"{'AP50':>6}  " + "  ".join(f"{c:>{width}}" for c in _TIDE_COLUMNS)
@@ -506,7 +493,7 @@ def _render_tide(report: TideReport, fmt: str) -> str:
 
 
 def cmd_tide(opts: dict) -> int:
-    gt, dets = _load_scoring(opts)
+    gt, dets = _load_pair(opts["gt"], opts["dt"], _decode_results, _check_results)
     print(_render_tide(tide_report(gt, dets, tf=opts["tf"], tb=opts["tb"]), opts["format"]))
     return EXIT_OK
 
@@ -597,10 +584,7 @@ def _render_diff(diff: dict, fmt: str) -> str:
     if fmt == "json":  # exactly json.dumps(diff, indent=2), a row at a time
         return "{\n  " + ",\n  ".join(_id_fields(diff.items())) + "\n}"
     if fmt == "csv":
-        lines = ["change,id"]
-        for key, ids in diff.items():
-            lines += [f"{key},{i}" for i in ids]
-        return "\n".join(lines)
+        return _csv([("change", "id"), *((key, i) for key, ids in diff.items() for i in ids)])
     def show(ids):
         if not ids:
             return "0"
@@ -612,18 +596,18 @@ def _render_diff(diff: dict, fmt: str) -> str:
     )
 
 
-def cmd_diff(opts: dict, path_a: str, path_b: str) -> int:
-    # b is decoded aside and validated here, after a is parsed, so its warning and errors come second
-    data_b = _read_early(path_b)
-    with _aside(_decode_dataset, data_b) as decoded:
-        a = _load_dataset(path_a)
-        b = decoded()
-    if b is None:
-        b = parse_dataset(_given(data_b))
-    else:
-        validate_dataset(b)
+def _validated(ds: Dataset, first: Dataset) -> Dataset:
+    validate_dataset(ds)
+    return ds
+
+
+def cmd_diff(opts: dict) -> int:
+    a, b = _load_pair(opts["path_a"], opts["path_b"], _decode_dataset, _validated)
     print(_render_diff(diff_datasets(a, b), opts["format"]))
     return EXIT_OK
+
+
+_COMMANDS = {"inject": cmd_inject, "eval": cmd_eval, "tide": cmd_tide, "stats": cmd_stats, "diff": cmd_diff}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -633,16 +617,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "subcommand", None) is None:
             parser.print_usage(sys.stderr)
             return EXIT_VALIDATION
-        opts = _resolve(args, args.subcommand)
-        if args.subcommand == "inject":
-            return cmd_inject(opts)
-        if args.subcommand == "eval":
-            return cmd_eval(opts)
-        if args.subcommand == "tide":
-            return cmd_tide(opts)
-        if args.subcommand == "stats":
-            return cmd_stats(opts)
-        return cmd_diff(opts, args.path_a, args.path_b)
+        return _COMMANDS[args.subcommand]({**vars(args), **_resolve(args, args.subcommand)})
     except ValidationError as e:
         print(f"error: {len(e.errors)} validation error(s)", file=sys.stderr)
         for msg in e.errors:

@@ -34,8 +34,10 @@ the detections as a results table.
 
 Decoding is kept apart from judging, so it can run in another process:
 :func:`parse_dataset` is :func:`_decode_dataset` then :func:`validate_dataset`,
-and :func:`_detection_table` is :func:`_result_columns` then
-:func:`_check_results`. The decode steps log nothing.
+and :func:`_detection_table` is :func:`_decode_results` then
+:func:`_check_results`. A decode takes the bytes alone, logs nothing and
+raises only on what no table can hold; where the pull refuses a results
+record it runs the record walk too and hands its errors on with the table.
 
 Output has one writer, :func:`_dataset_chunks`: the canonical document as
 UTF-8 chunks, the annotations written from the table at most ``_CHUNK_ROWS``
@@ -701,43 +703,41 @@ def _columns(detections: Sequence[Detection] | _Columns) -> _Columns:
     return _Columns(*_typed_records(detections, _RESULTS).values())
 
 
-def _load_results(data: bytes | str) -> list:
-    return _load_json(data, list, "results must be a JSON array")
+def _decode_results(data: bytes | str) -> tuple[_Columns, list, tuple]:
+    """A results document as a table, not yet checked against a dataset: by the column pull,
+    or where it refuses, from the record walk's reading, a rejected field read as its
+    fallback. With the table come the walk's ``(row, error)`` and its unread-id masks, for
+    :func:`_check_results`. Raises only where the document is no JSON array; logs nothing."""
+    doc = _load_json(data, list, "results must be a JSON array")
+    errors: list = []
+    unread = (False, False)
+    try:
+        columns = _typed(dict(zip(_RESULTS[2], _pull(doc, _RESULTS[2]))), _RESULTS)
+    except _TO_WALK:
+        columns = _read_records(doc, _RESULTS, errors)
+        ids = ("image_id", "category_id")
+        unread = tuple(np.array([v is _UNREAD for v in columns[key]], dtype=bool) for key in ids)
+        columns.update({key: [0 if v is _UNREAD else v for v in columns[key]] for key in ids})
+        columns = _typed(columns, _RESULTS)
+    return _Columns(*columns.values()), errors, unread
 
 
-def _result_columns(doc: list) -> _Columns:
-    """A decoded results array by the column pull, not yet checked against a dataset;
-    raises one of ``_TO_WALK`` where the record walk must word a problem."""
-    return _Columns(*_typed(dict(zip(_RESULTS[2], _pull(doc, _RESULTS[2]))), _RESULTS).values())
-
-
-def _check_results(t: _Columns, ds: Dataset, errors: Sequence = (), unread=(False, False)) -> None:
-    """Raise listing every problem of a results table against ``ds``: the record walk's
-    ``errors`` (``(row, error)``) of a row ahead of its value problems. ``unread`` marks the
-    rows whose image or category id the walk rejected; no rule reads those."""
+def _check_results(decoded: tuple[_Columns, list, tuple], ds: Dataset) -> _Columns:
+    """The table of :func:`_decode_results` once its rows pass against ``ds``; else raise
+    listing every problem, the record walk's errors of a row ahead of its value problems.
+    No rule reads an id the walk left unread."""
+    t, errors, unread = decoded
     rules, _ = _row_rules(t, np.isin(t.images, ds._image_table.ids) | unread[0],
                           np.isin(t.categories, ds._category_ids) | unread[1])
     problems = _worded("results[{i}]", rules, {"image_id": t.images, "category_id": t.categories, "bbox": t.boxes})
     if errors or problems:
         raise ValidationError([e for _, e in sorted([*errors, *problems], key=itemgetter(0))])
+    return t
 
 
 def _detection_table(data: bytes | str, ds: Dataset) -> _Columns:
-    """:func:`parse_detections` into columns: by the column pull, or where it refuses, from
-    the record walk's reading, a rejected field read as its fallback; then the rules."""
-    doc = _load_results(data)
-    errors: list = []
-    unread = (False, False)
-    try:
-        t = _result_columns(doc)
-    except _TO_WALK:
-        columns = _read_records(doc, _RESULTS, errors)
-        ids = ("image_id", "category_id")
-        unread = [np.array([v is _UNREAD for v in columns[key]], dtype=bool) for key in ids]
-        columns.update({key: [0 if v is _UNREAD else v for v in columns[key]] for key in ids})
-        t = _Columns(*_typed(columns, _RESULTS).values())
-    _check_results(t, ds, errors, unread)
-    return t
+    """:func:`parse_detections` into columns: the document decoded, then judged."""
+    return _check_results(_decode_results(data), ds)
 
 
 def parse_detections(data: bytes | str, ds: Dataset) -> list[Detection]:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from unabench import (Annotation, BogusSizePolicy, BoundingBox, CorruptionEntry, Detection, InjectionLog,
-                      NoiseConfig, NoiseType, cli, inject, parse_dataset, serialize_dataset)
+                      NoiseConfig, NoiseType, cli, inject, model, parse_dataset, serialize_dataset)
 from unabench.cli import _aside, _render_diff, dataset_stats, diff_datasets, entry, main, sidecar_json
 
 from conftest import build_dataset, cli_golden_cases, cli_outcome, noise_golden_cases, write_cli_inputs
@@ -710,12 +710,40 @@ def test_second_file_is_decoded_in_a_child(tmp_path, gt_path, monkeypatch, capsy
         return run
 
     monkeypatch.setattr(cli, "_decode_dataset", recording(cli._decode_dataset))
-    monkeypatch.setattr(cli, "_pull_results", recording(cli._pull_results))
+    monkeypatch.setattr(cli, "_decode_results", recording(cli._decode_results))
     for args in (["diff", gt_path, gt_path], ["eval", "--gt", MICRO_GT, "--dt", MICRO_DT],
                  ["tide", "--gt", MICRO_GT, "--dt", MICRO_DT]):
         assert main(args) == 0
     decoders = pids.read_text().split()
     assert len(decoders) == 3 and str(os.getpid()) not in decoders
+
+
+def test_a_refused_results_file_is_walked_in_the_child_only(tmp_path, monkeypatch, capsys):
+    """Where the column pull refuses a results file, the child runs the record walk too: this
+    process decodes the ground truth alone and judges what the child hands back."""
+    calls = tmp_path / "calls"
+
+    def recording(name):
+        fn = getattr(model, name)
+
+        def run(*args):
+            with calls.open("a") as f:
+                f.write(f"{name} {'here' if os.getpid() == parent else 'child'}\n")
+            return fn(*args)
+        monkeypatch.setattr(model, name, run)
+
+    parent = os.getpid()
+    recording("_load_json")
+    recording("_read_records")
+    gt, dt = tmp_path / "gt.json", tmp_path / "dt.json"
+    gt.write_text(_GOOD_GT)
+    dt.write_text(_REFUSED)
+    for command in ("eval", "tide"):
+        calls.write_text("")
+        assert main([command, "--gt", str(gt), "--dt", str(dt)]) == 1
+        assert sorted(calls.read_text().splitlines()) == ["_load_json child", "_load_json here",
+                                                         "_read_records child"], command
+    assert capsys.readouterr().err.count("field 'image_id' must be an integer, got None") == 2
 
 
 @contextmanager
@@ -774,6 +802,12 @@ def _results(**fields):
                        {"image_id": 1, "category_id": 2, "bbox": [12, 10, 20, 20], "score": 0.8, **fields}])
 
 
+# the column pull refuses it: the record walk words the null id, the rules the box
+_REFUSED = _results(image_id=None, bbox=[1, 1, 0, 4])
+_REFUSED_ERRORS = ("error: 2 validation error(s)\n  - results[1]: field 'image_id' must be an integer, got None\n"
+                   "  - results[1]: non-positive box width/height (w=0.0, h=4.0)\n")
+
+
 @pytest.mark.parametrize("command, a, b, rc, err", [
     ("diff", _GOOD_GT, None, 2, "i/o error: "),
     ("diff", _GOOD_GT, '{"images": [', 1, "document: not valid JSON"),
@@ -792,9 +826,11 @@ def _results(**fields):
     ("eval", _diff_doc([_ann(1), _ann(1)]), _results(score=None), 1,
      "error: 1 validation error(s)\n  - annotations[1] (id=1): duplicate annotation id\n"),
     ("tide", _GOOD_GT, _results(), 0, ""),
+    ("eval", _GOOD_GT, _REFUSED, 1, _REFUSED_ERRORS),
+    ("tide", _GOOD_GT, _REFUSED, 1, _REFUSED_ERRORS),
 ], ids=["diff-b-missing", "diff-b-not-json", "diff-b-no-section", "diff-b-invalid", "diff-both-invalid-validate",
         "diff-both-invalid-decode", "eval-dt-missing", "eval-unknown-image", "tide-empty-box", "eval-null-score",
-        "tide-null-score", "eval-not-array", "eval-both-invalid", "tide-valid"])
+        "tide-null-score", "eval-not-array", "eval-both-invalid", "tide-valid", "eval-refused", "tide-refused"])
 def test_second_file_errors_alike_forked_and_in_process(tmp_path, monkeypatch, capsys, caplog,
                                                         command, a, b, rc, err):
     """Only the first file's errors show when both files are bad; the second file's errors
@@ -824,8 +860,10 @@ def test_out_of_bounds_warnings_come_first_file_first(tmp_path, monkeypatch, cap
 
 
 def _child_fails(mp):
-    mp.setattr(cli, "_decode_dataset", _boom)
-    mp.setattr(cli, "_pull_results", _boom)
+    parent = os.getpid()
+    for name in ("_decode_dataset", "_decode_results"):
+        decode = getattr(cli, name)
+        mp.setattr(cli, name, lambda data, decode=decode: decode(data) if os.getpid() == parent else _boom())
 
 
 def _piped(text: str) -> int:
@@ -952,6 +990,14 @@ def test_config_unknown_key_rejected(tmp_path, gt_path, capsys):
                "--config", str(cfg)])
     assert rc == 1
     assert "budget" in capsys.readouterr().err
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes("format = json\n".encode("utf-8-sig"))
+    assert main(["stats", "--ann", MICRO_GT, "--config", str(cfg)]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == "" and json.loads(printed.out)["images"] == 4
 
 
 def test_env_var_supplies_default_seed(tmp_path, gt_path, monkeypatch):

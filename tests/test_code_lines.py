@@ -53,7 +53,8 @@ def test_a_string_that_is_no_docstring_counts():
     assert code_lines.code_lines('x = 1\n"""not the first statement"""\n') == 2
 
 
-def test_base_prints_each_module_at_the_ref_in_the_work_tree_and_the_difference(tmp_path, monkeypatch, capsys):
+def _git_repo(tmp_path, monkeypatch):
+    """A git repository in ``tmp_path`` holding a package ``src/unabench`` of two modules, committed."""
     if shutil.which("git") is None:
         pytest.skip("git is not installed")
     package = tmp_path / "src" / "unabench"
@@ -65,11 +66,16 @@ def test_base_prints_each_module_at_the_ref_in_the_work_tree_and_the_difference(
            "commit.gpgsign=false"]
     for args in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "base"]):
         subprocess.run([*git, *args], check=True, capture_output=True)
+    monkeypatch.setattr(code_lines, "ROOT", tmp_path)
+    monkeypatch.setattr(code_lines, "PACKAGE", package)
+    return package
+
+
+def test_base_prints_each_module_at_the_ref_in_the_work_tree_and_the_difference(tmp_path, monkeypatch, capsys):
+    package = _git_repo(tmp_path, monkeypatch)
     (package / "a.py").write_text("x = 1\nz = 2\n")
     (package / "b.py").unlink()
     (package / "c.py").write_text('"""Docstring."""\nw = 3\n')
-    monkeypatch.setattr(code_lines, "ROOT", tmp_path)
-    monkeypatch.setattr(code_lines, "PACKAGE", package)
     code_lines.main(["--base", "HEAD"])
     assert capsys.readouterr().out.splitlines() == [
         "        base   work   diff",
@@ -78,3 +84,13 @@ def test_base_prints_each_module_at_the_ref_in_the_work_tree_and_the_difference(
         "c.py       0      1     +1",
         "total      4      3     -1",
     ]
+
+
+def test_base_at_an_unknown_revision_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    _git_repo(tmp_path, monkeypatch)
+    with pytest.raises(SystemExit) as exit:
+        code_lines.main(["--base", "no_such_ref"])
+    assert exit.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("error: --base: no package at git revision 'no_such_ref'")
+    assert "Traceback" not in err

@@ -66,7 +66,10 @@ def main(argv: list[str]) -> None:
         parser.error("--base counts the package's modules; give no files with it")
     files = [Path(p) for p in args.files] or sorted(PACKAGE.glob("*.py"))
     counts = {f.name: code_lines(f.read_text(encoding="utf-8")) for f in files}
-    base = {name: code_lines(source) for name, source in sources_at(args.base).items()} if args.base else None
+    try:
+        base = {name: code_lines(source) for name, source in sources_at(args.base).items()} if args.base else None
+    except subprocess.CalledProcessError:
+        parser.error(f"--base: no package at git revision {args.base!r}")
     width = max(map(len, [*counts, *(base or ()), "total"]))
     if base is None:
         for name, n in counts.items():
