@@ -342,8 +342,6 @@ def noise_digests(ds: Dataset, config: NoiseConfig) -> dict[str, str]:
 # --- the CLI golden --------------------------------------------------------------------
 
 _DATA = Path(__file__).resolve().parent / "data"
-_NOT_JSON = '{"images": ['
-_NO_SECTION = '{"images": [], "categories": []}'
 
 
 def _results_json(rows) -> str:
@@ -380,8 +378,8 @@ def write_cli_inputs(directory: Path) -> None:
     (directory / "quoted_dt.json").write_text(_results_json([
         (1, 1, (11.0, 10.0, 30.0, 21.0), 0.9), (1, 2, (10.0, 10.0, 30.0, 20.0), 0.6),
         (2, 1, (60.0, 40.0, 20.0, 20.0), 0.7), (2, 2, (5.0, 5.0, 40.0, 38.0), 0.8)]))
-    (directory / "not_json.json").write_text(_NOT_JSON)
-    (directory / "no_section.json").write_text(_NO_SECTION)
+    (directory / "not_json.json").write_text('{"images": [')
+    (directory / "no_section.json").write_text('{"images": [], "categories": []}')
     (directory / "not_array.json").write_text("{}")
     bad = json.loads(serialize_dataset(build_dataset(n_images=2, n_categories=2, n_annotations=3, seed=5)))
     bad["annotations"][1]["category_id"] = 9
