@@ -11,9 +11,9 @@ and synced.
 ``diff``, ``eval`` and ``tide`` read two files through one loader
 (:func:`_load_pair`). On POSIX the second one (the comparison file, the
 results file) is read first, then decoded in a forked child while this
-process parses the first (:func:`_aside`); a results file's decode runs the
-record walk too where the column pull refuses it. Each file is read once, so
-either may be a pipe. The child only decodes; checks, warnings and errors all
+process parses the first (:func:`_aside`); a results file's decode words the
+values its column checks refuse too. Each file is read once, so either may be
+a pipe. The child only decodes; checks, warnings and errors all
 come from this process, in the same order as when the files are read one
 after the other.
 """

@@ -5,20 +5,19 @@ find and reports them together; serialization is canonical (id-sorted arrays,
 fixed key order, compact separators) so equal datasets always produce
 byte-identical output regardless of construction order.
 
-Input becomes arrays in one place, the typed pull (:func:`_typed`): each
-field of a section is taken as one list, checked by exact type at C speed and
-built into a numpy array. A decoded document's sections come to it through
-:func:`_pull`, records built in code through :func:`_typed_records`. It
-fills the annotation table of :func:`parse_dataset` (:class:`_AnnotationTable`),
-the results table of :func:`_detection_table` (:class:`_Columns`) and the
-image and category records, so valid input builds no annotation or detection
-record. Each field type is stated once, as its column check (``_int_column``,
-``_box_column``, ...) with the problem that words a value it refuses. Where
-the pull refuses a section, the record walk (:func:`_read_records`) runs
-each field's column check on the whole column, searches only a refused one
-for the values it refuses (:func:`_refusals`), and words what no column can
-hold (a record that is no object, a missing key, a value of another type);
-the rest it reads into the same columns.
+Input becomes arrays through one column check per field type (``_int_column``,
+``_box_column``, ...), each with the problem that words a value it refuses: a
+field is taken as one list, checked by exact type at C speed and built into a
+numpy array. A decoded document's sections have one reader,
+:func:`_read_section`, which takes each field once and checks it once; only a
+column the check refuses is searched for the values it refuses
+(:func:`_refusals`), and those are worded with what no column can hold (a
+record that is no object, a missing key, a value of another type) and read as
+the field's fallback. Records built in code go through the same checks in
+:func:`_typed_records`. Together they fill the annotation table of
+:func:`parse_dataset` (:class:`_AnnotationTable`), the results table of
+:func:`_detection_table` (:class:`_Columns`) and the image and category
+records, so valid input builds no annotation or detection record.
 
 Each value rule is then written once, as a row mask over the columns (unknown
 references, the box rules, bad areas, duplicate ids, non-positive image
@@ -36,8 +35,8 @@ Decoding is kept apart from judging, so it can run in another process:
 :func:`parse_dataset` is :func:`_decode_dataset` then :func:`validate_dataset`,
 and :func:`_detection_table` is :func:`_decode_results` then
 :func:`_check_results`. A decode takes the bytes alone, logs nothing and
-raises only on what no table can hold; where the pull refuses a results
-record it runs the record walk too and hands its errors on with the table.
+raises only on what no table can hold; a results decode hands the reader's
+errors on with the table.
 
 Output has one writer, :func:`_dataset_chunks`: the canonical document as
 UTF-8 chunks, the annotations written from the table at most ``_CHUNK_ROWS``
@@ -207,7 +206,7 @@ class Dataset:
 
     @cached_property
     def _image_columns(self) -> dict:
-        """The images as typed columns, in record order (:func:`_typed`)."""
+        """The images as typed columns, in record order (:func:`_typed_records`)."""
         return _typed_records(self.images, _IMAGES)
 
     @cached_property
@@ -233,11 +232,11 @@ class Dataset:
     @cached_property
     def _size_sources(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, starts, counts)``: row j of the image table owns the non-crowd table rows
-        ``rows[starts[j]:starts[j] + counts[j]]``, those on its image in record order, or all
-        of them in record order when its image has none, as j = len(images) does. Images
-        sharing an id share a group."""
+        ``rows[starts[j]:starts[j] + counts[j]]``, those on its image in id order, or all of
+        them in id order when its image has none, as j = len(images) does. Images sharing an
+        id share a group. Raises ``ValueError`` naming a duplicated annotation id."""
         t, image_ids = self._table, self._image_table.ids
-        rows = np.flatnonzero(~t.crowd)
+        rows = self._id_order[~t.crowd[self._id_order]]
         images = t.images[rows]
         slot = np.searchsorted(image_ids, images)
         known = slot < len(image_ids)
@@ -276,17 +275,17 @@ def validate_dataset(ds: Dataset) -> None:
     listing every offending record. A record built in code whose field no
     table column takes (an id that is no integer, a name that is no string,
     a box coordinate or area that is no number, a crowd flag other than 0
-    or 1) is rejected first, alone, worded by the record walk as decoding
-    its document would word it. Each value rule is a row mask over the
+    or 1) is rejected first, alone, worded by the section reader as
+    decoding its document would word it. Each value rule is a row mask over the
     table columns; only the rows a mask flags are worded.
     """
     try:
         images, t = ds._image_columns, ds._table
         category_ids = _typed_records(ds.categories, _CATEGORIES)["id"]
-    except _TO_WALK:  # a record built in code holds a value no column takes
+    except _REFUSED:  # a record built in code holds a value no column takes
         errors: list = []
         for kind, records in ((_IMAGES, ds.images), (_ANNOTATIONS, ds.annotations), (_CATEGORIES, ds.categories)):
-            _read_records([{key: _as_decoded(getattr(rec, _ATTRIBUTES.get(key, key))) for key in kind[2]}
+            _read_section([{key: _as_decoded(getattr(rec, _ATTRIBUTES.get(key, key))) for key in kind[2]}
                            for rec in records], kind, errors)
         raise ValidationError([e for _, e in errors])
 
@@ -378,15 +377,15 @@ def _as_decoded(v):
     return v.item() if isinstance(v, (np.signedinteger, np.floating)) else v
 
 
-# The typed pull: each field of a section, as decoded JSON or as records built in code
+# The column checks: each field of a section, as decoded JSON or as records built in code
 # (_typed_records), taken as one list, checked by exact type at C speed and built into
 # a numpy array. Numpy numbers, which only a record built in code holds, read as Python
 # ones. With ``finite`` a non-finite number is refused too, as a document's is; a
-# record's is left to the rules. A refused column raises one of _TO_WALK: a non-object
-# record or a missing key, a value of another exact type (a bool is no int), a
-# non-finite number (an int too large for a float among them) or a crowd flag other than
-# 0 or 1, and an int beyond int64, whose OverflowError words its own problem.
-_TO_WALK = (KeyError, TypeError, ValueError, OverflowError)
+# record's is left to the rules. A refused column raises one of _REFUSED: a value of
+# another exact type (a bool is no int, a missing key's _UNREAD no value), a non-finite
+# number (an int too large for a float among them) or a crowd flag other than 0 or 1,
+# and an int beyond int64, whose OverflowError words its own problem.
+_REFUSED = (TypeError, ValueError, OverflowError)
 
 
 def _plain(values: list, types: set | frozenset, column: str) -> list:
@@ -440,12 +439,13 @@ def _area_column(values: list, finite: bool = True) -> tuple[np.ndarray, list[in
     return _num_column([0 if a is None else a for a in values] if nulls else values, finite), nulls
 
 
-# Field types: (problem, fallback, column). ``column`` is the field's typed pull; it is
-# given ``finite``, which only a number column reads. The record walk words a value the
-# column refuses with ``problem`` (or the OverflowError's own), and a missing or refused
-# field reads as ``fallback``; the rules skip an _UNREAD id.
+# Field types: (problem, fallback, column). ``column`` is the field's column check; it is
+# given ``finite``, which only a number column reads. The reader (:func:`_read_section`)
+# words a value the column refuses with ``problem`` (or the OverflowError's own), and a
+# missing or refused field reads as ``fallback``; the rules skip an id read so. A missing
+# key is taken as _UNREAD, which no column holds.
 _UNREAD = object()
-_INT = ("field {key!r} must be an integer, got {value!r}", _UNREAD, _int_column)
+_INT = ("field {key!r} must be an integer, got {value!r}", 0, _int_column)
 _STR = ("{key} must be a string", "", _str_column)
 _NUM = ("{key} must be a finite number, got {value!r}", 0.0, _num_column)
 _BOX = ("{key} must be four finite numbers, got {value!r}", [0.0, 0.0, 1.0, 1.0], _box_column)
@@ -462,29 +462,19 @@ _DEFAULTS = {"iscrowd": 0, "area": None}
 _ATTRIBUTES = {"iscrowd": "crowd_flag"}  # a record's attribute, where its key is another
 
 
-def _typed(columns: dict[str, list], kind: tuple, finite: bool = True) -> dict:
-    """The typed pull of a section's columns, by key in the kind's order. An int beyond int64
-    raises the OverflowError the record walk words, filled in with the key and the first such value."""
+def _typed_records(records: Sequence, kind: tuple, finite: bool = True) -> dict:
+    """The typed columns of records built in code: their fields taken as a section's columns (a
+    box as its list) and run through the kind's column checks, by key in the kind's order. An
+    int beyond int64 raises the OverflowError the reader words, filled in with the key and the
+    first such value."""
+    columns = {key: list(map(attrgetter(_ATTRIBUTES.get(key, key)), records)) for key in kind[2]}
+    if "bbox" in columns:
+        columns["bbox"] = list(map(BoundingBox.as_list, columns["bbox"]))
     try:
         return {key: column(columns[key], finite) for key, (_, _, column) in kind[2].items()}
     except OverflowError as e:  # the id columns before the one refused hold no such int
         key, value = next((k, v) for k, t in kind[2].items() if t is _INT for v in columns[k] if not -2**63 <= v < 2**63)
         raise OverflowError(e.args[0].format(key=key, value=value)) from None
-
-
-def _typed_records(records: Sequence, kind: tuple, finite: bool = True) -> dict:
-    """The typed pull of records built in code, their fields taken as a section's columns
-    (a box as its list)."""
-    columns = {key: list(map(attrgetter(_ATTRIBUTES.get(key, key)), records)) for key in kind[2]}
-    if "bbox" in columns:
-        columns["bbox"] = list(map(BoundingBox.as_list, columns["bbox"]))
-    return _typed(columns, kind, finite)
-
-
-def _pull(section: list, keys) -> list[list]:
-    """Each key of a decoded section as one list, an absent optional key read as its default."""
-    return [list(map(itemgetter(key), section)) if key not in _DEFAULTS
-            else list(map(dict.get, section, repeat(key), repeat(_DEFAULTS[key]))) for key in keys]
 
 
 def _refusals(column, values: list) -> list[tuple[int, Exception]]:
@@ -496,7 +486,7 @@ def _refusals(column, values: list) -> list[tuple[int, Exception]]:
         lo, hi = runs.pop()
         try:
             column(values[lo:hi])
-        except _TO_WALK as refusal:
+        except _REFUSED as refusal:
             if hi - lo == 1:
                 found.append((lo, refusal))
             else:
@@ -505,40 +495,43 @@ def _refusals(column, values: list) -> list[tuple[int, Exception]]:
     return found
 
 
-def _read_records(section: list, kind: tuple, errors: list) -> dict[str, list]:
-    """A decoded section field by field, as the typed pull's columns: each key of the kind to
-    its values, a missing or refused one read as its fallback, and every field of a record
-    that is no object. A value is judged by its field's own column check (:func:`_refusals`);
-    no column takes a missing one. Appends ``(row, error)`` for each problem, a record's in
-    the kind's field order: the only wording of a problem no column can hold."""
+def _read_section(section: list, kind: tuple, errors: list) -> tuple[dict, dict[str, np.ndarray]]:
+    """A decoded section as typed columns, by key in the kind's order, one pass per field: the
+    key's values taken once, an absent optional key read as its default, and checked once by
+    the field's column check. Only a column the check refuses is searched for the values it
+    refuses (:func:`_refusals`); each is worded, read as the field's fallback, and the filled
+    column checked. Returns the columns and, for each refused field, the mask of the rows read
+    as its fallback. Appends ``(row, error)`` for each problem, a record's in the kind's field
+    order: the only wording of what no column can hold (a record that is no object, a missing
+    key, a value of another type)."""
     name, labelled, types = kind
-    found = [(i, -1, "record must be an object") for i, rec in enumerate(section) if not isinstance(rec, dict)]
-    records = [rec if isinstance(rec, dict) else {} for rec in section] if found else section
-    columns = {}
+    records, found, columns, unread = section, [], {}, {}
     for f, (key, (problem, fallback, column)) in enumerate(types.items()):
-        values = columns[key] = list(map(dict.get, records, repeat(key), repeat(_DEFAULTS.get(key, _UNREAD))))
-        for i, refusal in _refusals(column, values):
+        default = repeat(_DEFAULTS.get(key, _UNREAD))
+        try:
+            values = list(map(dict.get, records, repeat(key), default))
+        except TypeError:  # a record that is no object: worded once, its fields read as absent
+            found = [(i, -1, "record must be an object") for i, rec in enumerate(section) if not isinstance(rec, dict)]
+            records = [rec if isinstance(rec, dict) else {} for rec in section]
+            values = list(map(dict.get, records, repeat(key), default))
+        try:
+            columns[key] = column(values)
+            continue
+        except _REFUSED:
+            refused = _refusals(column, values)
+        for i, refusal in refused:
             raw, values[i] = values[i], fallback
             text = refusal.args[0] if isinstance(refusal, OverflowError) else problem
             if raw is None and "{value" not in text:
                 text += ", got {value!r}"  # a null shows even where a wrong value does not
             if records[i] is section[i]:  # a record that is no object is worded once, above
                 found.append((i, f, f"missing field {key!r}" if raw is _UNREAD else text.format(key=key, value=raw)))
+        unread[key] = np.isin(np.arange(len(values)), [i for i, _ in refused])
+        columns[key] = column(values)
     for i, _, text in sorted(found):  # record order; a record's fields in the kind's order
         label = f" (id={records[i]['id']})" if labelled and type(records[i].get("id")) is int else ""
         errors.append((i, f"{name}[{i}]{label}: {text}"))
-    return columns
-
-
-def _section(section: list, kind: tuple, errors: list) -> dict | None:
-    """A decoded section's typed columns: by the column pull, or where it refuses, from the
-    record walk's reading; None where the walk words a problem."""
-    try:
-        return _typed(dict(zip(kind[2], _pull(section, kind[2]))), kind)
-    except _TO_WALK:
-        n = len(errors)
-        columns = _read_records(section, kind, errors)
-        return None if len(errors) > n else _typed(columns, kind)
+    return columns, unread
 
 
 def _load_json(data: bytes | str, top: type, shape: str):
@@ -575,7 +568,7 @@ def _decode_dataset(data: bytes | str) -> Dataset:
               for key in ("images", "annotations", "categories") if not isinstance(doc.get(key), list)]
     if errors:
         raise ValidationError(errors)
-    images, annotations, categories = (_section(doc[kind[0]], kind, errors)
+    images, annotations, categories = (_read_section(doc[kind[0]], kind, errors)[0]
                                        for kind in (_IMAGES, _ANNOTATIONS, _CATEGORIES))
     if errors:
         raise ValidationError([e for _, e in errors])
@@ -663,7 +656,7 @@ class _AnnotationTable(NamedTuple):
 
     @classmethod
     def of(cls, annotations: Sequence[Annotation]) -> _AnnotationTable:
-        """The table of records built in code, by the typed pull; one of ``_TO_WALK`` where a
+        """The table of records built in code, by their column checks; one of ``_REFUSED`` where a
         field holds a value no column takes. A non-finite box or area is left to the rules."""
         return cls._of(_typed_records(annotations, _ANNOTATIONS, finite=False))
 
@@ -694,7 +687,7 @@ class _AnnotationTable(NamedTuple):
 
 
 def _columns(detections: Sequence[Detection] | _Columns) -> _Columns:
-    """Detection records as a results table, by the typed pull; a table passes as is.
+    """Detection records as a results table, by their column checks; a table passes as is.
     TypeError where an id is no integer or a score or box coordinate no number, ValueError
     where a score or coordinate is not finite. (A dataset's own annotations become arrays
     in :meth:`_AnnotationTable.of`.)"""
@@ -703,32 +696,23 @@ def _columns(detections: Sequence[Detection] | _Columns) -> _Columns:
     return _Columns(*_typed_records(detections, _RESULTS).values())
 
 
-def _decode_results(data: bytes | str) -> tuple[_Columns, list, tuple]:
-    """A results document as a table, not yet checked against a dataset: by the column pull,
-    or where it refuses, from the record walk's reading, a rejected field read as its
-    fallback. With the table come the walk's ``(row, error)`` and its unread-id masks, for
-    :func:`_check_results`. Raises only where the document is no JSON array; logs nothing."""
-    doc = _load_json(data, list, "results must be a JSON array")
+def _decode_results(data: bytes | str) -> tuple[_Columns, list, dict]:
+    """A results document as a table, not yet checked against a dataset, read by
+    :func:`_read_section`: a refused field read as its fallback. With the table come the
+    reader's ``(row, error)`` and its masks of the rows read so, for :func:`_check_results`.
+    Raises only where the document is no JSON array; logs nothing."""
     errors: list = []
-    unread = (False, False)
-    try:
-        columns = _typed(dict(zip(_RESULTS[2], _pull(doc, _RESULTS[2]))), _RESULTS)
-    except _TO_WALK:
-        columns = _read_records(doc, _RESULTS, errors)
-        ids = ("image_id", "category_id")
-        unread = tuple(np.array([v is _UNREAD for v in columns[key]], dtype=bool) for key in ids)
-        columns.update({key: [0 if v is _UNREAD else v for v in columns[key]] for key in ids})
-        columns = _typed(columns, _RESULTS)
+    columns, unread = _read_section(_load_json(data, list, "results must be a JSON array"), _RESULTS, errors)
     return _Columns(*columns.values()), errors, unread
 
 
-def _check_results(decoded: tuple[_Columns, list, tuple], ds: Dataset) -> _Columns:
+def _check_results(decoded: tuple[_Columns, list, dict], ds: Dataset) -> _Columns:
     """The table of :func:`_decode_results` once its rows pass against ``ds``; else raise
-    listing every problem, the record walk's errors of a row ahead of its value problems.
-    No rule reads an id the walk left unread."""
+    listing every problem, the reader's errors of a row ahead of its value problems. No rule
+    reads an id the reader left unread."""
     t, errors, unread = decoded
-    rules, _ = _row_rules(t, np.isin(t.images, ds._image_table.ids) | unread[0],
-                          np.isin(t.categories, ds._category_ids) | unread[1])
+    rules, _ = _row_rules(t, np.isin(t.images, ds._image_table.ids) | unread.get("image_id", False),
+                          np.isin(t.categories, ds._category_ids) | unread.get("category_id", False))
     problems = _worded("results[{i}]", rules, {"image_id": t.images, "category_id": t.categories, "bbox": t.boxes})
     if errors or problems:
         raise ValidationError([e for _, e in sorted([*errors, *problems], key=itemgetter(0))])

@@ -535,13 +535,14 @@ def make_bogus_box(
     sorted category ids; the center, ``uniform(0, W)`` then
     ``uniform(0, H)``; the size. Size policy ``sample_existing`` copies
     (w, h) from the ``integers(0, n)``-th of the image's ``n`` non-crowd
-    annotations in record order, falling back to every non-crowd annotation
-    of the dataset in record order and then to ``uniform_fraction``:
+    annotations in id order, falling back to every non-crowd annotation
+    of the dataset in id order and then to ``uniform_fraction``:
     ``uniform(0.05, 0.5) * W``, then the same times ``H``. Along each axis
     the span is clipped to the image; a span the image does not cut keeps
     the sampled size bit-exact, and one left under a pixel becomes
     ``min(1, side)`` long at ``min(max(center - length/2, 0), side - length)``.
-    An image size that is no integer raises ``TypeError``.
+    An image size that is no integer raises ``TypeError``, and a dataset with
+    a duplicated annotation id ``ValueError``, as :func:`inject` does.
     """
     policy = BogusSizePolicy(policy)
     cats = ds._category_ids

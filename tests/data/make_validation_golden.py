@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-sys.path.insert(0, str(HERE.parent))
+sys.path[:0] = [str(HERE.parent), str(HERE.parent.parent / "src")]
 
 from test_model import GOLDEN_PATH, validation_outcomes  # noqa: E402
 

@@ -125,7 +125,7 @@ def span(center: float, size: float, side: float) -> tuple[float, float]:
 
 
 def bogus_plan(ds: Dataset, ratio: float, seed: int, policy: BogusSizePolicy) -> list[Annotation]:
-    pool = eligible(ds)
+    pool = sorted(eligible(ds), key=lambda a: a.id)
     k = count(ratio, len(pool))
     if k == 0:
         return []

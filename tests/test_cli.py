@@ -719,8 +719,8 @@ def test_second_file_is_decoded_in_a_child(tmp_path, gt_path, monkeypatch, capsy
 
 
 def test_a_refused_results_file_is_walked_in_the_child_only(tmp_path, monkeypatch, capsys):
-    """Where the column pull refuses a results file, the child runs the record walk too: this
-    process decodes the ground truth alone and judges what the child hands back."""
+    """Where a column check refuses a results file, the child searches the refused column
+    too: this process decodes the ground truth alone and judges what the child hands back."""
     calls = tmp_path / "calls"
 
     def recording(name):
@@ -734,7 +734,7 @@ def test_a_refused_results_file_is_walked_in_the_child_only(tmp_path, monkeypatc
 
     parent = os.getpid()
     recording("_load_json")
-    recording("_read_records")
+    recording("_refusals")
     gt, dt = tmp_path / "gt.json", tmp_path / "dt.json"
     gt.write_text(_GOOD_GT)
     dt.write_text(_REFUSED)
@@ -742,7 +742,7 @@ def test_a_refused_results_file_is_walked_in_the_child_only(tmp_path, monkeypatc
         calls.write_text("")
         assert main([command, "--gt", str(gt), "--dt", str(dt)]) == 1
         assert sorted(calls.read_text().splitlines()) == ["_load_json child", "_load_json here",
-                                                         "_read_records child"], command
+                                                         "_refusals child"], command
     assert capsys.readouterr().err.count("field 'image_id' must be an integer, got None") == 2
 
 

@@ -461,12 +461,19 @@ def test_an_int_too_large_for_a_float_is_not_finite(section, field, value, error
 # --- results table against the golden and the record walk ---------------------------
 
 def _without_the_pull(fn, *args):
-    """``fn(*args)`` with every section read by the record walk, as the column pull refuses."""
-    def refuse(section, keys):
-        raise TypeError("column pull refused")
+    """``fn(*args)`` with a column its check refuses searched value by value, each value
+    checked alone, where the reader halves it (:func:`model._refusals`)."""
+    def search(column, values):
+        found = []
+        for i in range(len(values)):
+            try:
+                column(values[i:i + 1])
+            except model._REFUSED as refusal:
+                found.append((i, refusal))
+        return found
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(model, "_pull", refuse)
+        m.setattr(model, "_refusals", search)
         return fn(*args)
 
 
@@ -525,7 +532,7 @@ def test_results_table_takes_valid_input_without_the_walk(monkeypatch):
     data = json.dumps(rows)
     records = parse_detections(data, ds)
     assert _assert_table_agrees_with_golden(data, ds, {"sha256": hashlib.sha256(_detections_bytes(records)).hexdigest()})
-    monkeypatch.setattr(model, "_read_records", lambda *args: pytest.fail("valid input reached the walk"))
+    monkeypatch.setattr(model, "_refusals", lambda *args: pytest.fail("valid input reached the search"))
     table = _detection_table(data, ds)
     assert evaluate(ds, table) == evaluate(ds, records)
     assert tide_report(ds, table) == tide_report(ds, records)
@@ -550,6 +557,47 @@ def test_one_bad_box_is_worded_without_building_records(monkeypatch):
     with pytest.raises(ValidationError) as err:
         _detection_table(results, ds)
     assert err.value.errors == ["results[2]: non-positive box width/height (w=4.0, h=-1.0)"]
+
+
+def _column_checks_run(monkeypatch, kind: tuple, decode, data: str) -> Counter:
+    """How often ``decode(data)`` runs each column check of ``kind``, by key."""
+    runs = Counter()
+
+    def counting(key, column):
+        def check(values, finite=True):
+            runs[key] += 1
+            return column(values, finite)
+        return check
+
+    for key, (problem, fallback, column) in kind[2].items():
+        monkeypatch.setitem(kind[2], key, (problem, fallback, counting(key, column)))
+    try:
+        decode(data)
+    except ValidationError:
+        pass
+    return runs
+
+
+@pytest.mark.parametrize("refused", [None, 617])
+def test_a_results_section_runs_each_passing_column_check_once(monkeypatch, refused):
+    """1,000 results, valid or with one null score: a column its check takes is checked once;
+    only the refused one is searched."""
+    rows = [dict(_RESULT, score=None if i == refused else i / 1000) for i in range(1000)]
+    runs = _column_checks_run(monkeypatch, model._RESULTS, model._decode_results, json.dumps(rows))
+    assert [runs[key] for key in ("image_id", "category_id", "bbox")] == [1, 1, 1]
+    assert (runs["score"] == 1) if refused is None else (runs["score"] > 2)
+
+
+@pytest.mark.parametrize("refused", [None, 617])
+def test_an_annotations_section_runs_each_passing_column_check_once(monkeypatch, refused):
+    """1,000 annotations, valid or with one null category id: a column its check takes is
+    checked once; only the refused one is searched."""
+    anns = [dict(_ANNOTATION, id=i + 1, category_id=None if i == refused else 1) for i in range(1000)]
+    runs = _column_checks_run(monkeypatch, model._ANNOTATIONS, model._decode_dataset,
+                              json.dumps(dict(MINIMAL, annotations=anns)))
+    assert {key: n for key, n in runs.items() if key != "category_id"} == dict.fromkeys(
+        ("iscrowd", "area", "id", "image_id", "bbox"), 1)
+    assert (runs["category_id"] == 1) if refused is None else (runs["category_id"] > 2)
 
 
 # --- annotation table against the golden and the record walk ---------------------------
